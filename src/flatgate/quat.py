@@ -64,7 +64,7 @@ class UnitQuaternion(Quaternion):
     def __post_init__(self):
         super().__post_init__()
         n = self.norm()
-        if abs(n - 1.0) >= UNIT_RENORM_TOL:
+        if not abs(n - 1.0) < UNIT_RENORM_TOL:     # also rejects a NaN norm
             raise ValueError(f"not a unit quaternion: |q| = {n!r}")
         if n != 1.0:
             object.__setattr__(self, "w", self.w / n)

@@ -42,6 +42,8 @@ class PulseSchedule:
             raise ValueError("t, u1, u2 must be 1-d arrays of equal length")
         if t.shape[0] < 2:
             raise ValueError("schedule needs at least two samples")
+        if not all(np.all(np.isfinite(a)) for a in (t, u1, u2)):
+            raise ValueError("t, u1, u2 must be finite")
         if t[0] != 0.0 or t[-1] <= 0.0:
             raise ValueError("t grid must start at 0 and end at T > 0")
         dt = np.diff(t)

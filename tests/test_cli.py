@@ -100,6 +100,19 @@ def test_simulate_rejects_malformed_schedule(tmp_path, capsys):
     assert code == 1
 
 
+def test_simulate_rejects_non_finite_schedule_and_tiny_step(tmp_path, capsys):
+    path = str(tmp_path / "s.csv")
+    write_schedule(synthesize(E3, 2.0, 64, 1), path)
+    code, _, err = run(["simulate", path, "--h", "1e-12", "--out",
+                        str(tmp_path / "traj.csv")], capsys)
+    assert code == 1 and "steps" in err
+    rows = (tmp_path / "s.csv").read_text().splitlines()
+    rows[3] = "nan,0,0"
+    (tmp_path / "s.csv").write_text("\n".join(rows) + "\n")
+    code, _, err = run(["simulate", path, "--out", str(tmp_path / "traj.csv")], capsys)
+    assert code == 1 and "finite" in err
+
+
 def test_compare_flat_vs_baseline(capsys):
     code, stdout, _ = run(["compare", "--gate", "Z", "--T", "2"], capsys)
     assert code == 0

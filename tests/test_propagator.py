@@ -7,7 +7,7 @@ from flatgate import quat
 from flatgate.errors import StepTooLarge
 from flatgate.planner import synthesize, unwarped_schedule
 from flatgate.propagator import (
-    LEFT_E1, LEFT_E2, LEFT_E3,
+    _MAX_STEPS,
     detuning_sweep,
     fidelity,
     ode_residual,
@@ -15,7 +15,7 @@ from flatgate.propagator import (
     propagate_final_batch,
     propagate_piecewise_exact,
 )
-from flatgate.quat import E1, E2, E3, ONE, ImagQuaternion, UnitQuaternion, exp_pure, mul
+from flatgate.quat import E3, ONE, ImagQuaternion, UnitQuaternion, exp_pure, mul
 from flatgate.schedule import INTERP_PCONST, PulseSchedule
 
 PI = math.pi
@@ -30,14 +30,6 @@ def pconst(t, u1, u2, target=ONE):
 def two_pulse_reference():
     half = PI / 2
     return pconst([0.0, 1.0, 2.0], [0.0, half, half], [half, 0.0, 0.0], target=E3)
-
-
-def test_left_multiplication_matrices_match_quaternion_product():
-    rng = np.random.default_rng(40)
-    for mat, e in ((LEFT_E1, E1), (LEFT_E2, E2), (LEFT_E3, E3)):
-        q = quat.random_unit(rng)
-        expect = mul(e, quat.as_unit(q)).as_array()
-        assert np.max(np.abs(mat @ q - expect)) <= 1e-12
 
 
 def test_zero_schedule_stays_at_identity():
@@ -80,6 +72,26 @@ def test_step_too_large_rejected():
         propagate(sched, h=1.0 / 64)
 
 
+def test_step_count_cap_rejected_before_allocation():
+    sched = pconst([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="steps"):
+        propagate(sched, h=1e-12)
+    with pytest.raises(ValueError, match="steps"):
+        propagate_final_batch([sched], h=1.0 / (_MAX_STEPS + 1))
+    with pytest.raises(ValueError, match="steps"):
+        detuning_sweep(sched, [0.0], E3, h=1e-12)
+
+
+def test_non_finite_schedule_rejected():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            pconst([0.0, 0.5, 1.0], [0.0, bad, 0.0], [0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            pconst([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, bad])
+        with pytest.raises(ValueError, match="finite"):
+            pconst([0.0, bad, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+
+
 def test_right_invariance():
     rng = np.random.default_rng(42)
     sched = synthesize(E3, 1.0, 1024, 1)
@@ -109,6 +121,11 @@ def test_batch_propagation_matches_single():
         single = propagate(s, h=1.0 / 1024).final.as_array()
         assert np.max(np.abs(finals[i] - single)) <= 1e-14
     assert np.all(drifts <= 1e-12)
+
+
+def test_batch_propagation_rejects_empty_batch():
+    with pytest.raises(ValueError, match="empty batch"):
+        propagate_final_batch([])
 
 
 def test_detuning_sweep_zero_matches_plain_propagation():
@@ -145,6 +162,17 @@ def test_detuned_propagation_matches_exact_exponential():
     assert np.max(np.abs(exact.as_array() - expect.as_array())) <= 1e-15
 
 
+def test_detuned_three_segment_propagation_matches_exact_with_chunk_remainder():
+    # 999 steps = three aligned segments of 333, and not a multiple of the
+    # step chunk, so the last chunk is partial
+    sched = pconst([0.0, 1 / 3, 2 / 3, 1.0], [0.4, -0.7, 1.1, 0.0],
+                   [-0.3, 0.9, 0.2, 0.0])
+    res = propagate(sched, delta_r=0.25, h=1.0 / 999)
+    exact = propagate_piecewise_exact(sched, delta_r=0.25)
+    assert res.states.shape == (1000, 4)
+    assert np.max(np.abs(res.final.as_array() - exact.as_array())) <= 1e-13
+
+
 def test_piecewise_exact_requires_pconst():
     sched = synthesize(E3, 1.0, 128, 1)
     with pytest.raises(ValueError):
@@ -159,6 +187,18 @@ def test_ode_residual_second_order_on_exact_trajectory():
         residuals[m] = ode_residual(states, np.zeros(m + 1), np.ones(m + 1), t[1] - t[0])
     order = math.log2(residuals[256] / residuals[512])
     assert residuals[512] < 1e-4
+    assert order >= 1.9
+
+
+def test_recorded_detuned_trajectory_solves_the_ode():
+    residuals = {}
+    for n in (1024, 2048):
+        sched = synthesize(E3, 1.0, n, 1)
+        res = propagate(sched, delta_r=0.3, h=sched.spacing)
+        residuals[n] = ode_residual(res.states, sched.u1, sched.u2,
+                                    sched.spacing, 0.3)
+    order = math.log2(residuals[1024] / residuals[2048])
+    assert residuals[2048] < 1e-4
     assert order >= 1.9
 
 

@@ -161,6 +161,11 @@ def test_unit_quaternion_rejects_large_errors():
         UnitQuaternion(1.1, 0.0, 0.0, 0.0)
     with pytest.raises(ValueError):
         UnitQuaternion(0.0, 0.0, 0.0, 0.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            UnitQuaternion(bad, 0.0, 0.0, 0.0)
+        with pytest.raises(ValueError):
+            UnitQuaternion(0.0, 0.0, 1.0, bad)
 
 
 def test_array_kernels_match_scalar_ops():
