@@ -42,8 +42,8 @@ from .flat import (
 )
 from .planner import (
     CubicPair,
+    Plan,
     PulseSchedule,
-    SSchedule,
     TargetDecomposition,
     boundary_data,
     check_alpha_monotone,

@@ -85,23 +85,31 @@ def write_schedule(sched: PulseSchedule, path: str) -> Path:
 
 
 def read_schedule(path: str) -> PulseSchedule:
-    """Read a schedule CSV plus its sidecar manifest."""
+    """Read a schedule CSV plus its sidecar manifest; a sidecar that is not
+    a JSON object with a four-number target raises OSError."""
     p = Path(path)
     rows = p.read_text().strip().splitlines()
     if not rows or rows[0].strip() != "t,u1,u2":
         raise FlatGateError(f"{path}: expected header t,u1,u2")
     data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-    if data.size == 0 or data.shape[0] < 2:
-        raise FlatGateError(f"{path}: schedule needs at least two samples")
-    man = json.loads(p.with_suffix(".json").read_text())
+    if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != 3:
+        raise FlatGateError(f"{path}: schedule needs at least two t,u1,u2 rows")
+    side = p.with_suffix(".json")
+    man = json.loads(side.read_text())
+    if not isinstance(man, dict):
+        raise OSError(f"{side}: sidecar is not a JSON object")
     if man.get("format_version") != FORMAT_VERSION:
         raise FlatGateError(f"{path}: unsupported format_version")
+    target = man.get("target")
+    if not (isinstance(target, list) and len(target) == 4
+            and all(isinstance(v, (int, float)) for v in target)):
+        raise OSError(f"{side}: target must be a list of four numbers")
     return PulseSchedule(
         data[:, 0], data[:, 1], data[:, 2],
-        target=UnitQuaternion(*man["target"]),
-        interpolation=man["interpolation"],
-        warp_order=man["k"], eta_bar=man["eta_bar"],
-        min_abs_z=man["min_abs_z"])
+        target=UnitQuaternion(*target),
+        interpolation=man.get("interpolation"),
+        warp_order=man.get("k"), eta_bar=man.get("eta_bar"),
+        min_abs_z=man.get("min_abs_z"))
 
 
 def write_trajectory(result: propagator.PropagationResult, path: str) -> None:
@@ -112,13 +120,12 @@ def write_trajectory(result: propagator.PropagationResult, path: str) -> None:
 
 
 def cmd_plan(args) -> int:
-    target = resolve_gate(args)
-    sched = planner.synthesize(target, args.T, args.N, args.k)
+    plan = planner.plan_controls(resolve_gate(args))
+    sched = planner.sample_plan(plan, args.T, args.N, args.k)
     ok_ends = sched.u1[0] == 0.0 and sched.u2[0] == 0.0 \
         and sched.u1[-1] == 0.0 and sched.u2[-1] == 0.0
-    _, _, ss = planner.plan_controls(target)
-    print(f"min |z| on s grid:   {_fmt(sched.min_abs_z)}")
-    print(f"|theta(1)|:          {_fmt(abs(ss.theta_end))}")
+    print(f"min |z| on s grid:   {_fmt(plan.min_abs_z)}")
+    print(f"|theta(1)|:          {_fmt(abs(plan.theta[-1]))}")
     print(f"endpoint controls are exactly zero: {ok_ends}")
     side = write_schedule(sched, args.out)
     print(f"wrote {args.out} and {side}")
@@ -249,15 +256,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FlatGateError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, json.JSONDecodeError) as exc:
+        # before ValueError, of which JSONDecodeError is a subclass
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
+    except (FlatGateError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

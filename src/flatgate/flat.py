@@ -180,6 +180,14 @@ class LiftSamplePath:
         return float(self.s[1] - self.s[0])
 
 
+def lift_controls(w1, w2, w3, w2d, w3d):
+    """Branch-0 controls (u1, u2) from the lift's body rates and the
+    derivatives of w2, w3: u2 = |z| and u1 = w1 + theta'/2, with theta the
+    continuous argument of z = w2 - i*w3.  Requires z != 0."""
+    mag2 = w2 * w2 + w3 * w3
+    return w1 + (w3 * w2d - w2 * w3d) / (2.0 * mag2), np.sqrt(mag2)
+
+
 @dataclass(frozen=True)
 class LiftInversion:
     """States and controls reconstructed from a lift along one branch."""
@@ -190,7 +198,6 @@ class LiftInversion:
     u1: np.ndarray
     u2: np.ndarray
     theta: np.ndarray
-    omega: np.ndarray        # (m, 3) body-velocity components of the lift
 
 
 def invert_lift(path: LiftSamplePath, branch: int) -> LiftInversion:
@@ -225,8 +232,5 @@ def invert_lift(path: LiftSamplePath, branch: int) -> LiftInversion:
     if branch >= 2:
         states = -states
 
-    mag2 = w2 * w2 + w3 * w3
-    u1 = w1 + (w3 * w2d - w2 * w3d) / (2.0 * mag2)
-    u2 = ((-1.0) ** branch) * np.sqrt(mag2)
-    omega = np.stack([w1, w2, w3], axis=1)
-    return LiftInversion(branch, path.s, states, u1, u2, theta, omega)
+    u1, u2 = lift_controls(w1, w2, w3, w2d, w3d)
+    return LiftInversion(branch, path.s, states, u1, ((-1.0) ** branch) * u2, theta)

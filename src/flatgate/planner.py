@@ -11,28 +11,33 @@ Pipeline, all in closed form:
                          endpoint conditions exactly.
 3. check_alpha_monotone  analytic proof obligation alpha' > 0 on (0, 1)
                          plus a numeric grid confirmation.
-4. controls_in_s         body rates and controls in virtual time s with a
-                         winding check on z(s) = w2 - i*w3.
-5. smoothstep warp       s = warp(t) with vanishing endpoint derivatives,
-                         making the physical controls vanish at 0 and T.
+4. controls_in_s         winding check on z(s) = w2 - i*w3 over the
+                         closed-form body rates; plan_controls returns the
+                         checked Plan, whose controls(s) evaluates the rates
+                         once per grid and passes them through
+                         flat.lift_controls, rotated back by eta_bar.
+5. sample_plan           s = smoothstep(t) with vanishing endpoint
+                         derivatives; the controls at s, scaled by ds/dt,
+                         vanish at 0 and T.
 
-The planned control, rotated back by eta_bar and scaled by the warp rate,
-steers dq/dt = (u1 e1 + u2 e2) q from q(0) = 1 to q(T) = target.
+The sampled control steers dq/dt = (u1 e1 + u2 e2) q from q(0) = 1 to
+q(T) = target.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .errors import IdentityTarget, MonotonicityViolation, SingularFlatCurve, WindingNonzero
-from .flat import BodyVelocity, LiftSamplePath, unwrap_phase
+from .errors import IdentityTarget, MonotonicityViolation, WindingNonzero
+from .flat import SINGULAR_Z_TOL, LiftSamplePath, lift_controls, unwrap_phase
 from .quat import UnitQuaternion
 from .schedule import INTERP_LINEAR, PulseSchedule
 
-IDENTITY_TOL = 1e-12
+# min|z| on the s grid is about dist(target, 1) / sqrt(2), so every target
+# beyond this distance clears unwrap_phase's SINGULAR_Z_TOL.
+IDENTITY_TOL = 2.0 * SINGULAR_Z_TOL
 ETA_DEGENERATE_SQ = 1e-24        # q1^2 + q2^2 below this: eta_bar := 0
 Z_GRID = 2048                    # validation grid for |z| and theta
 ALPHA_GRID = 1024                # open grid for the alpha' > 0 confirmation
@@ -41,6 +46,11 @@ WINDING_TOL = 1e-6
 # near 1e-7 on desk-scale scenarios; 2048 would leave it above 1e-6.
 DEFAULT_SAMPLES = 8192
 MIN_SAMPLES = 64
+# Largest clock order whose smoothstep stays within 1e-9 of the exact
+# polynomial: the alternating coefficients cancel in floating point, and
+# the error grows about tenfold per order (k = 9 is off by 1.3e-9, k = 20
+# by O(1)).
+MAX_WARP_ORDER = 8
 
 
 @dataclass(frozen=True)
@@ -80,7 +90,8 @@ def decompose_target(qbar: UnitQuaternion) -> TargetDecomposition:
     r2 = qbar.x * qbar.x + qbar.y * qbar.y
     eta = 0.0 if r2 < ETA_DEGENERATE_SQ else math.atan2(qbar.x, qbar.y) % (2.0 * math.pi)
     r = math.sqrt(r2)
-    alpha = math.acos(max(-1.0, min(1.0, qbar.w)))
+    # atan2 keeps alpha_bar > 0 where acos(w) would round w == 1.0 to 0
+    alpha = math.atan2(math.hypot(r, qbar.z), qbar.w)
     # at alpha = pi both r and q3 vanish and atan2(0, 0) = 0 picks beta = 0
     beta = math.atan2(qbar.z, r)
     return TargetDecomposition(eta, alpha, beta, start_offset(alpha))
@@ -220,12 +231,6 @@ def _rates_arrays(c: CubicPair, s):
     return w1, w2, w3, w2d, w3d
 
 
-def body_rates(c: CubicPair, s: float) -> tuple[BodyVelocity, tuple[float, float]]:
-    """Body velocity of the lift at s plus (w2', w3')."""
-    w1, w2, w3, w2d, w3d = _rates_arrays(c, float(s))
-    return BodyVelocity(float(w1), float(w2), float(w3)), (float(w2d), float(w3d))
-
-
 def lift_path(c: CubicPair, m: int) -> LiftSamplePath:
     """The planner's lift Y(s) on an m-point grid with exact derivatives.
 
@@ -253,62 +258,41 @@ def lift_path(c: CubicPair, m: int) -> LiftSamplePath:
 
 
 @dataclass(frozen=True)
-class SSchedule:
-    """Controls in virtual time s with the validation traces that proved
-    them usable (body rates, unwrapped phase, grid minimum of |z|)."""
+class Plan:
+    """One target planned in virtual time s, with the validation traces that
+    proved it usable: the unwrapped phase theta of z on the Z_GRID s grid and
+    the grid minimum of |z|."""
 
+    target: UnitQuaternion
+    dec: TargetDecomposition
     cubics: CubicPair
-    u1s: Callable
-    u2s: Callable
-    s_grid: np.ndarray
-    omega: np.ndarray        # (m, 3)
     theta: np.ndarray
     min_abs_z: float
 
-    @property
-    def theta_end(self) -> float:
-        return float(self.theta[-1])
+    def controls(self, s):
+        """Controls (u1, u2) at virtual times s, rotated back by eta_bar onto
+        the original target."""
+        a, b = lift_controls(*_rates_arrays(self.cubics, s))
+        ce, se = math.cos(self.dec.eta_bar), math.sin(self.dec.eta_bar)
+        return ce * a + se * b, -se * a + ce * b
 
 
-def controls_in_s(c: CubicPair) -> SSchedule:
-    """Closed-form controls in s and their validity checks.
+def controls_in_s(c: CubicPair) -> tuple[np.ndarray, float]:
+    """Validity checks of the closed-form controls in s; returns the
+    unwrapped phase of z on the Z_GRID s grid and the grid minimum of |z|.
 
-    u2s = |z| stays positive (z(0) = z(1) = alpha_bar > 0 and alpha' > 0
-    in between); the unwrapped argument of z must return to 0 at s = 1,
-    otherwise the plan would end on the wrong branch and is aborted.
+    u2 = |z| stays positive (z(0) = z(1) = alpha_bar > 0 and alpha' > 0
+    in between; unwrap_phase raises SingularFlatCurve otherwise); the
+    unwrapped argument of z must return to 0 at s = 1, otherwise the plan
+    would end on the wrong branch and is aborted.
     """
-
-    def u1s(s):
-        w1, w2, w3, w2d, w3d = _rates_arrays(c, s)
-        return w1 + (w3 * w2d - w2 * w3d) / (2.0 * (w2 * w2 + w3 * w3))
-
-    def u2s(s):
-        _, w2, w3, _, _ = _rates_arrays(c, s)
-        return np.hypot(w2, w3)
-
     s = np.linspace(0.0, 1.0, Z_GRID)
-    w1, w2, w3, _, _ = _rates_arrays(c, s)
+    _, w2, w3, _, _ = _rates_arrays(c, s)
     z = w2 - 1j * w3
-    min_abs_z = float(np.min(np.abs(z)))
-    if min_abs_z <= 1e-12:
-        raise SingularFlatCurve(f"|z| reaches {min_abs_z!r} on the s grid")
     theta = unwrap_phase(z, 0.0)
     if abs(theta[-1]) > WINDING_TOL:
         raise WindingNonzero(f"theta(1) = {theta[-1]!r}; z winds around 0")
-    omega = np.stack([w1, w2, w3], axis=1)
-    return SSchedule(c, u1s, u2s, s, omega, theta, min_abs_z)
-
-
-def _smoothstep_coeffs(k: int) -> np.ndarray:
-    """Integer coefficients of the order-k smoothstep, powers k+1 .. 2k+1."""
-    ck = math.factorial(2 * k + 1) // (math.factorial(k) ** 2)
-    out = np.empty(k + 1)
-    for j in range(k + 1):
-        num = ck * math.comb(k, j) * (-1) ** j
-        den = k + j + 1
-        assert num % den == 0
-        out[j] = num // den
-    return out
+    return theta, float(np.min(np.abs(z)))
 
 
 def smoothstep(t, big_t: float, k: int = 1):
@@ -316,79 +300,79 @@ def smoothstep(t, big_t: float, k: int = 1):
     first k derivatives vanishing at both ends; returns (s, ds/dt).
 
     k = 1 is the cubic 3(t/T)^2 - 2(t/T)^3; higher k raises the endpoint
-    flatness (degree 2k + 1).
+    flatness (degree 2k + 1), up to MAX_WARP_ORDER.
     """
     if big_t <= 0.0:
         raise ValueError("duration must be positive")
     if k < 1:
         raise ValueError("warp order must be at least 1")
+    if k > MAX_WARP_ORDER:
+        raise ValueError(f"warp order must be at most {MAX_WARP_ORDER}")
     u = np.asarray(t, dtype=float) / big_t
     if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
         raise ValueError("t must lie in [0, T]")
-    coeffs = _smoothstep_coeffs(k)
+    ck = math.factorial(2 * k + 1) // (math.factorial(k) ** 2)
     s = np.zeros_like(u)
     for j in range(k, -1, -1):
-        s = s * u + coeffs[j]
+        # the integer coefficient of u^(k+1+j)
+        num, den = ck * math.comb(k, j) * (-1) ** j, k + j + 1
+        assert num % den == 0
+        s = s * u + num // den
     s *= u ** (k + 1)
-    ck = float(math.factorial(2 * k + 1) // (math.factorial(k) ** 2))
     ds = ck * (u * (1.0 - u)) ** k / big_t
     if np.ndim(t) == 0:
         return float(s), float(ds)
     return s, ds
 
 
-def plan_controls(qbar: UnitQuaternion) -> tuple[TargetDecomposition, CubicPair, SSchedule]:
+def plan_controls(qbar: UnitQuaternion) -> Plan:
+    """Plan qbar once: decomposition, cubics and their validity checks."""
     dec = decompose_target(qbar)
     cubics = CubicPair.from_decomposition(dec)
     check_alpha_monotone(cubics)
-    return dec, cubics, controls_in_s(cubics)
+    theta, min_abs_z = controls_in_s(cubics)
+    return Plan(qbar, dec, cubics, theta, min_abs_z)
 
 
-def _rotated_controls(dec: TargetDecomposition, ss: SSchedule, s: np.ndarray):
-    """Apply the eta_bar rotation that maps the normalized plan back to
-    the original target."""
-    ce, se = math.cos(dec.eta_bar), math.sin(dec.eta_bar)
-    a = ss.u1s(s)
-    b = ss.u2s(s)
-    return ce * a + se * b, -se * a + ce * b
-
-
-def synthesize(qbar: UnitQuaternion, big_t: float, n: int = DEFAULT_SAMPLES,
-               k: int = 1) -> PulseSchedule:
-    """Full pipeline: one smooth pulse steering 1 -> qbar over [0, T].
-
-    n is the number of uniform sample intervals (n + 1 samples); k is the
-    clock smoothness order, giving controls of class C^(k-1) that vanish
-    exactly at both ends.
-    """
-    if big_t <= 0.0:
-        raise ValueError("duration must be positive")
+def _sample_grid(big_t: float, n: int) -> np.ndarray:
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} sample intervals")
-    dec, _, ss = plan_controls(qbar)
-    t = np.linspace(0.0, big_t, n + 1)
+    return np.linspace(0.0, big_t, n + 1)
+
+
+def sample_plan(plan: Plan, big_t: float, n: int = DEFAULT_SAMPLES,
+                k: int = 1) -> PulseSchedule:
+    """Sample a plan on n uniform intervals of [0, T] (n + 1 samples)
+    through the order-k clock warp, giving controls of class C^(k-1) that
+    vanish exactly at both ends."""
+    t = _sample_grid(big_t, n)
     s, sd = smoothstep(t, big_t, k)
-    u1, u2 = _rotated_controls(dec, ss, s)
+    u1, u2 = plan.controls(s)
     u1 *= sd
     u2 *= sd
     # sd vanishes identically at both ends; pin the exact zeros
     u1[0] = u1[-1] = 0.0
     u2[0] = u2[-1] = 0.0
-    return PulseSchedule(t, u1, u2, target=qbar, interpolation=INTERP_LINEAR,
-                         warp_order=k, eta_bar=dec.eta_bar, min_abs_z=ss.min_abs_z)
+    return PulseSchedule(t, u1, u2, target=plan.target, interpolation=INTERP_LINEAR,
+                         warp_order=k, eta_bar=plan.dec.eta_bar, min_abs_z=plan.min_abs_z)
+
+
+def synthesize(qbar: UnitQuaternion, big_t: float, n: int = DEFAULT_SAMPLES,
+               k: int = 1) -> PulseSchedule:
+    """Full pipeline: one smooth pulse steering 1 -> qbar over [0, T];
+    see sample_plan for n and k."""
+    return sample_plan(plan_controls(qbar), big_t, n, k)
 
 
 def unwarped_schedule(qbar: UnitQuaternion, n: int = DEFAULT_SAMPLES) -> PulseSchedule:
     """The same plan sampled directly in virtual time on [0, 1] (no clock
     warp, endpoint controls nonzero); useful to check reparameterization
     invariance."""
-    if n < MIN_SAMPLES:
-        raise ValueError(f"need at least {MIN_SAMPLES} sample intervals")
-    dec, _, ss = plan_controls(qbar)
-    s = np.linspace(0.0, 1.0, n + 1)
-    u1, u2 = _rotated_controls(dec, ss, s)
+    plan = plan_controls(qbar)
+    s = _sample_grid(1.0, n)
+    u1, u2 = plan.controls(s)
     return PulseSchedule(s, u1, u2, target=qbar, interpolation=INTERP_LINEAR,
-                         warp_order=None, eta_bar=dec.eta_bar, min_abs_z=ss.min_abs_z)
+                         warp_order=None, eta_bar=plan.dec.eta_bar, min_abs_z=plan.min_abs_z)
 
 
 def rotate_controls(sched: PulseSchedule, eta: float) -> PulseSchedule:

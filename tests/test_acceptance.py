@@ -16,11 +16,10 @@ from flatgate.errors import IdentityTarget
 from flatgate.flat import LiftSamplePath, flat_point, invert_lift
 from flatgate.planner import (
     CubicPair,
-    body_rates,
+    _rates_arrays,
     check_alpha_monotone,
     controls_in_s,
     decompose_target,
-    plan_controls,
     rotate_controls,
     synthesize,
 )
@@ -198,10 +197,10 @@ def test_criterion_06_planner_validity_analytics(capsys):
         dec = decompose_target(random_target(rng))
         cubics = CubicPair.from_decomposition(dec)
         min_grid_alpha = min(min_grid_alpha, check_alpha_monotone(cubics))
-        for s in (0.0, 1.0):
-            w, _ = body_rates(cubics, s)
-            worst_z = max(worst_z, abs(complex(w.w2, -w.w3) - dec.alpha_bar))
-        worst_theta = max(worst_theta, abs(controls_in_s(cubics).theta_end))
+        _, w2, w3, _, _ = _rates_arrays(cubics, np.array([0.0, 1.0]))
+        worst_z = max(worst_z, float(np.max(np.abs(w2 - 1j * w3 - dec.alpha_bar))))
+        theta, _ = controls_in_s(cubics)
+        worst_theta = max(worst_theta, abs(theta[-1]))
     ok = (min_grid_alpha > 0.0 and worst_z <= 1e-10 and worst_theta <= 1e-9)
     with capsys.disabled():
         report(6, ok, f"1000 decompositions: min grid alpha' = "

@@ -98,6 +98,9 @@ def test_simulate_rejects_malformed_schedule(tmp_path, capsys):
     bad.with_suffix(".json").write_text("{}")
     code, _, err = run(["simulate", str(bad)], capsys)
     assert code == 1
+    bad.write_text("t,u1,u2\n0,0\n1,0\n")
+    code, _, err = run(["simulate", str(bad)], capsys)
+    assert code == 1 and "rows" in err
 
 
 def test_simulate_rejects_non_finite_schedule_and_tiny_step(tmp_path, capsys):
@@ -193,3 +196,40 @@ def test_resolve_gate_requires_exactly_one_spec(capsys, tmp_path):
     code, _, err = run(["plan", "--gate", "Z", "--quat", "0,0,0,1",
                         "--out", str(tmp_path / "x.csv")], capsys)
     assert code == 1
+
+
+def test_plan_plans_once(tmp_path, capsys, monkeypatch):
+    from flatgate import planner
+    calls = []
+    real = planner.plan_controls
+
+    def counting(target):
+        calls.append(target)
+        return real(target)
+
+    monkeypatch.setattr(planner, "plan_controls", counting)
+    code, stdout, _ = run(["plan", "--gate", "H", "--N", "256",
+                           "--out", str(tmp_path / "p.csv")], capsys)
+    assert code == 0 and "theta(1)" in stdout
+    assert len(calls) == 1
+
+
+def test_plan_rejects_warp_order_above_bound(tmp_path, capsys):
+    code, _, err = run(["plan", "--gate", "Z", "--k", "25",
+                        "--out", str(tmp_path / "p.csv")], capsys)
+    assert code == 1 and "warp order" in err
+
+
+@pytest.mark.parametrize("sidecar", [
+    '{"format_version": 1, "interpolation": "linear", "k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
+    '[1, 2, 3]',
+    '{"format_version": 1, "target": [0.0, 1.0], "interpolation": "linear", '
+    '"k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
+    '{"format_version": 1,',
+], ids=["no-target", "json-list", "short-target", "truncated"])
+def test_simulate_malformed_sidecar_is_io_error(tmp_path, capsys, sidecar):
+    path = tmp_path / "s.csv"
+    write_schedule(synthesize(E3, 2.0, 64, 1), str(path))
+    path.with_suffix(".json").write_text(sidecar)
+    code, _, err = run(["simulate", str(path)], capsys)
+    assert code == 2 and "i/o error" in err

@@ -5,18 +5,21 @@ import pytest
 
 from flatgate import quat
 from flatgate.errors import IdentityTarget, MonotonicityViolation, WindingNonzero
-from flatgate.flat import body_velocity
+from flatgate.flat import body_velocity, invert_lift
 from flatgate.planner import (
+    IDENTITY_TOL,
+    MAX_WARP_ORDER,
     CubicPair,
+    _rates_arrays,
     boundary_data,
     check_alpha_monotone,
     controls_in_s,
     decompose_target,
     hermite_cubic,
-    body_rates,
     lift_path,
     plan_controls,
     rotate_controls,
+    sample_plan,
     smoothstep,
     start_offset,
     synthesize,
@@ -66,6 +69,22 @@ def test_identity_rejected():
         decompose_target(ONE)
     with pytest.raises(IdentityTarget):
         decompose_target(UnitQuaternion(1.0, 1e-13, 0.0, 0.0))
+
+
+def test_near_identity_targets_plan_and_steer():
+    # every target beyond the identity cutoff plans, also where w rounds
+    # to 1.0, and steers to within its own scale
+    from flatgate.propagator import propagate
+    rng = np.random.default_rng(30)
+    axes = [np.eye(3)[i] for i in range(3)] + [rng.normal(size=3)]
+    for th in np.geomspace(IDENTITY_TOL * (1.0 + 1e-6), 1e-3, 13):
+        for a in axes:
+            v = np.concatenate([[math.cos(th)], math.sin(th) * a / np.linalg.norm(a)])
+            t = UnitQuaternion(*v)
+            plan = plan_controls(t)
+            assert plan.min_abs_z > 0.5 * th
+            final = propagate(sample_plan(plan, 1.0, 256, 1), h=1.0 / 256).final
+            assert np.linalg.norm(final.as_array() - v) <= 1e-4 * th + 1e-11
 
 
 def test_reconstruction_round_trip():
@@ -183,12 +202,12 @@ def test_alpha_monotone_rejects_degenerate():
         check_alpha_monotone(c)
 
 
-# ---------------------------------------------------------------- body_rates
+# ------------------------------------------------------------------- rates
 
 def test_rates_endpoint_value():
     c = CubicPair.from_decomposition(decompose_target(E3))
-    w, _ = body_rates(c, 0.0)
-    z0 = complex(w.w2, -w.w3)
+    _, w2, w3, _, _ = _rates_arrays(c, 0.0)
+    z0 = complex(w2, -w3)
     assert abs(z0) == pytest.approx(PI / 2, abs=1e-12)
     assert abs(np.angle(z0)) <= 1e-12
 
@@ -196,12 +215,11 @@ def test_rates_endpoint_value():
 def test_rates_constant_beta_case():
     d = decompose_target(MINUS_ONE)
     c = CubicPair.from_decomposition(d)
-    for s in (0.0, 0.3, 0.7, 1.0):
-        w, _ = body_rates(c, s)
-        assert w.w1 == 0.0
-        z = complex(w.w2, -w.w3)
-        expect = complex(math.cos(-d.beta_bar), math.sin(-d.beta_bar)) * c.dalpha(s)
-        assert abs(z - expect) <= 1e-12
+    s = np.array([0.0, 0.3, 0.7, 1.0])
+    w1, w2, w3, _, _ = _rates_arrays(c, s)
+    assert np.all(w1 == 0.0)
+    expect = complex(math.cos(-d.beta_bar), math.sin(-d.beta_bar)) * c.dalpha(s)
+    assert np.max(np.abs(w2 - 1j * w3 - expect)) <= 1e-12
 
 
 def test_rates_match_body_velocity_of_lift():
@@ -210,17 +228,15 @@ def test_rates_match_body_velocity_of_lift():
     for _ in range(20):
         c = CubicPair.from_decomposition(decompose_target(rand_target(rng)))
         path = lift_path(c, 33)
+        got = np.stack(_rates_arrays(c, path.s)[:3], axis=1)
         for i in range(33):
             w = body_velocity(quat.as_unit(path.y[i]),
                               Quaternion(*path.yd[i]))
-            got, _ = body_rates(c, path.s[i])
-            d = np.array([w.w1 - got.w1, w.w2 - got.w2, w.w3 - got.w3])
-            assert np.max(np.abs(d)) <= 1e-10
+            assert np.max(np.abs([w.w1, w.w2, w.w3] - got[i])) <= 1e-10
 
 
 def test_rate_derivatives_match_finite_differences():
     rng = np.random.default_rng(25)
-    from flatgate.planner import _rates_arrays
     for _ in range(10):
         c = CubicPair.from_decomposition(decompose_target(rand_target(rng)))
         s = np.linspace(0.05, 0.95, 91)
@@ -235,28 +251,42 @@ def test_rate_derivatives_match_finite_differences():
 # ------------------------------------------------------------- controls_in_s
 
 def test_s_controls_minus_one():
-    _, _, ss = plan_controls(MINUS_ONE)
-    s = np.linspace(0, 1, 65)
-    assert np.max(np.abs(ss.u1s(s))) <= 1e-12
-    assert np.max(np.abs(ss.u2s(s) - PI)) <= 1e-12
+    plan = plan_controls(MINUS_ONE)
+    u1, u2 = plan.controls(np.linspace(0, 1, 65))
+    assert np.max(np.abs(u1)) <= 1e-12
+    assert np.max(np.abs(u2 - PI)) <= 1e-12
 
 
 def test_s_controls_e3_endpoints():
-    _, _, ss = plan_controls(E3)
-    assert ss.u2s(0.0) == pytest.approx(PI / 2, abs=1e-12)
-    assert ss.u2s(1.0) == pytest.approx(PI / 2, abs=1e-12)
+    plan = plan_controls(E3)
+    _, u2 = plan.controls(np.array([0.0, 1.0]))
+    assert np.max(np.abs(u2 - PI / 2)) <= 1e-12
     # the unwrapped argument of z closes the loop at zero
-    assert ss.theta[0] == 0.0
-    assert abs(ss.theta_end) <= 1e-9
+    assert plan.theta[0] == 0.0
+    assert abs(plan.theta[-1]) <= 1e-9
 
 
 def test_s_controls_never_vanish():
     rng = np.random.default_rng(26)
     s = np.linspace(0, 1, 257)
     for _ in range(50):
-        _, _, ss = plan_controls(rand_target(rng))
-        assert np.min(ss.u2s(s)) > 0.0
-        assert ss.min_abs_z > 0.0
+        plan = plan_controls(rand_target(rng))
+        _, w2, w3, _, _ = _rates_arrays(plan.cubics, s)
+        assert np.min(np.hypot(w2, w3)) > 0.0
+        assert plan.min_abs_z > 0.0
+
+
+def test_plan_controls_match_lift_inversion():
+    # cross-module oracle: the planner's closed-form controls vs the
+    # quaternion-product inversion of its own lift, rotated by eta_bar
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        plan = plan_controls(rand_target(rng))
+        inv = invert_lift(lift_path(plan.cubics, 129), 0)
+        ce, se = math.cos(plan.dec.eta_bar), math.sin(plan.dec.eta_bar)
+        u1, u2 = plan.controls(inv.s)
+        assert np.max(np.abs(u1 - (ce * inv.u1 + se * inv.u2))) <= 1e-12
+        assert np.max(np.abs(u2 - (-se * inv.u1 + ce * inv.u2))) <= 1e-12
 
 
 def test_winding_check_fires_on_looping_curve():
@@ -363,9 +393,20 @@ def test_warped_controls_flatten_at_endpoints_with_order():
         assert slopes[1024] <= 0.75 * slopes[512]
 
 
+def test_smoothstep_accurate_up_to_max_warp_order():
+    # the bound is where cancellation in the coefficients reaches 1e-9
+    coeffs = _boundary_value_clock(MAX_WARP_ORDER)
+    u = np.linspace(0.0, 1.0, 1025)
+    expect = sum(float(c) * u ** j for j, c in enumerate(coeffs))
+    got, _ = smoothstep(u, 1.0, MAX_WARP_ORDER)
+    assert np.max(np.abs(got - expect)) <= 1e-9
+
+
 def test_smoothstep_rejects_bad_args():
     with pytest.raises(ValueError):
         smoothstep(0.5, 1.0, 0)
+    with pytest.raises(ValueError):
+        smoothstep(0.5, 1.0, MAX_WARP_ORDER + 1)
     with pytest.raises(ValueError):
         smoothstep(0.5, -1.0, 1)
     with pytest.raises(ValueError):
@@ -396,13 +437,17 @@ def test_synthesize_validates_arguments():
         synthesize(E3, 1.0, 32)
     with pytest.raises(IdentityTarget):
         synthesize(ONE, 1.0)
+    # k = 25 missed the target by 7.5e-2; k = 200 gave all-NaN controls
+    for k in (25, 200):
+        with pytest.raises(ValueError, match="warp order"):
+            synthesize(E3, 1.0, 8192, k)
 
 
 def test_unwarped_schedule_shares_the_s_profile():
     sched = unwarped_schedule(E3, 256)
-    _, _, ss = plan_controls(E3)
-    s = np.linspace(0, 1, 257)
-    assert np.max(np.abs(sched.u2 - ss.u2s(s))) <= 1e-12
+    u1, u2 = plan_controls(E3).controls(np.linspace(0, 1, 257))
+    assert np.max(np.abs(sched.u1 - u1)) <= 1e-12
+    assert np.max(np.abs(sched.u2 - u2)) <= 1e-12
 
 
 def test_synthesize_steers_to_e2():
