@@ -170,6 +170,24 @@ def test_sweep_rejects_empty_range(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("dr_min,extra", [("nan", []), ("0", ["--h", "nan"])])
+def test_sweep_rejects_non_finite_detuning_and_step(tmp_path, capsys, dr_min, extra):
+    code, _, err = run(["sweep", "--gate", "Z", "--T", "1", "--N", "256",
+                        "--delta-r-min", dr_min, "--delta-r-max", "1",
+                        "--steps", "3", "--out", str(tmp_path / "x.csv")] + extra,
+                       capsys)
+    assert code == 1 and "finite" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("flag", ["--delta-r", "--h"])
+def test_simulate_rejects_non_finite_detuning_and_step(tmp_path, capsys, flag):
+    path = str(tmp_path / "s.csv")
+    write_schedule(synthesize(E3, 2.0, 64, 1), path)
+    code, _, err = run(["simulate", path, flag, "nan"], capsys)
+    assert code == 1 and "finite" in err and "unit quaternion" not in err
+
+
 def test_named_gate_table():
     s = 1 / math.sqrt(2)
     assert NAMED_GATES["X"].as_array().tolist() == [0, 1, 0, 0]

@@ -8,6 +8,8 @@ from flatgate.errors import StepTooLarge
 from flatgate.planner import synthesize, unwarped_schedule
 from flatgate.propagator import (
     _MAX_STEPS,
+    _prefix_product,
+    _tree_product,
     detuning_sweep,
     fidelity,
     ode_residual,
@@ -90,6 +92,56 @@ def test_non_finite_schedule_rejected():
             pconst([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, bad])
         with pytest.raises(ValueError, match="finite"):
             pconst([0.0, bad, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+
+
+def test_non_finite_detuning_and_step_rejected():
+    sched = synthesize(E3, 1.0, 128, 1)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="delta_r must be finite"):
+            propagate(sched, delta_r=bad)
+        with pytest.raises(ValueError, match="delta_r must be finite"):
+            propagate_final_batch([sched, sched], delta_r=[0.0, bad])
+        with pytest.raises(ValueError, match="delta_r must be finite"):
+            detuning_sweep(sched, [0.0, bad], E3)
+    with pytest.raises(ValueError, match="step must be finite"):
+        propagate_final_batch([sched], h=math.nan)
+    with pytest.raises(ValueError, match="step must be finite"):
+        propagate(sched, h=math.nan)
+    with pytest.raises(StepTooLarge):
+        propagate_final_batch([sched], h=math.inf)
+
+
+def test_tree_product_matches_last_prefix_row():
+    rng = np.random.default_rng(44)
+    for c in (1, 2, 3, 7, 255, 256):
+        m = quat.random_unit(rng, 3 * c).reshape(3, c, 4)
+        tree = _tree_product(m)
+        assert tree.shape == (3, 1, 4)
+        assert np.max(np.abs(tree - _prefix_product(m)[:, -1:])) <= 1e-14
+
+
+def test_terminal_and_recorded_finals_agree_with_odd_chunk_remainder():
+    # 999 steps leave a last chunk of 231, an odd count for the tree
+    rng = np.random.default_rng(45)
+    linear = synthesize(quat.as_unit(quat.random_unit(rng)), 1.0, 512, 1)
+    piecewise = pconst([0.0, 1 / 3, 2 / 3, 1.0], [0.4, -0.7, 1.1, 0.0],
+                       [-0.3, 0.9, 0.2, 0.0])
+    for sched in (linear, piecewise):
+        finals, drifts = propagate_final_batch([sched], delta_r=0.25, h=1.0 / 999)
+        res = propagate(sched, delta_r=0.25, h=1.0 / 999)
+        assert np.max(np.abs(finals[0] - res.final.as_array())) <= 1e-14
+        assert drifts[0] == res.max_norm_drift
+
+
+def test_batch_propagation_per_row_detuning_matches_single():
+    rng = np.random.default_rng(46)
+    scheds = [synthesize(quat.as_unit(quat.random_unit(rng)), 1.0, 512, 1)
+              for _ in range(3)]
+    drs = [0.0, 0.3, -1.2]
+    finals, _ = propagate_final_batch(scheds, delta_r=drs, h=1.0 / 1024)
+    for s, dr, f in zip(scheds, drs, finals):
+        single, _ = propagate_final_batch([s], delta_r=dr, h=1.0 / 1024)
+        assert np.max(np.abs(f - single[0])) <= 1e-14
 
 
 def test_right_invariance():
