@@ -8,6 +8,7 @@ from .errors import (
     FlatGateError,
     GridTooCoarse,
     IdentityTarget,
+    InvalidPropagationInput,
     MonotonicityViolation,
     NotSpecialUnitary,
     NotTangent,

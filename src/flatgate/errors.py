@@ -39,3 +39,8 @@ class WindingNonzero(FlatGateError):
 
 class StepTooLarge(FlatGateError):
     """Integrator step exceeds the schedule sample spacing."""
+
+
+class InvalidPropagationInput(FlatGateError, ValueError):
+    """Propagator input is out of its domain: an empty batch or detuning
+    list, mismatched grids, a bad step or a non-finite detuning."""

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from flatgate import quat
-from flatgate.errors import StepTooLarge
+from flatgate.errors import FlatGateError, StepTooLarge
 from flatgate.planner import synthesize, unwarped_schedule
 from flatgate.propagator import (
     _MAX_STEPS,
     _prefix_product,
+    _rk4_steps,
     _tree_product,
     detuning_sweep,
     fidelity,
@@ -17,7 +18,8 @@ from flatgate.propagator import (
     propagate_final_batch,
     propagate_piecewise_exact,
 )
-from flatgate.quat import E3, ONE, ImagQuaternion, UnitQuaternion, exp_pure, mul
+from flatgate.quat import (
+    E1, E2, E3, ONE, ImagQuaternion, UnitQuaternion, exp_pure, mul, qmul_arr)
 from flatgate.schedule import INTERP_PCONST, PulseSchedule
 
 PI = math.pi
@@ -142,6 +144,86 @@ def test_batch_propagation_per_row_detuning_matches_single():
     for s, dr, f in zip(scheds, drs, finals):
         single, _ = propagate_final_batch([s], delta_r=dr, h=1.0 / 1024)
         assert np.max(np.abs(f - single[0])) <= 1e-14
+
+
+def _generator_rows(x, y, dr):
+    a = np.zeros(np.broadcast_shapes(x.shape, dr.shape) + (4,))
+    a[..., 1], a[..., 2], a[..., 3] = x, y, dr
+    return a
+
+
+def _rk4_steps_by_products(x0, xm, x1, y0, ym, y1, dr, h):
+    # the classical stage recursion, one Hamilton product per stage
+    a0, am, a1 = (_generator_rows(x, y, dr)
+                  for x, y in ((x0, y0), (xm, ym), (x1, y1)))
+    k2 = am + (0.5 * h) * qmul_arr(am, a0)
+    k3 = am + (0.5 * h) * qmul_arr(am, k2)
+    k4 = a1 + h * qmul_arr(a1, k3)
+    m = (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    m[..., 0] += 1.0
+    return m
+
+
+def test_rk4_steps_match_stage_products():
+    rng = np.random.default_rng(47)
+    h = 1.0 / 8192
+    for c in (1, 7, 256):
+        for rows in (3, 1):
+            # a single control row broadcasts against three detunings
+            x0, xm, x1, y0, ym, y1 = 8.0 * rng.standard_normal((6, rows, c))
+            dr = rng.uniform(-2.0, 2.0, (3, 1))
+            m = _rk4_steps(x0, xm, x1, y0, ym, y1, dr, h)
+            ref = _rk4_steps_by_products(x0, xm, x1, y0, ym, y1, dr, h)
+            assert m.shape == (3, c, 4)
+            assert np.max(np.abs(m - ref)) <= 1e-15
+
+
+def test_rk4_step_of_constant_generator_is_taylor_polynomial():
+    rng = np.random.default_rng(48)
+    h = 0.1
+    x, y = rng.standard_normal((2, 3, 5))
+    dr = rng.uniform(-2.0, 2.0, (3, 1))
+    ha = h * _generator_rows(x, y, dr)
+    term = np.zeros_like(ha)
+    term[..., 0] = 1.0
+    taylor = term.copy()
+    for k in range(1, 5):
+        term = qmul_arr(ha, term) / k
+        taylor += term
+    m = _rk4_steps(x, x, x, y, y, y, dr, h)
+    assert np.max(np.abs(m - taylor)) <= 1e-15
+
+
+def test_one_row_detuning_sweep_matches_per_detuning_propagation():
+    rng = np.random.default_rng(49)
+    sched = synthesize(quat.as_unit(quat.random_unit(rng)), 1.0, 512, 1)
+    drs = np.linspace(-0.8, 0.8, 7)
+    # the fidelities against the four basis units are the final's components
+    finals = np.stack([detuning_sweep(sched, drs, basis, h=1.0 / 1024).fidelity
+                       for basis in (ONE, E1, E2, E3)], axis=1)
+    for dr, f in zip(drs, finals):
+        single = propagate(sched, delta_r=dr, h=1.0 / 1024).final.as_array()
+        assert np.max(np.abs(f - single)) <= 1e-14
+
+
+def test_propagator_input_checks_raise_typed_errors():
+    sched = synthesize(E3, 1.0, 128, 1)
+    other = synthesize(E3, 1.0, 256, 1)
+    calls = [
+        lambda: propagate_final_batch([]),
+        lambda: propagate_final_batch([sched, other]),
+        lambda: propagate_final_batch([sched, sched], delta_r=[0.0, 0.1, 0.2]),
+        lambda: detuning_sweep(sched, [], E3),
+        lambda: propagate(sched, h=0.0),
+        lambda: propagate(sched, h=math.nan),
+        lambda: propagate(sched, h=1e-12),
+        lambda: propagate(sched, delta_r=math.inf),
+        lambda: propagate_piecewise_exact(sched),
+    ]
+    for call in calls:
+        with pytest.raises(FlatGateError) as info:
+            call()
+        assert isinstance(info.value, ValueError)
 
 
 def test_right_invariance():
