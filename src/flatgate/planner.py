@@ -11,14 +11,27 @@ Pipeline, all in closed form:
                          endpoint conditions exactly.
 3. check_alpha_monotone  analytic proof obligation alpha' > 0 on (0, 1)
                          plus a numeric grid confirmation.
-4. controls_in_s         winding check on z(s) = w2 - i*w3 over the
-                         closed-form body rates; plan_controls returns the
-                         checked Plan, whose controls(s) evaluates the rates
-                         once per grid and passes them through
-                         flat.lift_controls, rotated back by eta_bar.
+4. controls_in_s         closed-form phase theta and |z| of z(s) = w2 - i*w3
+                         (below) with their guards; plan_controls returns the
+                         checked Plan, whose controls(s) are rotated back by
+                         eta_bar.
 5. sample_plan           s = smoothstep(t) with vanishing endpoint
                          derivatives; the controls at s, scaled by ds/dt,
                          vanish at 0 and T.
+
+Step 4 in closed form.  The lift Y = cos(alpha) + sin(alpha)(cos(beta) e2
++ sin(beta) e3) has body rates w1 = beta' sin(alpha)^2 and
+
+    z = w2 - i*w3 = exp(-i*beta) (alpha' - i*q),   q = beta' sin(2 alpha) / 2.
+
+On alpha' >= 0 the point (alpha', -q) stays in the closed right half plane,
+so theta = atan2(-q, alpha') - beta is the continuous phase of z, and the
+controls u2 = |z| = sqrt(alpha'^2 + q^2), u1 = w1 + theta'/2 need no unwrap
+and no trig of beta (Plan.controls).  The endpoint conditions give
+alpha' = a cos(b), q = -a sin(b) and beta = b at s = 0 and 1 (a = alpha_bar
+> 0, |b| <= pi/2), so theta(0) = theta(1) = 0 and |z| = a there; with
+alpha' > 0 in between (step 3) a planner curve can neither wind around 0
+nor reach it, and those checks remain only as guards.
 
 The sampled control steers dq/dt = (u1 e1 + u2 e2) q from q(0) = 1 to
 q(T) = target.
@@ -30,13 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentityTarget, MonotonicityViolation, WindingNonzero
-from .flat import SINGULAR_Z_TOL, LiftSamplePath, lift_controls, unwrap_phase
+from .errors import IdentityTarget, MonotonicityViolation, SingularFlatCurve, WindingNonzero
+from .flat import SINGULAR_Z_TOL, LiftSamplePath
 from .quat import UnitQuaternion
 from .schedule import INTERP_LINEAR, PulseSchedule
 
 # min|z| on the s grid is about dist(target, 1) / sqrt(2), so every target
-# beyond this distance clears unwrap_phase's SINGULAR_Z_TOL.
+# beyond this distance clears controls_in_s's SINGULAR_Z_TOL.
 IDENTITY_TOL = 2.0 * SINGULAR_Z_TOL
 ETA_DEGENERATE_SQ = 1e-24        # q1^2 + q2^2 below this: eta_bar := 0
 Z_GRID = 2048                    # validation grid for |z| and theta
@@ -46,6 +59,7 @@ WINDING_TOL = 1e-6
 # near 1e-7 on desk-scale scenarios; 2048 would leave it above 1e-6.
 DEFAULT_SAMPLES = 8192
 MIN_SAMPLES = 64
+MAX_SAMPLES = 2 ** 22            # the propagator's step cap; larger n is an input error
 # Largest clock order whose smoothstep stays within 1e-9 of the exact
 # polynomial: the alternating coefficients cancel in floating point, and
 # the error grows about tenfold per order (k = 9 is off by 1.3e-9, k = 20
@@ -213,24 +227,6 @@ def check_alpha_monotone(c: CubicPair) -> float:
     return grid_min
 
 
-def _rates_arrays(c: CubicPair, s):
-    """Body rates of the lift and the derivatives of w2, w3, all closed form."""
-    s = np.asarray(s, dtype=float)
-    al, be = c.alpha(s), c.beta(s)
-    da, db = c.dalpha(s), c.dbeta(s)
-    dda, ddb = c.ddalpha(s), c.ddbeta(s)
-    sa, ca_, sb, cb = np.sin(al), np.cos(al), np.sin(be), np.cos(be)
-    # q = db * sin(al) cos(al); w2 - i w3 = exp(-i be)(da - i q)
-    q = db * sa * ca_
-    qd = ddb * sa * ca_ + da * db * (ca_ * ca_ - sa * sa)
-    w1 = db * sa * sa
-    w2 = da * cb - q * sb
-    w3 = da * sb + q * cb
-    w2d = dda * cb - da * db * sb - qd * sb - q * db * cb
-    w3d = dda * sb + da * db * cb + qd * cb - q * db * sb
-    return w1, w2, w3, w2d, w3d
-
-
 def lift_path(c: CubicPair, m: int) -> LiftSamplePath:
     """The planner's lift Y(s) on an m-point grid with exact derivatives.
 
@@ -260,8 +256,8 @@ def lift_path(c: CubicPair, m: int) -> LiftSamplePath:
 @dataclass(frozen=True)
 class Plan:
     """One target planned in virtual time s, with the validation traces that
-    proved it usable: the unwrapped phase theta of z on the Z_GRID s grid and
-    the grid minimum of |z|."""
+    proved it usable: the continuous phase theta of z on the Z_GRID s grid
+    and the grid minimum of |z|."""
 
     target: UnitQuaternion
     dec: TargetDecomposition
@@ -271,28 +267,43 @@ class Plan:
 
     def controls(self, s):
         """Controls (u1, u2) at virtual times s, rotated back by eta_bar onto
-        the original target."""
-        a, b = lift_controls(*_rates_arrays(self.cubics, s))
+        the original target: u2 = |z| and u1 = w1 + theta'/2 =
+        ((q alpha'' - alpha' q') / |z|^2 - beta' cos(2 alpha)) / 2."""
+        c, s = self.cubics, np.asarray(s, dtype=float)
+        two_al = 2.0 * c.alpha(s)
+        sn, cs = np.sin(two_al), np.cos(two_al)
+        da, dda, db = c.dalpha(s), c.ddalpha(s), c.dbeta(s)
+        q = 0.5 * db * sn
+        qd = 0.5 * c.ddbeta(s) * sn + da * db * cs
+        mag2 = da * da + q * q
+        a = 0.5 * ((q * dda - da * qd) / mag2 - db * cs)
+        b = np.sqrt(mag2)
         ce, se = math.cos(self.dec.eta_bar), math.sin(self.dec.eta_bar)
         return ce * a + se * b, -se * a + ce * b
 
 
 def controls_in_s(c: CubicPair) -> tuple[np.ndarray, float]:
-    """Validity checks of the closed-form controls in s; returns the
-    unwrapped phase of z on the Z_GRID s grid and the grid minimum of |z|.
-
-    u2 = |z| stays positive (z(0) = z(1) = alpha_bar > 0 and alpha' > 0
-    in between; unwrap_phase raises SingularFlatCurve otherwise); the
-    unwrapped argument of z must return to 0 at s = 1, otherwise the plan
-    would end on the wrong branch and is aborted.
-    """
+    """Validity checks of the closed-form controls in s; returns the phase
+    theta of z on the Z_GRID s grid, relative to s = 0, and the grid minimum
+    of |z|.  Raises MonotonicityViolation where alpha' < 0 (off the atan2
+    branch), SingularFlatCurve for min |z| <= SINGULAR_Z_TOL and
+    WindingNonzero for |theta(1)| > WINDING_TOL."""
     s = np.linspace(0.0, 1.0, Z_GRID)
-    _, w2, w3, _, _ = _rates_arrays(c, s)
-    z = w2 - 1j * w3
-    theta = unwrap_phase(z, 0.0)
+    da = c.dalpha(s)
+    # alpha' = alpha_bar cos(beta_bar) >= 0 at the ends can round to a few
+    # ulp below 0 for beta_bar near +-pi/2: not a branch change
+    slack = 4.0 * np.finfo(float).eps * float(np.abs(c.ca[1:]) @ [1.0, 2.0, 3.0])
+    if np.min(da) < -slack:
+        raise MonotonicityViolation(f"grid min alpha' = {np.min(da)!r} < 0: off the atan2 branch")
+    q = 0.5 * c.dbeta(s) * np.sin(2.0 * c.alpha(s))
+    min_abs_z = float(np.sqrt(np.min(da * da + q * q)))
+    if min_abs_z <= SINGULAR_Z_TOL:
+        raise SingularFlatCurve(f"min |z| = {min_abs_z!r} on the s grid")
+    theta = np.arctan2(-q, da) - c.beta(s)
+    theta -= theta[0]
     if abs(theta[-1]) > WINDING_TOL:
         raise WindingNonzero(f"theta(1) = {theta[-1]!r}; z winds around 0")
-    return theta, float(np.min(np.abs(z)))
+    return theta, min_abs_z
 
 
 def smoothstep(t, big_t: float, k: int = 1):
@@ -337,6 +348,8 @@ def plan_controls(qbar: UnitQuaternion) -> Plan:
 def _sample_grid(big_t: float, n: int) -> np.ndarray:
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} sample intervals")
+    if n > MAX_SAMPLES:
+        raise ValueError(f"need at most {MAX_SAMPLES} sample intervals")
     return np.linspace(0.0, big_t, n + 1)
 
 

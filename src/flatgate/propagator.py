@@ -80,12 +80,13 @@ def _resolve_steps(sched: PulseSchedule, h: float | None) -> tuple[int, float]:
     return n, big_t / n
 
 
-def _stage_values(u: np.ndarray, spacing: float, tau: np.ndarray) -> np.ndarray:
-    """Linear interpolation of sample rows u (b, n_samples) at times tau."""
+def _stage_values(us, spacing: float, tau: np.ndarray) -> list[np.ndarray]:
+    """Linear interpolation of each sample-row array in `us` (b, n_samples)
+    at times tau, all gathered from one index computation."""
     pos = tau / spacing
-    idx = np.clip(np.floor(pos).astype(int), 0, u.shape[1] - 2)
+    idx = np.clip(np.floor(pos).astype(int), 0, us[0].shape[1] - 2)
     frac = pos - idx
-    return u[:, idx] * (1.0 - frac) + u[:, idx + 1] * frac
+    return [u[:, idx] * (1.0 - frac) + u[:, idx + 1] * frac for u in us]
 
 
 def _rk4_steps(x0, xm, x1, y0, ym, y1, dr, h: float) -> np.ndarray:
@@ -164,8 +165,7 @@ def _propagate_rows(u1: np.ndarray, u2: np.ndarray, sched: PulseSchedule,
         else:
             tau = (2 * done + np.arange(2 * c + 1)) * (0.5 * h)
             np.minimum(tau, sched.duration, out=tau)
-            x = _stage_values(u1, sched.spacing, tau)
-            y = _stage_values(u2, sched.spacing, tau)
+            x, y = _stage_values((u1, u2), sched.spacing, tau)
             m = _rk4_steps(x[:, 0:-1:2], x[:, 1::2], x[:, 2::2],
                            y[:, 0:-1:2], y[:, 1::2], y[:, 2::2], dr, h)
         norms = np.linalg.norm(m, axis=-1)

@@ -16,7 +16,6 @@ from flatgate.errors import IdentityTarget
 from flatgate.flat import LiftSamplePath, flat_point, invert_lift
 from flatgate.planner import (
     CubicPair,
-    _rates_arrays,
     check_alpha_monotone,
     controls_in_s,
     decompose_target,
@@ -33,6 +32,7 @@ from flatgate.propagator import (
 )
 from flatgate.quat import E1, E3, ONE, ImagQuaternion, UnitQuaternion, exp_pure, mul
 from flatgate.schedule import INTERP_PCONST, PulseSchedule
+from oracles import rates_arrays
 
 PI = math.pi
 MINUS_ONE = UnitQuaternion(-1.0, 0.0, 0.0, 0.0)
@@ -197,7 +197,7 @@ def test_criterion_06_planner_validity_analytics(capsys):
         dec = decompose_target(random_target(rng))
         cubics = CubicPair.from_decomposition(dec)
         min_grid_alpha = min(min_grid_alpha, check_alpha_monotone(cubics))
-        _, w2, w3, _, _ = _rates_arrays(cubics, np.array([0.0, 1.0]))
+        _, w2, w3, _, _ = rates_arrays(cubics, np.array([0.0, 1.0]))
         worst_z = max(worst_z, float(np.max(np.abs(w2 - 1j * w3 - dec.alpha_bar))))
         theta, _ = controls_in_s(cubics)
         worst_theta = max(worst_theta, abs(theta[-1]))

@@ -1,12 +1,14 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from flatgate import quat
-from flatgate.cli import main, read_schedule, resolve_gate, write_schedule, NAMED_GATES
-from flatgate.planner import synthesize
+from flatgate.cli import (MAX_SWEEP_STEPS, NAMED_GATES, main, read_schedule,
+                          resolve_gate, write_schedule)
+from flatgate.planner import MAX_SAMPLES, synthesize
 from flatgate.propagator import fidelity, propagate
 from flatgate.quat import E3, to_su2
 
@@ -236,6 +238,25 @@ def test_plan_rejects_warp_order_above_bound(tmp_path, capsys):
     code, _, err = run(["plan", "--gate", "Z", "--k", "25",
                         "--out", str(tmp_path / "p.csv")], capsys)
     assert code == 1 and "warp order" in err
+
+
+@pytest.mark.parametrize("argv,cap", [
+    (["plan", "--gate", "Z", "--N", str(MAX_SAMPLES + 1)], MAX_SAMPLES),
+    (["sweep", "--gate", "Z", "--delta-r-min", "0", "--delta-r-max", "1",
+      "--steps", str(MAX_SWEEP_STEPS + 1)], MAX_SWEEP_STEPS),
+], ids=["plan-N", "sweep-steps"])
+def test_size_caps_exit_1_before_allocating(tmp_path, capsys, argv, cap):
+    out = tmp_path / "x.csv"
+    tracemalloc.start()
+    try:
+        code, _, err = run(argv + ["--out", str(out)], capsys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1 and "error: " in err and str(cap) in err
+    assert not out.exists()
+    # far below one array of the refused size (32 MB for plan)
+    assert peak < 2 ** 20
 
 
 @pytest.mark.parametrize("sidecar", [

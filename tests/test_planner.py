@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from flatgate import quat
-from flatgate.errors import IdentityTarget, MonotonicityViolation, WindingNonzero
+from flatgate.errors import (IdentityTarget, MonotonicityViolation, SingularFlatCurve,
+                             WindingNonzero)
 from flatgate.flat import body_velocity, invert_lift
 from flatgate.planner import (
     IDENTITY_TOL,
+    MAX_SAMPLES,
     MAX_WARP_ORDER,
     CubicPair,
-    _rates_arrays,
     boundary_data,
     check_alpha_monotone,
     controls_in_s,
@@ -26,6 +27,7 @@ from flatgate.planner import (
     unwarped_schedule,
 )
 from flatgate.quat import E1, E2, E3, ONE, Quaternion, UnitQuaternion
+from oracles import oracle_controls, oracle_phase, rates_arrays
 
 MINUS_ONE = UnitQuaternion(-1.0, 0.0, 0.0, 0.0)
 PI = math.pi
@@ -36,6 +38,22 @@ def rand_target(rng):
         v = quat.random_unit(rng)
         if np.linalg.norm(v - [1.0, 0, 0, 0]) > 1e-3:
             return quat.as_unit(v)
+
+
+def edge_targets():
+    """Near +-1 down to 1e-9 along each axis, gimbal e1/e3 mixes, +-e1,
+    e2, +-e3 and -1."""
+    out = [E1, UnitQuaternion(0.0, -1.0, 0.0, 0.0), E2, E3,
+           UnitQuaternion(0.0, 0.0, 0.0, -1.0), MINUS_ONE]
+    h = math.sqrt(0.5)
+    out += [UnitQuaternion(0.0, h, 0.0, h), UnitQuaternion(0.0, h, 0.0, -h),
+            UnitQuaternion(h, h, 0.0, 0.0), UnitQuaternion(h, 0.0, 0.0, h)]
+    for th in np.geomspace(1e-9, 1e-3, 7):
+        for axis in np.eye(3):
+            for w in (1.0, -1.0):
+                v = np.concatenate([[w * math.cos(th)], math.sin(th) * axis])
+                out.append(UnitQuaternion(*v))
+    return out
 
 
 # ---------------------------------------------------------- decompose_target
@@ -206,7 +224,7 @@ def test_alpha_monotone_rejects_degenerate():
 
 def test_rates_endpoint_value():
     c = CubicPair.from_decomposition(decompose_target(E3))
-    _, w2, w3, _, _ = _rates_arrays(c, 0.0)
+    _, w2, w3, _, _ = rates_arrays(c, 0.0)
     z0 = complex(w2, -w3)
     assert abs(z0) == pytest.approx(PI / 2, abs=1e-12)
     assert abs(np.angle(z0)) <= 1e-12
@@ -216,7 +234,7 @@ def test_rates_constant_beta_case():
     d = decompose_target(MINUS_ONE)
     c = CubicPair.from_decomposition(d)
     s = np.array([0.0, 0.3, 0.7, 1.0])
-    w1, w2, w3, _, _ = _rates_arrays(c, s)
+    w1, w2, w3, _, _ = rates_arrays(c, s)
     assert np.all(w1 == 0.0)
     expect = complex(math.cos(-d.beta_bar), math.sin(-d.beta_bar)) * c.dalpha(s)
     assert np.max(np.abs(w2 - 1j * w3 - expect)) <= 1e-12
@@ -228,7 +246,7 @@ def test_rates_match_body_velocity_of_lift():
     for _ in range(20):
         c = CubicPair.from_decomposition(decompose_target(rand_target(rng)))
         path = lift_path(c, 33)
-        got = np.stack(_rates_arrays(c, path.s)[:3], axis=1)
+        got = np.stack(rates_arrays(c, path.s)[:3], axis=1)
         for i in range(33):
             w = body_velocity(quat.as_unit(path.y[i]),
                               Quaternion(*path.yd[i]))
@@ -241,9 +259,9 @@ def test_rate_derivatives_match_finite_differences():
         c = CubicPair.from_decomposition(decompose_target(rand_target(rng)))
         s = np.linspace(0.05, 0.95, 91)
         eps = 1e-6
-        _, w2p, w3p, _, _ = _rates_arrays(c, s + eps)
-        _, w2m, w3m, _, _ = _rates_arrays(c, s - eps)
-        _, _, _, w2d, w3d = _rates_arrays(c, s)
+        _, w2p, w3p, _, _ = rates_arrays(c, s + eps)
+        _, w2m, w3m, _, _ = rates_arrays(c, s - eps)
+        _, _, _, w2d, w3d = rates_arrays(c, s)
         assert np.max(np.abs((w2p - w2m) / (2 * eps) - w2d)) <= 1e-6
         assert np.max(np.abs((w3p - w3m) / (2 * eps) - w3d)) <= 1e-6
 
@@ -271,7 +289,7 @@ def test_s_controls_never_vanish():
     s = np.linspace(0, 1, 257)
     for _ in range(50):
         plan = plan_controls(rand_target(rng))
-        _, w2, w3, _, _ = _rates_arrays(plan.cubics, s)
+        _, w2, w3, _, _ = rates_arrays(plan.cubics, s)
         assert np.min(np.hypot(w2, w3)) > 0.0
         assert plan.min_abs_z > 0.0
 
@@ -287,6 +305,60 @@ def test_plan_controls_match_lift_inversion():
         u1, u2 = plan.controls(inv.s)
         assert np.max(np.abs(u1 - (ce * inv.u1 + se * inv.u2))) <= 1e-12
         assert np.max(np.abs(u2 - (-se * inv.u1 + ce * inv.u2))) <= 1e-12
+
+
+def test_closed_form_phase_matches_unwrapped_oracle():
+    # theta and min|z| from atan2(-q, alpha') - beta against the unwrapped
+    # phase of w2 - i*w3 from the full body rates
+    rng = np.random.default_rng(31)
+    for t in [rand_target(rng) for _ in range(200)] + edge_targets():
+        c = CubicPair.from_decomposition(decompose_target(t))
+        theta, min_abs_z = controls_in_s(c)
+        ref_theta, ref_min = oracle_phase(c)
+        assert theta[0] == 0.0
+        assert np.max(np.abs(theta - ref_theta)) <= 1e-14
+        assert abs(min_abs_z - ref_min) <= 1e-14
+
+
+def test_closed_form_controls_match_lift_controls_on_warped_grids():
+    rng = np.random.default_rng(32)
+    t = np.linspace(0.0, 1.0, 8193)
+    targets = [rand_target(rng) for _ in range(60)] + edge_targets()
+    for i, target in enumerate(targets):
+        plan = plan_controls(target)
+        s, _ = smoothstep(t, 1.0, 1 + i % 3)
+        u1, u2 = plan.controls(s)
+        r1, r2 = oracle_controls(plan, s)
+        scale = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
+        assert np.max(np.abs(u1 - r1)) <= 1e-14 * scale
+        assert np.max(np.abs(u2 - r2)) <= 1e-14 * scale
+
+
+def test_branch_guard_rejects_decreasing_alpha():
+    # alpha' = 1 - 6s turns negative with beta' = 1 keeping z away from 0:
+    # atan2(-q, alpha') would leave its branch
+    c = CubicPair(np.array([0.0, 1.0, -3.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]), 0.0)
+    with pytest.raises(MonotonicityViolation):
+        controls_in_s(c)
+
+
+def test_endpoint_slope_rounding_below_zero_still_plans():
+    # beta_bar near pi/2: alpha'(1) = alpha_bar cos(beta_bar) ~ 5e-16
+    # evaluates to -1.2e-15; that is rounding, not a branch change
+    a, r = 1.2, 5e-16
+    t = UnitQuaternion(math.cos(a), 0.0, r, math.sqrt(math.sin(a) ** 2 - r * r))
+    plan = plan_controls(t)
+    assert plan.cubics.dalpha(1.0) < 0.0
+    ref_theta, ref_min = oracle_phase(plan.cubics)
+    assert np.max(np.abs(plan.theta - ref_theta)) <= 1e-14
+    assert abs(plan.min_abs_z - ref_min) <= 1e-14
+
+
+def test_singular_curve_is_rejected():
+    # constant alpha and beta: z vanishes everywhere
+    c = CubicPair(np.array([0.3, 0.0, 0.0, 0.0]), np.zeros(4), 0.0)
+    with pytest.raises(SingularFlatCurve):
+        controls_in_s(c)
 
 
 def test_winding_check_fires_on_looping_curve():
@@ -437,6 +509,8 @@ def test_synthesize_validates_arguments():
         synthesize(E3, 1.0, 32)
     with pytest.raises(IdentityTarget):
         synthesize(ONE, 1.0)
+    with pytest.raises(ValueError, match="at most"):
+        synthesize(E3, 1.0, MAX_SAMPLES + 1)
     # k = 25 missed the target by 7.5e-2; k = 200 gave all-NaN controls
     for k in (25, 200):
         with pytest.raises(ValueError, match="warp order"):
