@@ -17,7 +17,8 @@ Pipeline, all in closed form:
                          eta_bar.
 5. sample_plan           s = smoothstep(t) with vanishing endpoint
                          derivatives; the controls at s, scaled by ds/dt,
-                         vanish at 0 and T.
+                         vanish at 0 and T and are written as a "cubic"
+                         schedule.
 
 Step 4 in closed form.  The lift Y = cos(alpha) + sin(alpha)(cos(beta) e2
 + sin(beta) e3) has body rates w1 = beta' sin(alpha)^2 and
@@ -46,7 +47,7 @@ import numpy as np
 from .errors import IdentityTarget, MonotonicityViolation, SingularFlatCurve, WindingNonzero
 from .flat import SINGULAR_Z_TOL, LiftSamplePath
 from .quat import UnitQuaternion
-from .schedule import INTERP_LINEAR, PulseSchedule
+from .schedule import INTERP_CUBIC, PulseSchedule
 
 # min|z| on the s grid is about dist(target, 1) / sqrt(2), so every target
 # beyond this distance clears controls_in_s's SINGULAR_Z_TOL.
@@ -55,9 +56,11 @@ ETA_DEGENERATE_SQ = 1e-24        # q1^2 + q2^2 below this: eta_bar := 0
 Z_GRID = 2048                    # validation grid for |z| and theta
 ALPHA_GRID = 1024                # open grid for the alpha' > 0 confirmation
 WINDING_TOL = 1e-6
-# 8192 intervals keep the linear-interpolation floor of a written schedule
-# near 1e-7 on desk-scale scenarios; 2048 would leave it above 1e-6.
-DEFAULT_SAMPLES = 8192
+# The smallest power of two whose cubic-interpolation floor keeps the
+# reference scenario (e3, T = 2, k = 1) within 1e-9: 512 intervals give
+# 3.6e-10 at h = T/8192 and 4.0e-10 at the default step h = T/512, while 256
+# give 5.7e-9.  A linear read of 512 intervals leaves 2.2e-5, of 8192 8.6e-8.
+DEFAULT_SAMPLES = 512
 MIN_SAMPLES = 64
 MAX_SAMPLES = 2 ** 22            # the propagator's step cap; larger n is an input error
 # Largest clock order whose smoothstep stays within 1e-9 of the exact
@@ -269,17 +272,46 @@ class Plan:
         """Controls (u1, u2) at virtual times s, rotated back by eta_bar onto
         the original target: u2 = |z| and u1 = w1 + theta'/2 =
         ((q alpha'' - alpha' q') / |z|^2 - beta' cos(2 alpha)) / 2."""
+        # In place, in the order of the formula, with each temporary freed
+        # once used: sample_plan reads up to MAX_SAMPLES + 1 points.
         c, s = self.cubics, np.asarray(s, dtype=float)
-        two_al = 2.0 * c.alpha(s)
+        two_al = c.alpha(s)
+        two_al *= 2.0
         sn, cs = np.sin(two_al), np.cos(two_al)
-        da, dda, db = c.dalpha(s), c.ddalpha(s), c.dbeta(s)
-        q = 0.5 * db * sn
-        qd = 0.5 * c.ddbeta(s) * sn + da * db * cs
-        mag2 = da * da + q * q
-        a = 0.5 * ((q * dda - da * qd) / mag2 - db * cs)
+        del two_al
+        da, db = c.dalpha(s), c.dbeta(s)
+        q = 0.5 * db
+        q *= sn                                 # q = beta' sin(2 alpha) / 2
+        qd = c.ddbeta(s)
+        qd *= 0.5
+        qd *= sn
+        del sn
+        w = da * db
+        w *= cs
+        qd += w                                 # q'
+        mag2 = da * da
+        w = q * q
+        mag2 += w                               # |z|^2
+        del w
+        a = c.ddalpha(s)
+        a *= q
+        del q
+        qd *= da
+        a -= qd
+        del qd, da
+        a /= mag2
+        cs *= db
+        a -= cs
+        del cs, db
+        a *= 0.5
         b = np.sqrt(mag2)
+        del mag2
         ce, se = math.cos(self.dec.eta_bar), math.sin(self.dec.eta_bar)
-        return ce * a + se * b, -se * a + ce * b
+        u1, w = a * ce, b * se
+        u1 += w
+        u2, w = a * -se, b * ce
+        u2 += w
+        return u1, u2
 
 
 def controls_in_s(c: CubicPair) -> tuple[np.ndarray, float]:
@@ -328,9 +360,14 @@ def smoothstep(t, big_t: float, k: int = 1):
         # the integer coefficient of u^(k+1+j)
         num, den = ck * math.comb(k, j) * (-1) ** j, k + j + 1
         assert num % den == 0
-        s = s * u + num // den
+        s *= u
+        s += num // den
     s *= u ** (k + 1)
-    ds = ck * (u * (1.0 - u)) ** k / big_t
+    ds = 1.0 - u
+    ds *= u
+    ds **= k
+    ds *= ck
+    ds /= big_t
     if np.ndim(t) == 0:
         return float(s), float(ds)
     return s, ds
@@ -361,12 +398,14 @@ def sample_plan(plan: Plan, big_t: float, n: int = DEFAULT_SAMPLES,
     t = _sample_grid(big_t, n)
     s, sd = smoothstep(t, big_t, k)
     u1, u2 = plan.controls(s)
+    del s
     u1 *= sd
     u2 *= sd
+    del sd
     # sd vanishes identically at both ends; pin the exact zeros
     u1[0] = u1[-1] = 0.0
     u2[0] = u2[-1] = 0.0
-    return PulseSchedule(t, u1, u2, target=plan.target, interpolation=INTERP_LINEAR,
+    return PulseSchedule(t, u1, u2, target=plan.target, interpolation=INTERP_CUBIC,
                          warp_order=k, eta_bar=plan.dec.eta_bar, min_abs_z=plan.min_abs_z)
 
 
@@ -384,7 +423,7 @@ def unwarped_schedule(qbar: UnitQuaternion, n: int = DEFAULT_SAMPLES) -> PulseSc
     plan = plan_controls(qbar)
     s = _sample_grid(1.0, n)
     u1, u2 = plan.controls(s)
-    return PulseSchedule(s, u1, u2, target=qbar, interpolation=INTERP_LINEAR,
+    return PulseSchedule(s, u1, u2, target=qbar, interpolation=INTERP_CUBIC,
                          warp_order=None, eta_bar=plan.dec.eta_bar, min_abs_z=plan.min_abs_z)
 
 

@@ -15,10 +15,17 @@ q: normalizing each reported state equals renormalizing after every step,
 and the drift audit is exactly max_j ||m_j| - 1|.
 
 Controls between samples are read according to the schedule's declared
-interpolation: "linear" evaluates every RK4 stage on the interpolant,
-"pconst" holds one value per step (taken from the segment containing the
-step midpoint), so steps aligned with segment boundaries integrate each
-constant segment exactly up to the RK4 truncation of the exponential.
+interpolation: "cubic" and "linear" evaluate every RK4 stage on the
+interpolant, "pconst" holds one value per step (taken from the segment
+containing the step midpoint), so steps aligned with segment boundaries
+integrate each constant segment exactly up to the RK4 truncation of the
+exponential.  The cubic read is the local 4-point Lagrange cubic on
+samples i-1..i+2 (one-sided 0..3 and N-3..N on the end intervals; Keys,
+IEEE Trans. ASSP 29(6), 1981), whose O(spacing^4) floor lets a cubic
+schedule step at its own spacing: each stage endpoint is then a sample and
+each midpoint (-1, 9, 9, -1)/16 of its neighbours.  Without an explicit
+step, cubic schedules step at their spacing and the others at
+T / DEFAULT_STEP_DIVISOR.
 """
 from __future__ import annotations
 
@@ -29,7 +36,7 @@ import numpy as np
 from .errors import InvalidPropagationInput, StepTooLarge
 from . import quat
 from .quat import ImagQuaternion, UnitQuaternion
-from .schedule import INTERP_PCONST, PulseSchedule
+from .schedule import INTERP_CUBIC, INTERP_PCONST, PulseSchedule
 
 DEFAULT_STEP_DIVISOR = 8192
 _STEP_CHUNK = 256
@@ -66,7 +73,7 @@ def fidelity(p: UnitQuaternion, q: UnitQuaternion) -> float:
 def _resolve_steps(sched: PulseSchedule, h: float | None) -> tuple[int, float]:
     big_t = sched.duration
     if h is None:
-        h = big_t / DEFAULT_STEP_DIVISOR
+        h = sched.spacing if sched.interpolation == INTERP_CUBIC else big_t / DEFAULT_STEP_DIVISOR
     if h <= 0.0:
         raise InvalidPropagationInput("step must be positive")
     if np.isnan(h):
@@ -80,13 +87,37 @@ def _resolve_steps(sched: PulseSchedule, h: float | None) -> tuple[int, float]:
     return n, big_t / n
 
 
-def _stage_values(us, spacing: float, tau: np.ndarray) -> list[np.ndarray]:
-    """Linear interpolation of each sample-row array in `us` (b, n_samples)
-    at times tau, all gathered from one index computation."""
-    pos = tau / spacing
-    idx = np.clip(np.floor(pos).astype(int), 0, us[0].shape[1] - 2)
-    frac = pos - idx
-    return [u[:, idx] * (1.0 - frac) + u[:, idx + 1] * frac for u in us]
+def _stage_values(us, sched: PulseSchedule, h: float, first: int,
+                  count: int) -> list[np.ndarray]:
+    """Each sample-row array in `us` (b, N + 1) read at the `count` RK4
+    stage times (first + i) h/2, clamped to T, on the interpolant `sched`
+    declares; all rows are gathered from one index computation.  Linear
+    reads the line through samples i, i + 1 of the interval containing a
+    stage; cubic the Lagrange cubic through samples j..j + 3,
+    j = clip(i - 1, 0, N - 3), whose weights at integer and half-integer
+    positions are exact."""
+    half_steps = first + np.arange(count)
+    cubic = sched.interpolation == INTERP_CUBIC
+    if cubic:
+        # h / spacing is exactly 1 at the default step, so stage endpoints
+        # land on samples and midpoints halfway between
+        pos = np.minimum(half_steps * (0.5 * h / sched.spacing), sched.n_intervals)
+    else:
+        tau = half_steps * (0.5 * h)
+        np.minimum(tau, sched.duration, out=tau)
+        pos = tau / sched.spacing
+    last = sched.n_intervals - 1
+    idx = np.clip(np.floor(pos).astype(int), 0, last)
+    if not cubic:
+        frac = pos - idx
+        return [u[:, idx] * (1.0 - frac) + u[:, idx + 1] * frac for u in us]
+    j = np.clip(idx - 1, 0, last - 2)
+    x0 = pos - j
+    x1, x2, x3 = x0 - 1.0, x0 - 2.0, x0 - 3.0
+    w = np.stack((x1 * x2 * x3 / -6.0, x0 * x2 * x3 / 2.0,
+                  x0 * x1 * x3 / -2.0, x0 * x1 * x2 / 6.0))
+    stencil = j + np.arange(4)[:, None]
+    return [np.einsum("bkl,kl->bl", u[:, stencil], w) for u in us]
 
 
 def _rk4_steps(x0, xm, x1, y0, ym, y1, dr, h: float) -> np.ndarray:
@@ -114,6 +145,12 @@ def _rk4_steps(x0, xm, x1, y0, ym, y1, dr, h: float) -> np.ndarray:
     m *= h / 6.0
     m[..., 0] += 1.0
     return m
+
+
+def _norm4(a: np.ndarray) -> np.ndarray:
+    """Norms of quaternion rows (..., 4): np.linalg.norm's additions in its
+    order, so bit-identical, at a fifth of its cost on (64, 256, 4) rows."""
+    return np.sqrt(a[..., 0] ** 2 + a[..., 1] ** 2 + a[..., 2] ** 2 + a[..., 3] ** 2)
 
 
 def _prefix_product(m: np.ndarray) -> np.ndarray:
@@ -163,16 +200,13 @@ def _propagate_rows(u1: np.ndarray, u2: np.ndarray, sched: PulseSchedule,
             x, y = u1[:, seg], u2[:, seg]
             m = _rk4_steps(x, x, x, y, y, y, dr, h)
         else:
-            tau = (2 * done + np.arange(2 * c + 1)) * (0.5 * h)
-            np.minimum(tau, sched.duration, out=tau)
-            x, y = _stage_values((u1, u2), sched.spacing, tau)
+            x, y = _stage_values((u1, u2), sched, h, 2 * done, 2 * c + 1)
             m = _rk4_steps(x[:, 0:-1:2], x[:, 1::2], x[:, 2::2],
                            y[:, 0:-1:2], y[:, 1::2], y[:, 2::2], dr, h)
-        norms = np.linalg.norm(m, axis=-1)
-        np.maximum(drift, np.max(np.abs(norms - 1.0), axis=1), out=drift)
+        np.maximum(drift, np.max(np.abs(_norm4(m) - 1.0), axis=1), out=drift)
         p = _prefix_product(m) if record else _tree_product(m)
         qs = quat.qmul_arr(p, q[:, None])
-        qs /= np.linalg.norm(qs, axis=-1, keepdims=True)
+        qs /= _norm4(qs)[..., None]
         if record:
             states[done + 1:done + c + 1] = qs[0]
         q = qs[:, -1]

@@ -3,10 +3,13 @@ baseline, propagator, and CLI.
 
 A schedule holds N + 1 samples (u1, u2) on the uniform grid t_i = i*T/N
 plus the metadata needed to verify it later.  `interpolation` declares how
-values between samples are meant to be read: "linear" for smooth planner
-output, "pconst" for piecewise-constant baselines (value held on
-[t_i, t_{i+1})).  Planner schedules vanish exactly at both ends; baseline
-schedules intentionally do not.
+values between samples are meant to be read: "cubic" for smooth planner
+output (the local 4-point Lagrange cubic on samples i-1..i+2, one-sided
+stencils 0..3 and N-3..N on the end intervals; at least 4 samples),
+"linear" for straight lines between samples, "pconst" for
+piecewise-constant baselines (value held on [t_i, t_{i+1})).  Planner
+schedules vanish exactly at both ends; baseline schedules intentionally do
+not.
 """
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ FORMAT_VERSION = 1
 
 INTERP_LINEAR = "linear"
 INTERP_PCONST = "pconst"
+INTERP_CUBIC = "cubic"
 
 
 @dataclass(frozen=True)
@@ -49,8 +53,10 @@ class PulseSchedule:
         dt = np.diff(t)
         if np.any(dt <= 0.0) or np.max(np.abs(dt - dt[0])) > 1e-9 * max(t[-1], 1.0):
             raise ValueError("t grid must be uniform and increasing")
-        if self.interpolation not in (INTERP_LINEAR, INTERP_PCONST):
+        if self.interpolation not in (INTERP_LINEAR, INTERP_PCONST, INTERP_CUBIC):
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
+        if self.interpolation == INTERP_CUBIC and t.shape[0] < 4:
+            raise ValueError("cubic schedule needs at least four samples")
         for name, a in (("t", t), ("u1", u1), ("u2", u2)):
             a = a.copy()
             a.flags.writeable = False

@@ -5,13 +5,21 @@ derivatives of w2, w3 with sin and cos of both alpha and beta.  Passed
 through flat.lift_controls and unwrap_phase it gives, by the general route,
 the controls and the phase of z = w2 - i*w3 that the planner writes in
 closed form from alpha and beta' alone.
+
+linear_pconst_rows is the propagation kernel as it was before schedules
+could declare "cubic", with np.linalg.norm for the drift audit and the
+state normalization: linear and pconst propagation must match it bit for
+bit.
 """
 import math
 
 import numpy as np
 
+from flatgate import quat
 from flatgate.flat import lift_controls, unwrap_phase
 from flatgate.planner import Z_GRID
+from flatgate.propagator import _STEP_CHUNK, _prefix_product, _rk4_steps, _tree_product
+from flatgate.schedule import INTERP_LINEAR, INTERP_PCONST
 
 
 def rates_arrays(c, s):
@@ -44,3 +52,42 @@ def oracle_phase(c):
     _, w2, w3, _, _ = rates_arrays(c, np.linspace(0.0, 1.0, Z_GRID))
     z = w2 - 1j * w3
     return unwrap_phase(z, 0.0), float(np.min(np.abs(z)))
+
+
+def linear_pconst_rows(u1, u2, sched, delta_r, h, n, start, record):
+    """(finals, drifts, states) of b linear or pconst systems in lockstep."""
+    assert sched.interpolation in (INTERP_LINEAR, INTERP_PCONST)
+    dr = np.asarray(delta_r, dtype=float).reshape(-1, 1)
+    b = max(u1.shape[0], dr.shape[0])
+    q = start
+    states = np.empty((n + 1, 4)) if record else None
+    if record:
+        states[0] = q[0]
+    drift = np.zeros(b)
+    done = 0
+    while done < n:
+        c = min(_STEP_CHUNK, n - done)
+        if sched.interpolation == INTERP_PCONST:
+            mid = (done + np.arange(c) + 0.5) * h
+            seg = np.clip((mid / sched.spacing).astype(int), 0, u1.shape[1] - 2)
+            x, y = u1[:, seg], u2[:, seg]
+            m = _rk4_steps(x, x, x, y, y, y, dr, h)
+        else:
+            tau = (2 * done + np.arange(2 * c + 1)) * (0.5 * h)
+            np.minimum(tau, sched.duration, out=tau)
+            pos = tau / sched.spacing
+            idx = np.clip(np.floor(pos).astype(int), 0, u1.shape[1] - 2)
+            frac = pos - idx
+            x, y = (u[:, idx] * (1.0 - frac) + u[:, idx + 1] * frac for u in (u1, u2))
+            m = _rk4_steps(x[:, 0:-1:2], x[:, 1::2], x[:, 2::2],
+                           y[:, 0:-1:2], y[:, 1::2], y[:, 2::2], dr, h)
+        norms = np.linalg.norm(m, axis=-1)
+        np.maximum(drift, np.max(np.abs(norms - 1.0), axis=1), out=drift)
+        p = _prefix_product(m) if record else _tree_product(m)
+        qs = quat.qmul_arr(p, q[:, None])
+        qs /= np.linalg.norm(qs, axis=-1, keepdims=True)
+        if record:
+            states[done + 1:done + c + 1] = qs[0]
+        q = qs[:, -1]
+        done += c
+    return q, drift, states

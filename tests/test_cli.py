@@ -11,6 +11,7 @@ from flatgate.cli import (MAX_SWEEP_STEPS, NAMED_GATES, main, read_schedule,
 from flatgate.planner import MAX_SAMPLES, synthesize
 from flatgate.propagator import fidelity, propagate
 from flatgate.quat import E3, to_su2
+from flatgate.schedule import PulseSchedule
 
 
 def run(argv, capsys):
@@ -31,7 +32,7 @@ def test_plan_writes_schedule_and_sidecar(tmp_path, capsys):
     assert man["format_version"] == 1
     assert man["target"] == [0.0, 0.0, 0.0, 1.0]
     assert man["T"] == 2.0 and man["k"] == 1
-    assert man["interpolation"] == "linear"
+    assert man["interpolation"] == "cubic"
     rows = out.read_text().strip().splitlines()
     assert len(rows) == man["N"] + 2
     assert rows[1].split(",")[1:] == ["0", "0"]
@@ -55,15 +56,19 @@ def test_plan_identity_is_rejected(capsys, tmp_path):
 
 
 def test_schedule_round_trip_preserves_propagation(tmp_path, capsys):
-    sched = synthesize(E3, 2.0, 512, 1)
-    write_schedule(sched, str(tmp_path / "s.csv"))
-    back = read_schedule(str(tmp_path / "s.csv"))
-    assert np.array_equal(back.t, sched.t)
-    assert np.array_equal(back.u1, sched.u1)
-    assert np.array_equal(back.u2, sched.u2)
-    fa = propagate(sched, h=2.0 / 1024).final.as_array()
-    fb = propagate(back, h=2.0 / 1024).final.as_array()
-    assert np.array_equal(fa, fb)
+    planned = synthesize(E3, 2.0, 512, 1)
+    for interpolation in ("cubic", "linear", "pconst"):
+        sched = PulseSchedule(planned.t, planned.u1, planned.u2, target=E3,
+                              interpolation=interpolation)
+        write_schedule(sched, str(tmp_path / "s.csv"))
+        back = read_schedule(str(tmp_path / "s.csv"))
+        assert back.interpolation == interpolation
+        assert np.array_equal(back.t, sched.t)
+        assert np.array_equal(back.u1, sched.u1)
+        assert np.array_equal(back.u2, sched.u2)
+        fa = propagate(sched, h=2.0 / 1024).final.as_array()
+        fb = propagate(back, h=2.0 / 1024).final.as_array()
+        assert np.array_equal(fa, fb)
 
 
 def test_simulate_reports_fidelity(tmp_path, capsys):
@@ -76,7 +81,8 @@ def test_simulate_reports_fidelity(tmp_path, capsys):
     assert fid >= 1.0 - 1e-6
     lines = traj.read_text().strip().splitlines()
     assert lines[0] == "t,q0,q1,q2,q3"
-    assert len(lines) == 8194  # default step T/8192 plus header and t=0 row
+    # a cubic file steps at its own spacing: N steps plus header and t=0 row
+    assert len(lines) == 1024 + 2
 
 
 def test_simulate_off_resonance_degrades(tmp_path, capsys):
@@ -103,6 +109,11 @@ def test_simulate_rejects_malformed_schedule(tmp_path, capsys):
     bad.write_text("t,u1,u2\n0,0\n1,0\n")
     code, _, err = run(["simulate", str(bad)], capsys)
     assert code == 1 and "rows" in err
+    bad.write_text("t,u1,u2\n0,0,0\n0.5,1,0\n1,0,0\n")
+    bad.with_suffix(".json").write_text(
+        '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic"}')
+    code, _, err = run(["simulate", str(bad)], capsys)
+    assert code == 1 and "four samples" in err
 
 
 def test_simulate_rejects_non_finite_schedule_and_tiny_step(tmp_path, capsys):

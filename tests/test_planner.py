@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from flatgate.errors import (IdentityTarget, MonotonicityViolation, SingularFlat
                              WindingNonzero)
 from flatgate.flat import body_velocity, invert_lift
 from flatgate.planner import (
+    DEFAULT_SAMPLES,
     IDENTITY_TOL,
     MAX_SAMPLES,
     MAX_WARP_ORDER,
@@ -548,3 +550,31 @@ def test_rotate_controls_round_trip():
     assert np.max(np.abs(back.u1 - sched.u1)) <= 1e-12
     assert np.max(np.abs(back.u2 - sched.u2)) <= 1e-12
     assert np.max(np.abs(back.target.as_array() - sched.target.as_array())) <= 1e-12
+
+
+def test_default_samples_is_the_smallest_power_of_two_within_1e9():
+    # the reference scenario (e3, T = 2, k = 1) at h = T/8192 and at the
+    # default step, the schedule's own spacing
+    from flatgate.propagator import propagate
+
+    def errors(n):
+        sched = synthesize(E3, 2.0, n, 1)
+        return [float(np.linalg.norm(propagate(sched, h=h).final.as_array() - [0, 0, 0, 1]))
+                for h in (2.0 / 8192, None)]
+    assert max(errors(DEFAULT_SAMPLES)) <= 1e-9
+    assert min(errors(DEFAULT_SAMPLES // 2)) > 1e-9
+
+
+def test_sample_plan_peak_memory():
+    # at most 12 float arrays of n + 1 samples alive at once, the result's
+    # three included
+    n = 2 ** 18
+    plan = plan_controls(E3)
+    for k in (1, MAX_WARP_ORDER):
+        tracemalloc.start()
+        try:
+            sample_plan(plan, 1.0, n, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 8 * (n + 1)

@@ -8,8 +8,10 @@ from flatgate.errors import FlatGateError, StepTooLarge
 from flatgate.planner import synthesize, unwarped_schedule
 from flatgate.propagator import (
     _MAX_STEPS,
+    DEFAULT_STEP_DIVISOR,
     _prefix_product,
     _rk4_steps,
+    _stage_values,
     _tree_product,
     detuning_sweep,
     fidelity,
@@ -20,7 +22,8 @@ from flatgate.propagator import (
 )
 from flatgate.quat import (
     E1, E2, E3, ONE, ImagQuaternion, UnitQuaternion, exp_pure, mul, qmul_arr)
-from flatgate.schedule import INTERP_PCONST, PulseSchedule
+from flatgate.schedule import INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST, PulseSchedule
+from oracles import linear_pconst_rows
 
 PI = math.pi
 
@@ -70,10 +73,96 @@ def test_norm_drift_is_negligible():
     assert np.max(np.abs(np.linalg.norm(res.states, axis=1) - 1.0)) <= 1e-9
 
 
+def reinterpolated(sched, interpolation):
+    return PulseSchedule(sched.t, sched.u1, sched.u2, target=sched.target,
+                         interpolation=interpolation)
+
+
 def test_step_too_large_rejected():
-    sched = synthesize(E3, 1.0, 128, 1)
-    with pytest.raises(StepTooLarge):
-        propagate(sched, h=1.0 / 64)
+    planned = synthesize(E3, 1.0, 128, 1)
+    for interpolation in (INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST):
+        sched = reinterpolated(planned, interpolation)
+        with pytest.raises(StepTooLarge):
+            propagate(sched, h=1.0 / 64)
+        with pytest.raises(StepTooLarge):
+            propagate_final_batch([sched], h=sched.spacing * (1.0 + 1e-9))
+        assert len(propagate(sched, h=sched.spacing).t) == 129
+
+
+def test_default_step_follows_the_interpolation():
+    sched = synthesize(E3, 2.0, 256, 1)
+    assert sched.interpolation == INTERP_CUBIC
+    assert np.array_equal(propagate(sched).t, propagate(sched, h=sched.spacing).t)
+    assert len(propagate(sched).t) == 257
+    finals, _ = propagate_final_batch([sched])
+    assert np.array_equal(finals, propagate_final_batch([sched], h=sched.spacing)[0])
+    for interpolation in (INTERP_LINEAR, INTERP_PCONST):
+        other = reinterpolated(sched, interpolation)
+        assert len(propagate(other).t) == DEFAULT_STEP_DIVISOR + 1
+
+
+def test_cubic_schedule_needs_four_samples():
+    t, u = np.linspace(0.0, 1.0, 3), np.zeros(3)
+    with pytest.raises(ValueError, match="four samples"):
+        PulseSchedule(t, u, u, target=ONE, interpolation=INTERP_CUBIC)
+    PulseSchedule(t, u, u, target=ONE, interpolation=INTERP_LINEAR)
+    t, u = np.linspace(0.0, 1.0, 4), np.zeros(4)
+    PulseSchedule(t, u, u, target=ONE, interpolation=INTERP_CUBIC)
+
+
+def test_cubic_stencil_reproduces_cubic_controls():
+    # the 4-point Lagrange cubic is exact on cubics, end intervals included
+    big_t, n = 1.3, 16
+    t = np.linspace(0.0, big_t, n + 1)
+    p1 = np.polynomial.Polynomial([0.7, -1.1, 0.4, -0.9])
+    p2 = np.polynomial.Polynomial([-0.2, 0.5, 1.3, 0.6])
+    sched = PulseSchedule(t, p1(t), p2(t), target=ONE, interpolation=INTERP_CUBIC)
+    for r in (1, 2, 16):
+        h = sched.spacing / r
+        count = 2 * n * r + 1
+        x, y = _stage_values((sched.u1[None], sched.u2[None]), sched, h, 0, count)
+        tau = np.minimum(np.arange(count) * (0.5 * h), big_t)
+        assert np.max(np.abs(x[0] - p1(tau))) <= 1e-14
+        assert np.max(np.abs(y[0] - p2(tau))) <= 1e-14
+
+
+def test_cubic_stage_points_at_the_spacing():
+    rng = np.random.default_rng(50)
+    n = 12
+    t = np.linspace(0.0, 0.9, n + 1)
+    u1, u2 = rng.standard_normal((2, n + 1))
+    sched = PulseSchedule(t, u1, u2, target=ONE, interpolation=INTERP_CUBIC)
+    x, y = _stage_values((u1[None], u2[None]), sched, sched.spacing, 0, 2 * n + 1)
+    for u, v in ((u1, x[0]), (u2, y[0])):
+        assert np.array_equal(v[::2], u)           # stage endpoints: the samples
+        mid = (-u[:-3] + 9.0 * u[1:-2] + 9.0 * u[2:-1] - u[3:]) / 16.0
+        assert np.max(np.abs(v[3:-3:2] - mid)) <= 1e-15
+        first = (5.0 * u[0] + 15.0 * u[1] - 5.0 * u[2] + u[3]) / 16.0
+        last = (u[-4] - 5.0 * u[-3] + 15.0 * u[-2] + 5.0 * u[-1]) / 16.0
+        assert abs(v[1] - first) <= 1e-15 and abs(v[-2] - last) <= 1e-15
+
+
+@pytest.mark.parametrize("interpolation", [INTERP_LINEAR, INTERP_PCONST])
+def test_linear_and_pconst_match_the_earlier_kernel_bit_for_bit(interpolation):
+    rng = np.random.default_rng(51)
+    scheds = [reinterpolated(synthesize(quat.as_unit(quat.random_unit(rng)), 1.0, 384,
+                                        1 + i % 3), interpolation) for i in range(5)]
+    u1 = np.stack([s.u1 for s in scheds])
+    u2 = np.stack([s.u2 for s in scheds])
+    ones = np.tile(ONE.as_array(), (5, 1))
+    for h in (None, 1.0 / 384, 1.0 / 999):
+        n = round(1.0 / h) if h else DEFAULT_STEP_DIVISOR
+        for dr in (0.0, [0.0, 0.3, -1.2, 0.7, 2.0]):
+            finals, drifts = propagate_final_batch(scheds, delta_r=dr, h=h)
+            ref_f, ref_d, _ = linear_pconst_rows(u1, u2, scheds[0], dr, 1.0 / n, n,
+                                                 ones, record=False)
+            assert np.array_equal(finals, ref_f) and np.array_equal(drifts, ref_d)
+        res = propagate(scheds[1], delta_r=0.3, h=h)
+        ref_f, ref_d, ref_s = linear_pconst_rows(u1[1:2], u2[1:2], scheds[1], 0.3, 1.0 / n,
+                                                 n, ones[:1], record=True)
+        assert np.array_equal(res.states, ref_s)
+        assert np.array_equal(res.final.as_array(), ref_f[0])
+        assert res.max_norm_drift == ref_d[0]
 
 
 def test_step_count_cap_rejected_before_allocation():
