@@ -31,6 +31,7 @@ from .schedule import FORMAT_VERSION, PulseSchedule
 
 SQ2 = 1.0 / math.sqrt(2.0)
 MAX_SWEEP_STEPS = 2 ** 12      # one batch: ~150 MB peak, ~0.6 s at the default N and step on 2 vCPU
+_CSV_BLOCK_ROWS = 4096
 NAMED_GATES = {
     "X": UnitQuaternion(0.0, 1.0, 0.0, 0.0),
     "Y": UnitQuaternion(0.0, 0.0, 1.0, 0.0),
@@ -63,13 +64,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_csv(path, header: str, columns) -> None:
+    """Write `header` and one row per index of the equal-length 1-D arrays
+    `columns`, each value as _fmt writes it ("%.17g" % v is the same text as
+    format(v, ".17g")), formatting and writing a block of rows at a time."""
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    with open(path, "w") as f:
+        f.write(header + "\n")
+        for i in range(0, len(columns[0]), _CSV_BLOCK_ROWS):
+            block = np.stack([c[i:i + _CSV_BLOCK_ROWS] for c in columns], axis=-1)
+            f.write(row * len(block) % tuple(block.ravel().tolist()))
+
+
 def write_schedule(sched: PulseSchedule, path: str) -> Path:
     """Write the schedule CSV and its JSON sidecar; returns the sidecar path."""
     p = Path(path)
-    lines = ["t,u1,u2"]
-    for t, a, b in zip(sched.t, sched.u1, sched.u2):
-        lines.append(f"{_fmt(t)},{_fmt(a)},{_fmt(b)}")
-    p.write_text("\n".join(lines) + "\n")
+    _write_csv(p, "t,u1,u2", (sched.t, sched.u1, sched.u2))
     manifest = {
         "format_version": sched.format_version,
         "target": [sched.target.w, sched.target.x, sched.target.y, sched.target.z],
@@ -114,10 +124,7 @@ def read_schedule(path: str) -> PulseSchedule:
 
 
 def write_trajectory(result: propagator.PropagationResult, path: str) -> None:
-    lines = ["t,q0,q1,q2,q3"]
-    for t, row in zip(result.t, result.states):
-        lines.append(",".join(_fmt(v) for v in (t, *row)))
-    Path(path).write_text("\n".join(lines) + "\n")
+    _write_csv(path, "t,q0,q1,q2,q3", (result.t, *result.states.T))
 
 
 def cmd_plan(args) -> int:
@@ -146,6 +153,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _terminal_fidelity(sched: PulseSchedule, target: UnitQuaternion) -> float:
+    finals, _ = propagator.propagate_final_batch([sched])
+    return propagator.fidelity(as_unit(finals[0]), target)
+
+
 def cmd_compare(args) -> int:
     target = resolve_gate(args)
     angles = zyz.euler_decompose(target)
@@ -153,13 +165,12 @@ def cmd_compare(args) -> int:
     zmax1, zmax2 = zsched.max_amplitudes()
     zfid_exact = propagator.fidelity(
         propagator.propagate_piecewise_exact(zsched), target)
-    zfid_rk4 = propagator.fidelity(
-        propagator.propagate(zsched).final, target)
+    zfid_rk4 = _terminal_fidelity(zsched, target)
 
     try:
         fsched = planner.synthesize(target, args.T)
         fmax1, fmax2 = fsched.max_amplitudes()
-        ffid = propagator.fidelity(propagator.propagate(fsched).final, target)
+        ffid = _terminal_fidelity(fsched, target)
         flat_cols = (_fmt(fmax1), _fmt(fmax2), _fmt(ffid), "yes")
     except FlatGateError as exc:
         flat_cols = ("rejected", "rejected", f"rejected ({exc})", "-")
@@ -179,10 +190,7 @@ def cmd_sweep(args) -> int:
     sched = planner.synthesize(target, args.T, args.N, args.k)
     drs = np.linspace(args.delta_r_min, args.delta_r_max, args.steps)
     sweep = propagator.detuning_sweep(sched, drs, target, h=args.h)
-    lines = ["delta_r,fidelity"]
-    for dr, fid in sweep.rows():
-        lines.append(f"{_fmt(dr)},{_fmt(fid)}")
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    _write_csv(args.out, "delta_r,fidelity", (sweep.delta_r, sweep.fidelity))
     print(f"wrote {args.out} ({args.steps} rows)")
     return 0
 

@@ -6,10 +6,11 @@ through flat.lift_controls and unwrap_phase it gives, by the general route,
 the controls and the phase of z = w2 - i*w3 that the planner writes in
 closed form from alpha and beta' alone.
 
-linear_pconst_rows is the propagation kernel as it was before schedules
-could declare "cubic", with np.linalg.norm for the drift audit and the
-state normalization: linear and pconst propagation must match it bit for
-bit.
+chunked_rows is the propagation kernel one 256-step chunk at a time, as it
+was before steps were built in blocks of whole chunks, with np.linalg.norm
+for the drift audit and the state normalization.  Linear and pconst stage
+values are computed here; cubic ones by one _stage_values call per chunk.
+Propagation of all three interpolations must match it bit for bit.
 """
 import math
 
@@ -18,8 +19,9 @@ import numpy as np
 from flatgate import quat
 from flatgate.flat import lift_controls, unwrap_phase
 from flatgate.planner import Z_GRID
-from flatgate.propagator import _STEP_CHUNK, _prefix_product, _rk4_steps, _tree_product
-from flatgate.schedule import INTERP_LINEAR, INTERP_PCONST
+from flatgate.propagator import (
+    _STEP_CHUNK, _prefix_product, _rk4_steps, _stage_values, _tree_product)
+from flatgate.schedule import INTERP_CUBIC, INTERP_PCONST
 
 
 def rates_arrays(c, s):
@@ -54,9 +56,8 @@ def oracle_phase(c):
     return unwrap_phase(z, 0.0), float(np.min(np.abs(z)))
 
 
-def linear_pconst_rows(u1, u2, sched, delta_r, h, n, start, record):
-    """(finals, drifts, states) of b linear or pconst systems in lockstep."""
-    assert sched.interpolation in (INTERP_LINEAR, INTERP_PCONST)
+def chunked_rows(u1, u2, sched, delta_r, h, n, start, record):
+    """(finals, drifts, states) of b systems in lockstep, chunk by chunk."""
     dr = np.asarray(delta_r, dtype=float).reshape(-1, 1)
     b = max(u1.shape[0], dr.shape[0])
     q = start
@@ -73,12 +74,10 @@ def linear_pconst_rows(u1, u2, sched, delta_r, h, n, start, record):
             x, y = u1[:, seg], u2[:, seg]
             m = _rk4_steps(x, x, x, y, y, y, dr, h)
         else:
-            tau = (2 * done + np.arange(2 * c + 1)) * (0.5 * h)
-            np.minimum(tau, sched.duration, out=tau)
-            pos = tau / sched.spacing
-            idx = np.clip(np.floor(pos).astype(int), 0, u1.shape[1] - 2)
-            frac = pos - idx
-            x, y = (u[:, idx] * (1.0 - frac) + u[:, idx + 1] * frac for u in (u1, u2))
+            if sched.interpolation == INTERP_CUBIC:
+                x, y = _stage_values((u1, u2), sched, h, 2 * done, 2 * c + 1)
+            else:
+                x, y = _linear_stages(u1, u2, sched, h, done, c)
             m = _rk4_steps(x[:, 0:-1:2], x[:, 1::2], x[:, 2::2],
                            y[:, 0:-1:2], y[:, 1::2], y[:, 2::2], dr, h)
         norms = np.linalg.norm(m, axis=-1)
@@ -91,3 +90,13 @@ def linear_pconst_rows(u1, u2, sched, delta_r, h, n, start, record):
         q = qs[:, -1]
         done += c
     return q, drift, states
+
+
+def _linear_stages(u1, u2, sched, h, done, c):
+    """Linear reads of u1, u2 at the 2c + 1 stage times of one chunk."""
+    tau = (2 * done + np.arange(2 * c + 1)) * (0.5 * h)
+    np.minimum(tau, sched.duration, out=tau)
+    pos = tau / sched.spacing
+    idx = np.clip(np.floor(pos).astype(int), 0, u1.shape[1] - 2)
+    frac = pos - idx
+    return [u[:, idx] * (1.0 - frac) + u[:, idx + 1] * frac for u in (u1, u2)]

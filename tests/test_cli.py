@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from flatgate import quat
-from flatgate.cli import (MAX_SWEEP_STEPS, NAMED_GATES, main, read_schedule,
-                          resolve_gate, write_schedule)
+from flatgate.cli import (_CSV_BLOCK_ROWS, MAX_SWEEP_STEPS, NAMED_GATES, main,
+                          read_schedule, resolve_gate, write_schedule,
+                          write_trajectory)
 from flatgate.planner import MAX_SAMPLES, synthesize
-from flatgate.propagator import fidelity, propagate
-from flatgate.quat import E3, to_su2
+from flatgate.propagator import PropagationResult, fidelity, propagate
+from flatgate.quat import E3, ONE, to_su2
 from flatgate.schedule import PulseSchedule
 
 
@@ -69,6 +70,27 @@ def test_schedule_round_trip_preserves_propagation(tmp_path, capsys):
         fa = propagate(sched, h=2.0 / 1024).final.as_array()
         fb = propagate(back, h=2.0 / 1024).final.as_array()
         assert np.array_equal(fa, fb)
+
+
+def per_value_csv(header, columns):
+    """The CSV lines, as bytes, of one format(v, ".17g") call per value."""
+    rows = (",".join(format(float(v), ".17g") for v in r) for r in zip(*columns))
+    return [f"{line}\n".encode() for line in (header, *rows)]
+
+
+def test_bulk_writer_matches_per_value_formatting(tmp_path):
+    path = tmp_path / "traj.csv"
+    # three write blocks, the last partial
+    res = propagate(synthesize(E3, 2.0, 64, 1), h=2.0 / (2 * _CSV_BLOCK_ROWS + 5))
+    write_trajectory(res, str(path))
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert lines == per_value_csv("t,q0,q1,q2,q3", (res.t, *res.states.T))
+    edge = np.array([-0.0, 5e-324, 1e-300, 1e16, 1.0 / 3.0, -2.5e-310, 0.1, -1e300])
+    cols = [np.roll(edge, i) for i in range(5)]
+    write_trajectory(PropagationResult(ONE, cols[0], np.stack(cols[1:], axis=1), 0.0),
+                     str(path))
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert lines == per_value_csv("t,q0,q1,q2,q3", cols)
 
 
 def test_simulate_reports_fidelity(tmp_path, capsys):

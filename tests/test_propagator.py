@@ -7,6 +7,7 @@ from flatgate import quat
 from flatgate.errors import FlatGateError, StepTooLarge
 from flatgate.planner import synthesize, unwarped_schedule
 from flatgate.propagator import (
+    _BLOCK_CELLS,
     _MAX_STEPS,
     DEFAULT_STEP_DIVISOR,
     _prefix_product,
@@ -23,7 +24,7 @@ from flatgate.propagator import (
 from flatgate.quat import (
     E1, E2, E3, ONE, ImagQuaternion, UnitQuaternion, exp_pure, mul, qmul_arr)
 from flatgate.schedule import INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST, PulseSchedule
-from oracles import linear_pconst_rows
+from oracles import chunked_rows
 
 PI = math.pi
 
@@ -154,15 +155,45 @@ def test_linear_and_pconst_match_the_earlier_kernel_bit_for_bit(interpolation):
         n = round(1.0 / h) if h else DEFAULT_STEP_DIVISOR
         for dr in (0.0, [0.0, 0.3, -1.2, 0.7, 2.0]):
             finals, drifts = propagate_final_batch(scheds, delta_r=dr, h=h)
-            ref_f, ref_d, _ = linear_pconst_rows(u1, u2, scheds[0], dr, 1.0 / n, n,
-                                                 ones, record=False)
+            ref_f, ref_d, _ = chunked_rows(u1, u2, scheds[0], dr, 1.0 / n, n,
+                                           ones, record=False)
             assert np.array_equal(finals, ref_f) and np.array_equal(drifts, ref_d)
         res = propagate(scheds[1], delta_r=0.3, h=h)
-        ref_f, ref_d, ref_s = linear_pconst_rows(u1[1:2], u2[1:2], scheds[1], 0.3, 1.0 / n,
-                                                 n, ones[:1], record=True)
+        ref_f, ref_d, ref_s = chunked_rows(u1[1:2], u2[1:2], scheds[1], 0.3, 1.0 / n,
+                                           n, ones[:1], record=True)
         assert np.array_equal(res.states, ref_s)
         assert np.array_equal(res.final.as_array(), ref_f[0])
         assert res.max_norm_drift == ref_d[0]
+
+
+@pytest.mark.parametrize("interpolation", [INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST])
+def test_single_schedule_blocks_match_the_chunked_kernel_bit_for_bit(interpolation):
+    # one schedule's blocks hold _BLOCK_CELLS steps: three blocks and a partial chunk
+    n = 3 * _BLOCK_CELLS + 37
+    target = quat.as_unit(quat.random_unit(np.random.default_rng(52)))
+    sched = reinterpolated(synthesize(target, 1.0, 512, 2), interpolation)
+    u1, u2, one = sched.u1[None], sched.u2[None], ONE.as_array()[None]
+    for dr in (0.0, 0.3):
+        res = propagate(sched, delta_r=dr, h=1.0 / n)
+        ref_f, ref_d, ref_s = chunked_rows(u1, u2, sched, dr, 1.0 / n, n, one, record=True)
+        assert np.array_equal(res.states, ref_s)
+        assert res.final == quat.as_unit(ref_f[0])
+        assert res.max_norm_drift == ref_d[0]
+        finals, drifts = propagate_final_batch([sched], delta_r=dr, h=1.0 / n)
+        ref_f, ref_d, _ = chunked_rows(u1, u2, sched, dr, 1.0 / n, n, one, record=False)
+        assert np.array_equal(finals, ref_f) and np.array_equal(drifts, ref_d)
+
+
+def test_single_schedule_final_equals_its_row_of_a_64_row_batch():
+    # 64 rows take one chunk per block, one row sixteen
+    rng = np.random.default_rng(53)
+    scheds = [synthesize(quat.as_unit(quat.random_unit(rng)), 1.0, 512, 1 + i % 3)
+              for i in range(64)]
+    h = 1.0 / (2 * _BLOCK_CELLS + 37)
+    finals, drifts = propagate_final_batch(scheds, delta_r=0.3, h=h)
+    for i in (0, 17, 63):
+        f, d = propagate_final_batch([scheds[i]], delta_r=0.3, h=h)
+        assert np.array_equal(f[0], finals[i]) and d[0] == drifts[i]
 
 
 def test_step_count_cap_rejected_before_allocation():
