@@ -97,7 +97,8 @@ def write_schedule(sched: PulseSchedule, path: str) -> Path:
 
 def read_schedule(path: str) -> PulseSchedule:
     """Read a schedule CSV plus its sidecar manifest; a sidecar that is not
-    a JSON object with a four-number target raises OSError."""
+    a JSON object with a four-number target and a string interpolation
+    raises OSError."""
     p = Path(path)
     rows = p.read_text().strip().splitlines()
     if not rows or rows[0].strip() != "t,u1,u2":
@@ -115,10 +116,13 @@ def read_schedule(path: str) -> PulseSchedule:
     if not (isinstance(target, list) and len(target) == 4
             and all(isinstance(v, (int, float)) for v in target)):
         raise OSError(f"{side}: target must be a list of four numbers")
+    interpolation = man.get("interpolation")
+    if not isinstance(interpolation, str):
+        raise OSError(f"{side}: interpolation must be a string")
     return PulseSchedule(
         data[:, 0], data[:, 1], data[:, 2],
         target=UnitQuaternion(*target),
-        interpolation=man.get("interpolation"),
+        interpolation=interpolation,
         warp_order=man.get("k"), eta_bar=man.get("eta_bar"),
         min_abs_z=man.get("min_abs_z"))
 

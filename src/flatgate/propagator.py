@@ -6,18 +6,24 @@ multiplication by a single quaternion m. Every stage generator
 a = (0, u1, u2, delta_r) is pure, so a^2 = -|a|^2, and m is a closed-form
 polynomial in the stage values with no Hamilton product at all; for a
 constant generator it is the degree-4 Taylor polynomial of exp(h a).
+Steps and states are complex pairs (A, B) = (w + i z, x + i y), q = A + B e1
+(see quat): the generator is the pair (i delta_r, v) with v = u1 + i u2 the
+complex amplitude of the drive, so the controls are read as one complex row
+and every product is a few complex array operations.  Rows (w, x, y, z)
+are formed only for recorded states and finals.
 Steps are multiplied in chunks of 256: a recorded run applies each chunk
 as one log-depth prefix product, a terminal-only run as one pairwise tree
-product (c - 1 Hamilton products for c steps).  The steps of several whole
+product (c - 1 pair products for c steps).  The steps of several whole
 chunks are built at once, in one block of at most 4096 rows x steps, and
 each chunk of the block is multiplied as its own row, so a single schedule
 costs a few dozen array calls per block instead of per chunk, while the
 association, and so every bit of the result, stays that of chunk-by-chunk
-propagation.  Desk-scale sweeps and thousand-target verification runs stay
-fast without any compiled extension.  The quaternion norm is
-multiplicative, so |m q| = |m| for unit q: normalizing each reported state
-equals renormalizing after every step, and the drift audit is exactly
-max_j ||m_j| - 1|.
+propagation.  Batches are propagated 64 rows at a time, so memory stays
+bounded at any batch size.  Desk-scale sweeps and thousand-target
+verification runs stay fast without any compiled extension.  The
+quaternion norm is multiplicative, so |m q| = |m| for unit q: normalizing
+each reported state equals renormalizing after every step, and the drift
+audit is exactly max_j ||m_j| - 1|.
 
 Controls between samples are read according to the schedule's declared
 interpolation: "cubic" and "linear" evaluate every RK4 stage on the
@@ -46,6 +52,7 @@ from .schedule import INTERP_CUBIC, INTERP_PCONST, PulseSchedule
 DEFAULT_STEP_DIVISOR = 8192
 _STEP_CHUNK = 256
 _BLOCK_CELLS = 16 * _STEP_CHUNK   # rows x steps built at once; 16 or more rows get one chunk per block
+_ROW_BLOCK = 64               # batch rows propagated at once
 _MAX_STEPS = 2 ** 22          # a 128 MB recorded trajectory; larger counts are input errors
 
 
@@ -93,16 +100,25 @@ def _resolve_steps(sched: PulseSchedule, h: float | None) -> tuple[int, float]:
     return n, big_t / n
 
 
-def _stage_values(us, sched: PulseSchedule, h: float, first: int,
-                  count: int) -> list[np.ndarray]:
-    """Each sample-row array in `us` (b, N + 1) read at the `count` RK4
-    stage times (first + i) h/2, clamped to T, on the interpolant `sched`
-    declares; all rows are gathered from one index computation.  Linear
-    reads the line through samples i, i + 1 of the interval containing a
-    stage; cubic the Lagrange cubic through samples j..j + 3,
-    j = clip(i - 1, 0, N - 3), whose weights at integer and half-integer
-    positions are exact."""
-    half_steps = first + np.arange(count)
+def _control_rows(scheds: list[PulseSchedule]) -> np.ndarray:
+    """The complex amplitudes v = u1 + i u2 of the schedules as (b, N + 1)
+    rows, written in place with no real stacks beside them."""
+    v = np.empty((len(scheds), scheds[0].u1.shape[0]), dtype=complex)
+    for row, s in zip(v, scheds):
+        row.real, row.imag = s.u1, s.u2
+    return v
+
+
+def _stage_values(v: np.ndarray, sched: PulseSchedule, h: float,
+                  half_steps: np.ndarray) -> np.ndarray:
+    """The complex sample rows `v` (b, N + 1) read at the RK4 stage times
+    i h/2, i in `half_steps`, clamped to T, on the interpolant `sched`
+    declares, as (b, len(half_steps)); all rows are gathered from one index
+    computation.  Linear reads the line through samples i, i + 1 of the
+    interval containing a stage; cubic the Lagrange cubic through samples
+    j..j + 3, j = clip(i - 1, 0, N - 3), whose weights at integer and
+    half-integer positions are exact.  The weights are real and act on the
+    real and imaginary parts alike."""
     cubic = sched.interpolation == INTERP_CUBIC
     if cubic:
         # h / spacing is exactly 1 at the default step, so stage endpoints
@@ -116,94 +132,131 @@ def _stage_values(us, sched: PulseSchedule, h: float, first: int,
     idx = np.clip(np.floor(pos).astype(int), 0, last)
     if not cubic:
         frac = pos - idx
-        return [u[:, idx] * (1.0 - frac) + u[:, idx + 1] * frac for u in us]
+        return v[:, idx] * (1.0 - frac) + v[:, idx + 1] * frac
     j = np.clip(idx - 1, 0, last - 2)
     x0 = pos - j
     x1, x2, x3 = x0 - 1.0, x0 - 2.0, x0 - 3.0
     w = np.stack((x1 * x2 * x3 / -6.0, x0 * x2 * x3 / 2.0,
                   x0 * x1 * x3 / -2.0, x0 * x1 * x2 / 6.0))
     stencil = j + np.arange(4)[:, None]
-    return [np.einsum("bkl,kl->bl", u[:, stencil], w) for u in us]
+    # one real contraction over interleaved (real, imaginary) parts
+    return np.einsum("bkl,kl->bl", np.take(v, stencil, axis=1).view(float),
+                     np.repeat(w, 2, axis=1)).view(complex)
 
 
-def _rk4_steps(x0, xm, x1, y0, ym, y1, dr, h: float) -> np.ndarray:
-    """RK4 step multipliers m = 1 + h/6 (k1 + 2k2 + 2k3 + k4) as (b, c, 4)
-    rows, from the stage values of the generators a = (0, x, y, dr) at the
-    step start, midpoint and end: (b, c) arrays, or (1, c) rows that
-    broadcast against a (b, 1) detuning column.
+def _rk4_steps(v0, vm, v1, dr, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """RK4 step multipliers m = 1 + h/6 (k1 + 2k2 + 2k3 + k4) as pairs
+    (MA, MB) of (b, c) arrays, from the complex stage values v of the
+    generators a = (i dr, v) at the step start, midpoint and end: (b, c)
+    arrays, or (1, c) rows that broadcast against a (b, 1) detuning column.
 
     With am^2 = -N, N = |am|^2, the stages expand to k2 = am + h/2 am a0,
     k3 = am - hN/2 - (h^2 N/4) a0 and k4 = a1 + h a1 am - (h^2 N/2) a1
-    - (h^3 N/4) a1 a0; the products of pure quaternions reduce to dot and
-    cross products of the stage values, whose e3 parts share dr.
+    - (h^3 N/4) a1 a0; the products of generators reduce to products
+    v conj(v') of the amplitudes, whose e3 parts share dr.  With s = v0 + v1
+    and d = v1 - v0:
+      MA = 1 + h/6 (f (v1 conj(v0) + dr^2) - h (vm conj(v0) + v1 conj(vm)
+           + 2 dr^2 + N) + i (6 - 2g) dr),
+      MB = h/6 ((1 - g) s + 4 vm - i (h - f) dr d),
+    where g = h^2 N / 2 and f = h^3 N / 4.
     """
-    sx, sy, dx, dy = x0 + x1, y0 + y1, x1 - x0, y1 - y0
     dd = dr * dr
-    nm = xm * xm + ym * ym + dd
+    nm = vm.real * vm.real + vm.imag * vm.imag + dd
     g = (0.5 * h * h) * nm
     f = (0.25 * h ** 3) * nm
-    hf = (h - f) * dr
-    m = np.empty(np.broadcast_shapes(x0.shape, dr.shape) + (4,))
-    m[..., 0] = f * (x1 * x0 + y1 * y0 + dd) - h * (xm * sx + ym * sy + 2.0 * dd + nm)
-    m[..., 1] = (1.0 - g) * sx + 4.0 * xm + hf * dy
-    m[..., 2] = (1.0 - g) * sy + 4.0 * ym - hf * dx
-    m[..., 3] = (6.0 - 2.0 * g) * dr + h * (ym * dx - xm * dy) - f * (x1 * y0 - y1 * x0)
-    m *= h / 6.0
-    m[..., 0] += 1.0
-    return m
+    c0 = v0.conj()
+    # temporaries stay left factors of complex products (see quat.pmul)
+    ma = f * (v1 * c0 + dd) - h * (vm * c0 + vm.conj() * v1 + (2.0 * dd + nm))
+    ma.imag += (6.0 - 2.0 * g) * dr
+    ma *= h / 6.0
+    ma.real += 1.0
+    mb = (1.0 - g) * (v0 + v1) + 4.0 * vm + ((h - f) * dr) * (-1j * (v1 - v0))
+    mb *= h / 6.0
+    return ma, mb
 
 
-def _norm4(a: np.ndarray) -> np.ndarray:
-    """Norms of quaternion rows (..., 4): np.linalg.norm's additions in its
-    order, so bit-identical, at a fifth of its cost on (64, 256, 4) rows."""
-    return np.sqrt(a[..., 0] ** 2 + a[..., 1] ** 2 + a[..., 2] ** 2 + a[..., 3] ** 2)
+def _norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Norms of pairs, summed as w^2 + x^2 + y^2 + z^2 (np.linalg.norm's
+    order on the rows) at a fraction of its cost."""
+    return np.sqrt(a.real ** 2 + b.real ** 2 + b.imag ** 2 + a.imag ** 2)
 
 
-def _prefix_product(m: np.ndarray) -> np.ndarray:
-    """Ordered products m_j ... m_1 m_0 along axis 1 of (b, c, 4) rows,
-    by log-depth doubling (Blelloch, CMU-CS-90-190, 1990)."""
-    p = m.copy()
+def _normalize(a: np.ndarray, b: np.ndarray) -> None:
+    """Divide contiguous pairs by their norms in place, part by part."""
+    n = _norm(a, b)[..., None]
+    for p in (a, b):
+        p.view(float).reshape(p.shape + (2,))[...] /= n
+
+
+def _prefix_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered products m_j ... m_1 m_0 along axis 1 of (b, c) pairs, by
+    log-depth doubling (Blelloch, CMU-CS-90-190, 1990)."""
+    a, b = a.copy(), b.copy()
     d = 1
-    while d < p.shape[1]:
-        p[:, d:] = quat.qmul_arr(p[:, d:], p[:, :-d])
+    while d < a.shape[1]:
+        a[:, d:], b[:, d:] = quat.pmul(a[:, d:], b[:, d:], a[:, :-d], b[:, :-d])
         d *= 2
-    return p
+    return a, b
 
 
-def _tree_product(m: np.ndarray) -> np.ndarray:
-    """Ordered product m_{c-1} ... m_1 m_0 of (b, c, 4) rows as (b, 1, 4):
-    c - 1 pairwise products in ceil(log2 c) levels, an odd last row carried."""
-    while m.shape[1] > 1:
-        p = quat.qmul_arr(m[:, 1::2], m[:, 0:-1:2])
-        m = np.concatenate([p, m[:, -1:]], axis=1) if m.shape[1] % 2 else p
-    return m
+def _tree_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered product m_{c-1} ... m_1 m_0 of (b, c) pairs as (b, 1) pairs:
+    c - 1 pairwise products in ceil(log2 c) levels, an odd last one carried."""
+    while a.shape[1] > 1:
+        pa, pb = quat.pmul(a[:, 1::2], b[:, 1::2], a[:, 0:-1:2], b[:, 0:-1:2])
+        if a.shape[1] % 2:
+            pa = np.concatenate([pa, a[:, -1:]], axis=1)
+            pb = np.concatenate([pb, b[:, -1:]], axis=1)
+        a, b = pa, pb
+    return a, b
 
 
-def _propagate_rows(u1: np.ndarray, u2: np.ndarray, sched: PulseSchedule,
-                    delta_r, h: float, n: int, start: np.ndarray,
-                    record: bool):
-    """Propagate b systems in lockstep on the grid and interpolation of
-    `sched`; returns (finals, drifts, states), states only if `record`,
-    which also picks each chunk's product: prefix if recording, else tree.
-
-    Each block builds the step multipliers of k whole chunks (the most
-    with b k _STEP_CHUNK <= _BLOCK_CELLS, at least one; a final partial
-    chunk is a block of its own) with one stage read and one _rk4_steps
-    call, multiplies each chunk as one of b k rows, then folds the chunk
-    products into the running state in order, normalizing after each
-    chunk: the same products, in the same association, as one chunk at a
-    time."""
+def _propagate_rows(v: np.ndarray, sched: PulseSchedule, delta_r, h: float,
+                    n: int, start: np.ndarray, record: bool):
+    """Propagate b systems from the one start row (w, x, y, z) in lockstep
+    on the grid and interpolation of `sched`, for the complex control rows
+    `v` (b or 1, N + 1) and the detunings `delta_r` (one, or one per row);
+    returns (finals (b, 4), drifts (b,), states), states only if `record`
+    (of row 0), which also picks each chunk's product: prefix if
+    recording, else tree.  Rows are taken _ROW_BLOCK at a time, so the
+    working set does not grow with b."""
     dr = np.asarray(delta_r, dtype=float).reshape(-1, 1)
-    b = max(u1.shape[0], dr.shape[0])
-    if {u1.shape[0], dr.shape[0]} - {1, b}:
+    b = max(v.shape[0], dr.shape[0])
+    if {v.shape[0], dr.shape[0]} - {1, b}:
         raise InvalidPropagationInput(
             "delta_r needs one value or one per control row")
     if not np.all(np.isfinite(dr)):
         raise InvalidPropagationInput("delta_r must be finite")
-    q = start
     states = np.empty((n + 1, 4)) if record else None
     if record:
-        states[0] = q[0]
+        states[0] = start
+    pair = quat.row_pair(start)
+    finals, drifts = np.empty((b, 4)), np.empty(b)
+    for lo in range(0, b, _ROW_BLOCK):
+        rows = slice(lo, lo + _ROW_BLOCK)
+        qa, qb, drifts[rows] = _propagate_block(
+            v[rows] if v.shape[0] > 1 else v, dr[rows] if dr.shape[0] > 1 else dr,
+            sched, h, n, pair, states)
+        finals[rows] = quat.pair_rows(qa, qb)
+    return finals, drifts, states
+
+
+def _propagate_block(v, dr, sched: PulseSchedule, h: float, n: int, start,
+                     states):
+    """One block of at most _ROW_BLOCK rows from the start pair; returns the
+    final pairs and the drifts, and fills `states` with row 0's states
+    unless it is None.
+
+    Each step block builds the step multipliers of k whole chunks (the
+    most with b k _STEP_CHUNK <= _BLOCK_CELLS, at least one; a final
+    partial chunk is a block of its own) with one stage read and one
+    _rk4_steps call, multiplies each chunk as one of b k rows, then folds
+    the chunk products into the running state in order, normalizing after
+    each chunk: the same products, in the same association, as one chunk
+    at a time."""
+    record = states is not None
+    b = max(v.shape[0], dr.shape[0])
+    qa, qb = np.full(b, start[0]), np.full(b, start[1])
     drift = np.zeros(b)
     per_block = max(1, _BLOCK_CELLS // (b * _STEP_CHUNK))
     done = 0
@@ -212,24 +265,27 @@ def _propagate_rows(u1: np.ndarray, u2: np.ndarray, sched: PulseSchedule,
         k = max(1, min(per_block, (n - done) // _STEP_CHUNK))
         if sched.interpolation == INTERP_PCONST:
             mid = (done + np.arange(k * c) + 0.5) * h
-            seg = np.clip((mid / sched.spacing).astype(int), 0, u1.shape[1] - 2)
-            x, y = u1[:, seg], u2[:, seg]
-            m = _rk4_steps(x, x, x, y, y, y, dr, h)
+            seg = np.clip((mid / sched.spacing).astype(int), 0, v.shape[1] - 2)
+            x = v[:, seg]
+            ma, mb = _rk4_steps(x, x, x, dr, h)
         else:
-            x, y = _stage_values((u1, u2), sched, h, 2 * done, 2 * k * c + 1)
-            m = _rk4_steps(x[:, 0:-1:2], x[:, 1::2], x[:, 2::2],
-                           y[:, 0:-1:2], y[:, 1::2], y[:, 2::2], dr, h)
-        np.maximum(drift, np.max(np.abs(_norm4(m) - 1.0), axis=1), out=drift)
-        m = m.reshape(b * k, c, 4)
-        p = (_prefix_product(m) if record else _tree_product(m)).reshape(b, k, -1, 4)
+            # step ends, then midpoints: unit-stride rows for _rk4_steps
+            kc = k * c
+            ends = 2 * (done + np.arange(kc + 1))
+            x = _stage_values(v, sched, h, np.concatenate([ends, ends[:-1] + 1]))
+            ma, mb = _rk4_steps(x[:, :kc], x[:, kc + 1:], x[:, 1:kc + 1], dr, h)
+        np.maximum(drift, np.max(np.abs(_norm(ma, mb) - 1.0), axis=1), out=drift)
+        ma, mb = ma.reshape(b * k, c), mb.reshape(b * k, c)
+        pa, pb = _prefix_product(ma, mb) if record else _tree_product(ma, mb)
+        pa, pb = pa.reshape(b, k, -1), pb.reshape(b, k, -1)
         for j in range(k):
-            qs = quat.qmul_arr(p[:, j], q[:, None])
-            qs /= _norm4(qs)[..., None]
+            sa, sb = quat.pmul(pa[:, j], pb[:, j], qa[:, None], qb[:, None])
+            _normalize(sa, sb)
             if record:
-                states[done + 1:done + c + 1] = qs[0]
-            q = qs[:, -1]
+                states[done + 1:done + c + 1] = quat.pair_rows(sa[0], sb[0])
+            qa, qb = sa[:, -1], sb[:, -1]
             done += c
-    return q, drift, states
+    return qa, qb, drift
 
 
 def propagate(sched: PulseSchedule, delta_r: float = 0.0,
@@ -238,8 +294,7 @@ def propagate(sched: PulseSchedule, delta_r: float = 0.0,
     """Integrate one schedule from `start` (default: the identity)."""
     n, h = _resolve_steps(sched, h)
     finals, drift, states = _propagate_rows(
-        sched.u1[None, :], sched.u2[None, :], sched, delta_r, h, n,
-        start.as_array()[None, :], record=True)
+        _control_rows([sched]), sched, delta_r, h, n, start.as_array(), record=True)
     t = np.arange(n + 1) * h
     return PropagationResult(quat.as_unit(finals[0]), t, states, float(drift[0]))
 
@@ -260,11 +315,8 @@ def propagate_final_batch(scheds: list[PulseSchedule], delta_r: float = 0.0,
             raise InvalidPropagationInput(
                 "batch schedules must share grid and interpolation")
     n, h = _resolve_steps(first, h)
-    u1 = np.stack([s.u1 for s in scheds])
-    u2 = np.stack([s.u2 for s in scheds])
-    start = np.tile(quat.ONE.as_array(), (len(scheds), 1))
-    finals, drifts, _ = _propagate_rows(u1, u2, first, delta_r, h, n, start,
-                                        record=False)
+    finals, drifts, _ = _propagate_rows(_control_rows(scheds), first, delta_r, h, n,
+                                        quat.ONE.as_array(), record=False)
     return finals, drifts
 
 
@@ -275,9 +327,8 @@ def detuning_sweep(sched: PulseSchedule, delta_r_list, target: UnitQuaternion,
     if dr.size == 0:
         raise InvalidPropagationInput("empty detuning list")
     n, h = _resolve_steps(sched, h)
-    start = np.tile(quat.ONE.as_array(), (dr.size, 1))
-    finals, _, _ = _propagate_rows(sched.u1[None, :], sched.u2[None, :], sched,
-                                   dr, h, n, start, record=False)
+    finals, _, _ = _propagate_rows(_control_rows([sched]), sched, dr, h, n,
+                                   quat.ONE.as_array(), record=False)
     fid = finals @ target.as_array()
     return DetuningSweep(dr, fid)
 

@@ -5,6 +5,13 @@ e1*e2 = e3, e2*e3 = e1, e3*e1 = e2 and e_k**2 = -1.  Unit quaternions are
 identified with SU(2) through e_k = -i*sigma_k, which makes the map
 q -> U one-to-one (no sign ambiguity).
 
+The array kernels read a quaternion as the complex pair
+(A, B) = (w + i z, x + i y), q = A + B e1, with e3 as the imaginary unit;
+then to_su2 gives U = [[conj(A), -i conj(B)], [-i B, A]], unit pairs are
+SU(2), and the complex amplitude u1 + i u2 of a drive is the B part of its
+generator u1 e1 + u2 e2 + delta_r e3.  pmul is the one array Hamilton
+product; qmul_arr applies it to (w, x, y, z) rows.
+
 Sign convention for conjugation rotations: rotate_vector(q, v) = q* v q,
 so rotate_vector(exp_pure((pi/4) e3), e1) = -e2 (a rotation by -pi/2
 about e3 when read as an ordinary 3-vector rotation).
@@ -178,18 +185,39 @@ def from_su2(u: SU2Matrix) -> UnitQuaternion:
                           -m[0, 1].real, -m[0, 0].imag)
 
 
-# Array kernels for vectorized paths. Rows are scalar-first (w, x, y, z).
+# Array kernels for vectorized paths.  Rows are scalar-first (w, x, y, z),
+# pairs (A, B) as in the module note; since e1 c = conj(c) e1 for every
+# c = a + b e3, the Hamilton product of pairs is complex arithmetic.
+
+def pmul(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray,
+         b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Product of the pairs (a1, b1) and (a2, b2), the Hamilton product of
+    a1 + b1 e1 and a2 + b2 e1: (a1 a2 - b1 conj(b2), a1 b2 + b1 conj(a2)).
+
+    A complex product rounds differently with its factors swapped, and numpy
+    reuses a large temporary right operand as the output by swapping the
+    factors; each temporary is therefore the left factor, so every result
+    is the same bits at any array size."""
+    return a1 * a2 - b2.conj() * b1, a1 * b2 + a2.conj() * b1
+
+
+def row_pair(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (A, B) = (w + i z, x + i y) of (..., 4) rows."""
+    p = np.ascontiguousarray(np.asarray(q, dtype=float)[..., [0, 3, 1, 2]]).view(complex)
+    return p[..., 0], p[..., 1]
+
+
+def pair_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(..., 4) rows (w, x, y, z) of the pairs (a, b) = (w + i z, x + i y)."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)) + (4,))
+    out[..., 0], out[..., 3] = np.real(a), np.imag(a)
+    out[..., 1], out[..., 2] = np.real(b), np.imag(b)
+    return out
+
 
 def qmul_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hamilton product on (..., 4) arrays."""
-    aw, ax, ay, az = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    bw, bx, by, bz = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    return np.stack([
-        aw * bw - ax * bx - ay * by - az * bz,
-        aw * bx + ax * bw + ay * bz - az * by,
-        aw * by - ax * bz + ay * bw + az * bx,
-        aw * bz + ax * by - ay * bx + az * bw,
-    ], axis=-1)
+    """Hamilton product on (..., 4) arrays, through the pair product."""
+    return pair_rows(*pmul(*row_pair(a), *row_pair(b)))
 
 
 def qconj_arr(a: np.ndarray) -> np.ndarray:

@@ -136,6 +136,10 @@ def test_simulate_rejects_malformed_schedule(tmp_path, capsys):
         '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic"}')
     code, _, err = run(["simulate", str(bad)], capsys)
     assert code == 1 and "four samples" in err
+    bad.with_suffix(".json").write_text(
+        '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "spline"}')
+    code, _, err = run(["simulate", str(bad)], capsys)
+    assert code == 1 and "unknown interpolation 'spline'" in err
 
 
 def test_simulate_rejects_non_finite_schedule_and_tiny_step(tmp_path, capsys):
@@ -298,7 +302,12 @@ def test_size_caps_exit_1_before_allocating(tmp_path, capsys, argv, cap):
     '{"format_version": 1, "target": [0.0, 1.0], "interpolation": "linear", '
     '"k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
     '{"format_version": 1,',
-], ids=["no-target", "json-list", "short-target", "truncated"])
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "k": 1, "eta_bar": 0.0, '
+    '"min_abs_z": 1.0}',
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": 3, '
+    '"k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
+], ids=["no-target", "json-list", "short-target", "truncated", "no-interpolation",
+        "numeric-interpolation"])
 def test_simulate_malformed_sidecar_is_io_error(tmp_path, capsys, sidecar):
     path = tmp_path / "s.csv"
     write_schedule(synthesize(E3, 2.0, 64, 1), str(path))

@@ -9,7 +9,9 @@ from flatgate.planner import synthesize, unwarped_schedule
 from flatgate.propagator import (
     _BLOCK_CELLS,
     _MAX_STEPS,
+    _ROW_BLOCK,
     DEFAULT_STEP_DIVISOR,
+    _control_rows,
     _prefix_product,
     _rk4_steps,
     _stage_values,
@@ -22,9 +24,10 @@ from flatgate.propagator import (
     propagate_piecewise_exact,
 )
 from flatgate.quat import (
-    E1, E2, E3, ONE, ImagQuaternion, UnitQuaternion, exp_pure, mul, qmul_arr)
+    E1, E2, E3, ONE, ImagQuaternion, UnitQuaternion, exp_pure, mul, pair_rows,
+    qmul_arr, row_pair)
 from flatgate.schedule import INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST, PulseSchedule
-from oracles import chunked_rows
+from oracles import chunked_rows, row_kernel
 
 PI = math.pi
 
@@ -121,10 +124,10 @@ def test_cubic_stencil_reproduces_cubic_controls():
     for r in (1, 2, 16):
         h = sched.spacing / r
         count = 2 * n * r + 1
-        x, y = _stage_values((sched.u1[None], sched.u2[None]), sched, h, 0, count)
+        v = _stage_values(_control_rows([sched]), sched, h, np.arange(count))[0]
         tau = np.minimum(np.arange(count) * (0.5 * h), big_t)
-        assert np.max(np.abs(x[0] - p1(tau))) <= 1e-14
-        assert np.max(np.abs(y[0] - p2(tau))) <= 1e-14
+        assert np.max(np.abs(v.real - p1(tau))) <= 1e-14
+        assert np.max(np.abs(v.imag - p2(tau))) <= 1e-14
 
 
 def test_cubic_stage_points_at_the_spacing():
@@ -133,8 +136,9 @@ def test_cubic_stage_points_at_the_spacing():
     t = np.linspace(0.0, 0.9, n + 1)
     u1, u2 = rng.standard_normal((2, n + 1))
     sched = PulseSchedule(t, u1, u2, target=ONE, interpolation=INTERP_CUBIC)
-    x, y = _stage_values((u1[None], u2[None]), sched, sched.spacing, 0, 2 * n + 1)
-    for u, v in ((u1, x[0]), (u2, y[0])):
+    x = _stage_values(_control_rows([sched]), sched, sched.spacing,
+                      np.arange(2 * n + 1))[0]
+    for u, v in ((u1, x.real), (u2, x.imag)):
         assert np.array_equal(v[::2], u)           # stage endpoints: the samples
         mid = (-u[:-3] + 9.0 * u[1:-2] + 9.0 * u[2:-1] - u[3:]) / 16.0
         assert np.max(np.abs(v[3:-3:2] - mid)) <= 1e-15
@@ -148,21 +152,19 @@ def test_linear_and_pconst_match_the_earlier_kernel_bit_for_bit(interpolation):
     rng = np.random.default_rng(51)
     scheds = [reinterpolated(synthesize(quat.as_unit(quat.random_unit(rng)), 1.0, 384,
                                         1 + i % 3), interpolation) for i in range(5)]
-    u1 = np.stack([s.u1 for s in scheds])
-    u2 = np.stack([s.u2 for s in scheds])
-    ones = np.tile(ONE.as_array(), (5, 1))
+    v, one = _control_rows(scheds), ONE.as_array()
     for h in (None, 1.0 / 384, 1.0 / 999):
         n = round(1.0 / h) if h else DEFAULT_STEP_DIVISOR
         for dr in (0.0, [0.0, 0.3, -1.2, 0.7, 2.0]):
             finals, drifts = propagate_final_batch(scheds, delta_r=dr, h=h)
-            ref_f, ref_d, _ = chunked_rows(u1, u2, scheds[0], dr, 1.0 / n, n,
-                                           ones, record=False)
+            ref_f, ref_d, _ = chunked_rows(v, scheds[0], dr, 1.0 / n, n, one,
+                                           record=False)
             assert np.array_equal(finals, ref_f) and np.array_equal(drifts, ref_d)
         res = propagate(scheds[1], delta_r=0.3, h=h)
-        ref_f, ref_d, ref_s = chunked_rows(u1[1:2], u2[1:2], scheds[1], 0.3, 1.0 / n,
-                                           n, ones[:1], record=True)
+        ref_f, ref_d, ref_s = chunked_rows(v[1:2], scheds[1], 0.3, 1.0 / n, n, one,
+                                           record=True)
         assert np.array_equal(res.states, ref_s)
-        assert np.array_equal(res.final.as_array(), ref_f[0])
+        assert res.final == quat.as_unit(ref_f[0])
         assert res.max_norm_drift == ref_d[0]
 
 
@@ -172,15 +174,15 @@ def test_single_schedule_blocks_match_the_chunked_kernel_bit_for_bit(interpolati
     n = 3 * _BLOCK_CELLS + 37
     target = quat.as_unit(quat.random_unit(np.random.default_rng(52)))
     sched = reinterpolated(synthesize(target, 1.0, 512, 2), interpolation)
-    u1, u2, one = sched.u1[None], sched.u2[None], ONE.as_array()[None]
+    v, one = _control_rows([sched]), ONE.as_array()
     for dr in (0.0, 0.3):
         res = propagate(sched, delta_r=dr, h=1.0 / n)
-        ref_f, ref_d, ref_s = chunked_rows(u1, u2, sched, dr, 1.0 / n, n, one, record=True)
+        ref_f, ref_d, ref_s = chunked_rows(v, sched, dr, 1.0 / n, n, one, record=True)
         assert np.array_equal(res.states, ref_s)
         assert res.final == quat.as_unit(ref_f[0])
         assert res.max_norm_drift == ref_d[0]
         finals, drifts = propagate_final_batch([sched], delta_r=dr, h=1.0 / n)
-        ref_f, ref_d, _ = chunked_rows(u1, u2, sched, dr, 1.0 / n, n, one, record=False)
+        ref_f, ref_d, _ = chunked_rows(v, sched, dr, 1.0 / n, n, one, record=False)
         assert np.array_equal(finals, ref_f) and np.array_equal(drifts, ref_d)
 
 
@@ -194,6 +196,52 @@ def test_single_schedule_final_equals_its_row_of_a_64_row_batch():
     for i in (0, 17, 63):
         f, d = propagate_final_batch([scheds[i]], delta_r=0.3, h=h)
         assert np.array_equal(f[0], finals[i]) and d[0] == drifts[i]
+
+
+def test_rows_of_a_150_row_batch_equal_single_row_runs_bit_for_bit():
+    # 150 rows are three row blocks: 64, 64 and 22
+    rng = np.random.default_rng(54)
+    scheds = [synthesize(quat.as_unit(quat.random_unit(rng)), 1.0, 256, 1 + i % 3)
+              for i in range(150)]
+    drs = rng.uniform(-1.0, 1.0, 150)
+    assert len(scheds) > 2 * _ROW_BLOCK
+    finals, drifts = propagate_final_batch(scheds, delta_r=drs)
+    for s, dr, f, d in zip(scheds, drs, finals, drifts):
+        single, drift = propagate_final_batch([s], delta_r=dr)
+        assert np.array_equal(single[0], f) and drift[0] == d
+    # one control row against 150 detunings
+    sweep = detuning_sweep(scheds[0], drs, E3)
+    for dr, fid in zip(drs, sweep.fidelity):
+        assert detuning_sweep(scheds[0], [dr], E3).fidelity[0] == fid
+
+
+@pytest.mark.parametrize("interpolation", [INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST])
+def test_public_outputs_match_the_real_row_kernel(interpolation):
+    rng = np.random.default_rng(55)
+    scheds = [reinterpolated(synthesize(quat.as_unit(quat.random_unit(rng)), 1.0, 512,
+                                        1 + i % 3), interpolation) for i in range(5)]
+    u1 = np.stack([s.u1 for s in scheds])
+    u2 = np.stack([s.u2 for s in scheds])
+    one = ONE.as_array()
+    for h in (None, 1.0 / 999):
+        n = round(1.0 / h) if h else (
+            512 if interpolation == INTERP_CUBIC else DEFAULT_STEP_DIVISOR)
+        for dr in (0.0, 0.3):
+            finals, drifts = propagate_final_batch(scheds, delta_r=dr, h=h)
+            ref_f, ref_d, _ = row_kernel(u1, u2, scheds[0], dr, 1.0 / n, n, one, False)
+            assert np.max(np.abs(finals - ref_f)) <= 1e-14
+            assert np.max(np.abs(drifts - ref_d)) <= 1e-15
+            res = propagate(scheds[2], delta_r=dr, h=h)
+            ref_f, ref_d, ref_s = row_kernel(u1[2:3], u2[2:3], scheds[2], dr, 1.0 / n, n,
+                                             one, True)
+            assert np.max(np.abs(res.states - ref_s)) <= 1e-14
+            assert np.max(np.abs(res.final.as_array() - ref_f[0])) <= 1e-14
+            assert abs(res.max_norm_drift - ref_d[0]) <= 1e-15
+        drs = np.linspace(-1.0, 1.0, 41)
+        sweep = detuning_sweep(scheds[3], drs, scheds[3].target, h=h)
+        ref_f, _, _ = row_kernel(u1[3:4], u2[3:4], scheds[3], drs, 1.0 / n, n, one, False)
+        ref_fid = ref_f @ scheds[3].target.as_array()
+        assert np.max(np.abs(sweep.fidelity - ref_fid)) <= 1e-14
 
 
 def test_step_count_cap_rejected_before_allocation():
@@ -236,10 +284,10 @@ def test_non_finite_detuning_and_step_rejected():
 def test_tree_product_matches_last_prefix_row():
     rng = np.random.default_rng(44)
     for c in (1, 2, 3, 7, 255, 256):
-        m = quat.random_unit(rng, 3 * c).reshape(3, c, 4)
-        tree = _tree_product(m)
+        m = row_pair(quat.random_unit(rng, 3 * c).reshape(3, c, 4))
+        tree = pair_rows(*_tree_product(*m))
         assert tree.shape == (3, 1, 4)
-        assert np.max(np.abs(tree - _prefix_product(m)[:, -1:])) <= 1e-14
+        assert np.max(np.abs(tree - pair_rows(*_prefix_product(*m))[:, -1:])) <= 1e-14
 
 
 def test_terminal_and_recorded_finals_agree_with_odd_chunk_remainder():
@@ -292,10 +340,21 @@ def test_rk4_steps_match_stage_products():
             # a single control row broadcasts against three detunings
             x0, xm, x1, y0, ym, y1 = 8.0 * rng.standard_normal((6, rows, c))
             dr = rng.uniform(-2.0, 2.0, (3, 1))
-            m = _rk4_steps(x0, xm, x1, y0, ym, y1, dr, h)
+            m = pair_rows(*_rk4_steps(x0 + 1j * y0, xm + 1j * ym, x1 + 1j * y1, dr, h))
             ref = _rk4_steps_by_products(x0, xm, x1, y0, ym, y1, dr, h)
             assert m.shape == (3, c, 4)
             assert np.max(np.abs(m - ref)) <= 1e-15
+
+
+def test_rk4_steps_of_one_row_equal_its_row_of_a_batch_bit_for_bit():
+    # 64 x 512 steps: operands large enough for numpy to reuse temporaries
+    rng = np.random.default_rng(56)
+    v0, vm, v1 = rng.standard_normal((3, 64, 512)) + 1j * rng.standard_normal((3, 64, 512))
+    dr = rng.uniform(-2.0, 2.0, (64, 1))
+    ma, mb = _rk4_steps(v0, vm, v1, dr, 0.25)
+    for i in range(64):
+        a, b = _rk4_steps(v0[i:i + 1], vm[i:i + 1], v1[i:i + 1], dr[i:i + 1], 0.25)
+        assert np.array_equal(a[0], ma[i]) and np.array_equal(b[0], mb[i])
 
 
 def test_rk4_step_of_constant_generator_is_taylor_polynomial():
@@ -310,7 +369,8 @@ def test_rk4_step_of_constant_generator_is_taylor_polynomial():
     for k in range(1, 5):
         term = qmul_arr(ha, term) / k
         taylor += term
-    m = _rk4_steps(x, x, x, y, y, y, dr, h)
+    v = x + 1j * y
+    m = pair_rows(*_rk4_steps(v, v, v, dr, h))
     assert np.max(np.abs(m - taylor)) <= 1e-15
 
 

@@ -178,3 +178,21 @@ def test_array_kernels_match_scalar_ops():
         assert np.max(np.abs(prod[i] - expect.as_array())) <= 1e-13
     assert np.array_equal(quat.qconj_arr(a)[:, 0], a[:, 0])
     assert np.array_equal(quat.qconj_arr(a)[:, 1:], -a[:, 1:])
+
+
+def test_pairs_are_rows_and_pair_products_do_not_depend_on_array_size():
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(20000, 4))
+    b = rng.normal(size=(20000, 4))
+    pa, pb = quat.row_pair(a)
+    assert np.array_equal(pa.real, a[:, 0]) and np.array_equal(pa.imag, a[:, 3])
+    assert np.array_equal(pb.real, a[:, 1]) and np.array_equal(pb.imag, a[:, 2])
+    assert np.array_equal(quat.pair_rows(pa, pb), a)
+    # the generator u1 e1 + u2 e2 + dr e3 is the pair (i dr, u1 + i u2)
+    ga, gb = quat.row_pair(np.array([0.0, 0.3, -0.7, 1.1]))
+    assert ga == 1.1j and gb == 0.3 - 0.7j
+    # 320 kB operands, large enough for numpy to reuse temporaries
+    prod = quat.pmul(pa, pb, *quat.row_pair(b))
+    for i in (0, 777, 19999):
+        one = quat.pmul(pa[i:i + 1], pb[i:i + 1], *quat.row_pair(b[i:i + 1]))
+        assert one[0][0] == prod[0][i] and one[1][0] == prod[1][i]
