@@ -16,6 +16,7 @@ produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -220,7 +221,9 @@ def _add_gate_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--su2", help="target as 8 reals: re,im of entries, row-major")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="flatgate",
         description="Smooth single-pulse qubit gate synthesis and verification.")

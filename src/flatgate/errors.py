@@ -43,4 +43,5 @@ class StepTooLarge(FlatGateError):
 
 class InvalidPropagationInput(FlatGateError, ValueError):
     """Propagator input is out of its domain: an empty batch or detuning
-    list, mismatched grids, a bad step or a non-finite detuning."""
+    list, mismatched grids, a bad step, a non-finite detuning or controls
+    so large that the RK4 steps overflow."""

@@ -18,7 +18,13 @@ Pipeline, all in closed form:
 5. sample_plan           s = smoothstep(t) with vanishing endpoint
                          derivatives; the controls at s, scaled by ds/dt,
                          vanish at 0 and T and are written as a "cubic"
-                         schedule.
+                         schedule.  The clock (t, s, ds/dt) depends only on
+                         (T, n, k): the last CLOCK_CACHE_SIZE clocks of at
+                         most CLOCK_CACHE_MAX_N intervals are kept as
+                         read-only arrays and shared by every target.
+
+The validation grids of steps 3 and 4 are fixed read-only s grids, built
+once.
 
 Step 4 in closed form.  The lift Y = cos(alpha) + sin(alpha)(cos(beta) e2
 + sin(beta) e3) has body rates w1 = beta' sin(alpha)^2 and
@@ -39,6 +45,7 @@ q(T) = target.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,7 +54,7 @@ import numpy as np
 from .errors import IdentityTarget, MonotonicityViolation, SingularFlatCurve, WindingNonzero
 from .flat import SINGULAR_Z_TOL, LiftSamplePath
 from .quat import UnitQuaternion
-from .schedule import INTERP_CUBIC, PulseSchedule
+from .schedule import INTERP_CUBIC, PulseSchedule, check_duration
 
 # min|z| on the s grid is about dist(target, 1) / sqrt(2), so every target
 # beyond this distance clears controls_in_s's SINGULAR_Z_TOL.
@@ -68,6 +75,21 @@ MAX_SAMPLES = 2 ** 22            # the propagator's step cap; larger n is an inp
 # the error grows about tenfold per order (k = 9 is off by 1.3e-9, k = 20
 # by O(1)).
 MAX_WARP_ORDER = 8
+# Clocks kept for reuse: a few (T, n, k) cover a session or a compile run,
+# and the cap on n bounds what is retained (8 x 3 arrays of at most 2**16 + 1
+# floats, 12.6 MB); larger clocks are built per call.
+CLOCK_CACHE_SIZE = 8
+CLOCK_CACHE_MAX_N = 2 ** 16
+_EPS = float(np.finfo(float).eps)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+_Z_S = _frozen(np.linspace(0.0, 1.0, Z_GRID))
+_ALPHA_S = _frozen(np.linspace(0.0, 1.0, ALPHA_GRID + 2)[1:-1])
 
 
 @dataclass(frozen=True)
@@ -223,8 +245,7 @@ def check_alpha_monotone(c: CubicPair) -> float:
     if not ok:
         raise MonotonicityViolation(
             f"alpha'(0) = {d0!r}, delta = {c.delta!r}: alpha is not increasing")
-    s = np.linspace(0.0, 1.0, ALPHA_GRID + 2)[1:-1]
-    grid_min = float(np.min(c.dalpha(s)))
+    grid_min = float(np.min(c.dalpha(_ALPHA_S)))
     if grid_min <= 0.0:
         raise MonotonicityViolation(f"grid min alpha' = {grid_min!r}")
     return grid_min
@@ -320,11 +341,12 @@ def controls_in_s(c: CubicPair) -> tuple[np.ndarray, float]:
     of |z|.  Raises MonotonicityViolation where alpha' < 0 (off the atan2
     branch), SingularFlatCurve for min |z| <= SINGULAR_Z_TOL and
     WindingNonzero for |theta(1)| > WINDING_TOL."""
-    s = np.linspace(0.0, 1.0, Z_GRID)
+    s = _Z_S
     da = c.dalpha(s)
     # alpha' = alpha_bar cos(beta_bar) >= 0 at the ends can round to a few
     # ulp below 0 for beta_bar near +-pi/2: not a branch change
-    slack = 4.0 * np.finfo(float).eps * float(np.abs(c.ca[1:]) @ [1.0, 2.0, 3.0])
+    _, c1, c2, c3 = c.ca.tolist()
+    slack = 4.0 * _EPS * (abs(c1) + 2.0 * abs(c2) + 3.0 * abs(c3))
     if np.min(da) < -slack:
         raise MonotonicityViolation(f"grid min alpha' = {np.min(da)!r} < 0: off the atan2 branch")
     q = 0.5 * c.dbeta(s) * np.sin(2.0 * c.alpha(s))
@@ -345,8 +367,7 @@ def smoothstep(t, big_t: float, k: int = 1):
     k = 1 is the cubic 3(t/T)^2 - 2(t/T)^3; higher k raises the endpoint
     flatness (degree 2k + 1), up to MAX_WARP_ORDER.
     """
-    if big_t <= 0.0:
-        raise ValueError("duration must be positive")
+    check_duration(big_t)
     if k < 1:
         raise ValueError("warp order must be at least 1")
     if k > MAX_WARP_ORDER:
@@ -383,6 +404,7 @@ def plan_controls(qbar: UnitQuaternion) -> Plan:
 
 
 def _sample_grid(big_t: float, n: int) -> np.ndarray:
+    check_duration(big_t)
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} sample intervals")
     if n > MAX_SAMPLES:
@@ -390,13 +412,30 @@ def _sample_grid(big_t: float, n: int) -> np.ndarray:
     return np.linspace(0.0, big_t, n + 1)
 
 
+def _make_clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    t = _sample_grid(big_t, n)
+    return (t, *smoothstep(t, big_t, k))
+
+
+@functools.lru_cache(maxsize=CLOCK_CACHE_SIZE)
+def _cached_clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return tuple(_frozen(a) for a in _make_clock(big_t, n, k))
+
+
+def _clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(t, s(t), ds/dt) on n uniform intervals of [0, T]; shared read-only
+    arrays for n <= CLOCK_CACHE_MAX_N, fresh ones above."""
+    if n > CLOCK_CACHE_MAX_N:
+        return _make_clock(big_t, n, k)
+    return _cached_clock(big_t, n, k)
+
+
 def sample_plan(plan: Plan, big_t: float, n: int = DEFAULT_SAMPLES,
                 k: int = 1) -> PulseSchedule:
     """Sample a plan on n uniform intervals of [0, T] (n + 1 samples)
     through the order-k clock warp, giving controls of class C^(k-1) that
     vanish exactly at both ends."""
-    t = _sample_grid(big_t, n)
-    s, sd = smoothstep(t, big_t, k)
+    t, s, sd = _clock(big_t, n, k)
     u1, u2 = plan.controls(s)
     del s
     u1 *= sd

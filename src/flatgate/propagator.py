@@ -10,7 +10,11 @@ Steps and states are complex pairs (A, B) = (w + i z, x + i y), q = A + B e1
 (see quat): the generator is the pair (i delta_r, v) with v = u1 + i u2 the
 complex amplitude of the drive, so the controls are read as one complex row
 and every product is a few complex array operations.  Rows (w, x, y, z)
-are formed only for recorded states and finals.
+are formed only for recorded states and finals.  When every detuning of a
+block of rows is zero, as on resonance, the steps are built without the
+dr terms; they would add exact zeros.  Controls large enough to overflow a
+step (|u| beyond ~1e154) raise InvalidPropagationInput rather than
+propagate NaN.
 Steps are multiplied in chunks of 256: a recorded run applies each chunk
 as one log-depth prefix product, a terminal-only run as one pairwise tree
 product (c - 1 pair products for c steps).  The steps of several whole
@@ -158,19 +162,33 @@ def _rk4_steps(v0, vm, v1, dr, h: float) -> tuple[np.ndarray, np.ndarray]:
       MA = 1 + h/6 (f (v1 conj(v0) + dr^2) - h (vm conj(v0) + v1 conj(vm)
            + 2 dr^2 + N) + i (6 - 2g) dr),
       MB = h/6 ((1 - g) s + 4 vm - i (h - f) dr d),
-    where g = h^2 N / 2 and f = h^3 N / 4.
+    where g = h^2 N / 2 and f = h^3 N / 4.  With every dr zero the dr terms
+    are left out: the same expressions less their exact zeros.
     """
-    dd = dr * dr
-    nm = vm.real * vm.real + vm.imag * vm.imag + dd
+    detuned = dr.any()
+    if not detuned and dr.shape[0] > v0.shape[0]:
+        # one control row for b undetuned systems
+        v0, vm, v1 = (np.broadcast_to(x, (dr.shape[0], x.shape[1])) for x in (v0, vm, v1))
+    nm = vm.real * vm.real + vm.imag * vm.imag
+    if detuned:
+        dd = dr * dr
+        nm = nm + dd
     g = (0.5 * h * h) * nm
-    f = (0.25 * h ** 3) * nm
+    # a numpy power, the same value as h ** 3, overflows to inf where a float
+    # power raises OverflowError; _propagate_rows rejects the result
+    f = (0.25 * np.float64(h) ** 3) * nm
     c0 = v0.conj()
     # temporaries stay left factors of complex products (see quat.pmul)
-    ma = f * (v1 * c0 + dd) - h * (vm * c0 + vm.conj() * v1 + (2.0 * dd + nm))
-    ma.imag += (6.0 - 2.0 * g) * dr
+    if detuned:
+        ma = f * (v1 * c0 + dd) - h * (vm * c0 + vm.conj() * v1 + (2.0 * dd + nm))
+        ma.imag += (6.0 - 2.0 * g) * dr
+    else:
+        ma = f * (v1 * c0) - h * (vm * c0 + vm.conj() * v1 + nm)
     ma *= h / 6.0
     ma.real += 1.0
-    mb = (1.0 - g) * (v0 + v1) + 4.0 * vm + ((h - f) * dr) * (-1j * (v1 - v0))
+    mb = (1.0 - g) * (v0 + v1) + 4.0 * vm
+    if detuned:
+        mb += ((h - f) * dr) * (-1j * (v1 - v0))
     mb *= h / 6.0
     return ma, mb
 
@@ -232,12 +250,20 @@ def _propagate_rows(v: np.ndarray, sched: PulseSchedule, delta_r, h: float,
         states[0] = start
     pair = quat.row_pair(start)
     finals, drifts = np.empty((b, 4)), np.empty(b)
-    for lo in range(0, b, _ROW_BLOCK):
-        rows = slice(lo, lo + _ROW_BLOCK)
-        qa, qb, drifts[rows] = _propagate_block(
-            v[rows] if v.shape[0] > 1 else v, dr[rows] if dr.shape[0] > 1 else dr,
-            sched, h, n, pair, states)
-        finals[rows] = quat.pair_rows(qa, qb)
+    # controls past ~1e154 overflow |v|^2, and steps past ~1e102 overflow
+    # h^3; either shows as a non-finite multiplier norm, so a drift or a
+    # state that is not finite
+    with np.errstate(all="ignore"):
+        for lo in range(0, b, _ROW_BLOCK):
+            rows = slice(lo, lo + _ROW_BLOCK)
+            qa, qb, drifts[rows] = _propagate_block(
+                v[rows] if v.shape[0] > 1 else v, dr[rows] if dr.shape[0] > 1 else dr,
+                sched, h, n, pair, states)
+            finals[rows] = quat.pair_rows(qa, qb)
+    if not (np.isfinite(drifts).all() and np.isfinite(finals).all()
+            and (states is None or np.isfinite(states).all())):
+        raise InvalidPropagationInput(
+            "the RK4 steps overflow: the controls or the step are too large")
     return finals, drifts, states
 
 

@@ -13,6 +13,7 @@ not.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,13 @@ FORMAT_VERSION = 1
 INTERP_LINEAR = "linear"
 INTERP_PCONST = "pconst"
 INTERP_CUBIC = "cubic"
+
+
+def check_duration(big_t: float) -> None:
+    """Refuse a duration that is not a positive finite number (NaN too),
+    before any arithmetic on it."""
+    if not 0.0 < big_t < math.inf:
+        raise ValueError("duration must be positive and finite")
 
 
 @dataclass(frozen=True)

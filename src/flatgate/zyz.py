@@ -15,7 +15,7 @@ import numpy as np
 
 from . import quat
 from .quat import ImagQuaternion, UnitQuaternion
-from .schedule import INTERP_PCONST, PulseSchedule
+from .schedule import INTERP_PCONST, PulseSchedule, check_duration
 
 GIMBAL_TOL = 1e-9
 
@@ -66,8 +66,7 @@ def zyz_schedule(angles: EulerE1E2E1, big_t: float) -> PulseSchedule:
     """Three equal thirds of [0, T]: pulse areas a (on e1), b (on e2),
     c (on e1), at constant amplitudes 3*angle/T.  Zero angles give zero
     segments."""
-    if big_t <= 0.0:
-        raise ValueError("duration must be positive")
+    check_duration(big_t)
     amp = 3.0 / big_t
     t = np.linspace(0.0, big_t, 4)
     u1 = np.array([amp * angles.a, 0.0, amp * angles.c, amp * angles.c])

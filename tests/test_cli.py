@@ -1,13 +1,14 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from flatgate import quat
-from flatgate.cli import (_CSV_BLOCK_ROWS, MAX_SWEEP_STEPS, NAMED_GATES, main,
-                          read_schedule, resolve_gate, write_schedule,
+from flatgate.cli import (_CSV_BLOCK_ROWS, MAX_SWEEP_STEPS, NAMED_GATES, build_parser,
+                          main, read_schedule, resolve_gate, write_schedule,
                           write_trajectory)
 from flatgate.planner import MAX_SAMPLES, synthesize
 from flatgate.propagator import PropagationResult, fidelity, propagate
@@ -314,3 +315,61 @@ def test_simulate_malformed_sidecar_is_io_error(tmp_path, capsys, sidecar):
     path.with_suffix(".json").write_text(sidecar)
     code, _, err = run(["simulate", str(path)], capsys)
     assert code == 2 and "i/o error" in err
+
+
+def run_quiet(argv, capsys):
+    """run, asserting that no RuntimeWarning escapes."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(argv, capsys)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    return result
+
+
+@pytest.mark.parametrize("big_t", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", ["plan", "compare", "sweep"])
+def test_non_finite_duration_exits_1_without_warnings(tmp_path, capsys, command, big_t):
+    out = tmp_path / "x.csv"
+    argv = [command, "--gate", "Z", f"--T={big_t}"]
+    if command != "compare":
+        argv += ["--out", str(out)]
+    if command == "sweep":
+        argv += ["--delta-r-min", "-1", "--delta-r-max", "1", "--steps", "3"]
+    code, _, err = run_quiet(argv, capsys)
+    assert code == 1 and "duration must be positive and finite" in err
+    assert not out.exists()
+
+
+def test_control_overflow_exits_1_without_warnings_or_files(tmp_path, capsys):
+    # at T = 1e-300 the controls are ~1e300, and |v|^2 overflows
+    out = tmp_path / "sweep.csv"
+    code, _, err = run_quiet(["sweep", "--gate", "Z", "--T", "1e-300",
+                              "--delta-r-min", "-1", "--delta-r-max", "1",
+                              "--steps", "3", "--out", str(out)], capsys)
+    assert code == 1 and "overflow" in err
+    assert not out.exists()
+    path = tmp_path / "big.csv"
+    code, _, _ = run_quiet(["plan", "--gate", "Z", "--T", "1e-300", "--out", str(path)], capsys)
+    assert code == 0
+    traj = tmp_path / "traj.csv"
+    code, _, err = run_quiet(["simulate", str(path), "--out", str(traj)], capsys)
+    assert code == 1 and "overflow" in err and "unit quaternion" not in err
+    assert not traj.exists()
+    # a huge step overflows h^3 in compare's baseline propagation
+    code, _, err = run_quiet(["compare", "--gate", "Z", "--T", "1e300"], capsys)
+    assert code == 1 and "overflow" in err
+
+
+def test_parser_is_built_once_and_survives_an_argparse_error(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as info:
+        main(["plan", "--gate", "Z", "--no-such-option"])
+    assert info.value.code == 2
+    with pytest.raises(SystemExit):
+        main(["sweep", "--gate", "Z"])              # required options missing
+    capsys.readouterr()
+    out = tmp_path / "after.csv"
+    code, stdout, _ = run(["plan", "--gate", "H", "--N", "128", "--out", str(out)], capsys)
+    assert code == 0 and out.exists() and "wrote" in stdout
+    args = build_parser().parse_args(["simulate", str(out)])
+    assert args.h is None and args.delta_r == 0.0 and args.out is None

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flatgate import quat
+from flatgate import planner, quat
 from flatgate.errors import (IdentityTarget, MonotonicityViolation, SingularFlatCurve,
                              WindingNonzero)
 from flatgate.flat import body_velocity, invert_lift
@@ -578,3 +578,64 @@ def test_sample_plan_peak_memory():
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 8 * (n + 1)
+
+
+# ---------------------------------------------------------------- shared clock
+
+def test_sample_plan_cold_and_warm_clock_are_bit_identical():
+    plan = plan_controls(rand_target(np.random.default_rng(29)))
+    for big_t, n, k in ((1.0, 512, 1), (2.0, 4096, 3), (0.7, 64, MAX_WARP_ORDER)):
+        planner._cached_clock.cache_clear()
+        cold = sample_plan(plan, big_t, n, k)
+        warm = sample_plan(plan, big_t, n, k)
+        assert planner._cached_clock.cache_info().hits == 1
+        t = planner._sample_grid(big_t, n)
+        s, sd = smoothstep(t, big_t, k)
+        u1, u2 = plan.controls(s)
+        u1, u2 = u1 * sd, u2 * sd
+        u1[0] = u1[-1] = u2[0] = u2[-1] = 0.0
+        for got in (cold, warm):
+            assert [a.tobytes() for a in (got.t, got.u1, got.u2)] \
+                == [a.tobytes() for a in (t, u1, u2)]
+
+
+def test_cached_clock_is_read_only_and_bounded():
+    planner._cached_clock.cache_clear()
+    for a in planner._clock(1.0, 512, 2):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[1] = 0.0
+    for big_t in np.linspace(0.5, 3.0, 3 * planner.CLOCK_CACHE_SIZE):
+        planner._clock(float(big_t), 128, 1)
+    assert planner._cached_clock.cache_info().currsize == planner.CLOCK_CACHE_SIZE
+    # above the cap a clock is built per call, writeable and never cached
+    before = planner._cached_clock.cache_info()
+    t, s, sd = planner._clock(1.0, planner.CLOCK_CACHE_MAX_N + 1, 1)
+    assert t.flags.writeable and s.flags.writeable and sd.flags.writeable
+    assert planner._cached_clock.cache_info() == before
+
+
+def test_large_clock_is_not_retained():
+    plan = plan_controls(E3)
+    n = 2 ** 18
+    sample_plan(plan, 1.0, n, 1)              # imports and caches settle
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        sample_plan(plan, 1.25, n, 2)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # one float array of n + 1 samples would be 2 MB
+    assert retained < 8 * (n + 1) // 16
+
+
+@pytest.mark.parametrize("big_t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_bad_durations_are_refused_before_any_arithmetic(big_t):
+    info = planner._cached_clock.cache_info()
+    for call in (lambda: planner._sample_grid(big_t, 512),
+                 lambda: smoothstep(0.0, big_t, 1),
+                 lambda: synthesize(E3, big_t)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            call()
+    assert planner._cached_clock.cache_info().currsize == info.currsize

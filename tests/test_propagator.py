@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from flatgate import quat
-from flatgate.errors import FlatGateError, StepTooLarge
+from flatgate.errors import FlatGateError, InvalidPropagationInput, StepTooLarge
 from flatgate.planner import synthesize, unwarped_schedule
 from flatgate.propagator import (
     _BLOCK_CELLS,
@@ -406,6 +407,25 @@ def test_propagator_input_checks_raise_typed_errors():
         assert isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("big_t", [1e-300, 1e300])
+def test_step_overflow_raises_instead_of_nan(big_t):
+    # T = 1e-300: |u| ~ 1e300 and |v|^2 overflows; T = 1e300: h^3 overflows;
+    # in every _rk4_steps branch
+    sched = synthesize(E3, big_t, 64, 1)
+    calls = [
+        lambda: propagate_final_batch([sched]),
+        lambda: propagate_final_batch([sched, sched], delta_r=[0.0, 0.5]),
+        lambda: propagate(sched),
+        lambda: detuning_sweep(sched, [0.0, 0.0], E3),
+        lambda: detuning_sweep(sched, [-1.0, 1.0], E3),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(InvalidPropagationInput, match="overflow"):
+                call()
+
+
 def test_right_invariance():
     rng = np.random.default_rng(42)
     sched = synthesize(E3, 1.0, 1024, 1)
@@ -448,6 +468,14 @@ def test_detuning_sweep_zero_matches_plain_propagation():
     plain = fidelity(propagate(sched, h=2.0 / 2048).final, E3)
     assert sweep.delta_r.shape == (1,)
     assert abs(sweep.fidelity[0] - plain) <= 1e-14
+
+
+def test_resonant_sweep_of_one_control_row_equals_the_single_run():
+    # every detuning zero: the one control row serves all three systems
+    sched = synthesize(E3, 1.0, 256, 2)
+    sweep = detuning_sweep(sched, [0.0, 0.0, -0.0], E3)
+    finals, _ = propagate_final_batch([sched])
+    assert sweep.fidelity.tobytes() == np.repeat(finals @ E3.as_array(), 3).tobytes()
 
 
 def test_detuning_sweep_degrades_away_from_resonance():

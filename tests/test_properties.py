@@ -13,7 +13,7 @@ from flatgate import cli
 from flatgate.errors import IdentityTarget
 from flatgate.planner import (DEFAULT_SAMPLES, IDENTITY_TOL, MAX_WARP_ORDER, WINDING_TOL,
                               plan_controls, sample_plan)
-from flatgate.propagator import propagate
+from flatgate.propagator import propagate, propagate_final_batch
 from flatgate.quat import UnitQuaternion
 
 component = st.floats(-1.0, 1.0, allow_nan=False)
@@ -22,6 +22,7 @@ targets = st.tuples(component, component, component, component) \
     .map(lambda v: np.asarray(v) / np.linalg.norm(v))
 durations = st.floats(0.5, 4.0)
 warp_orders = st.integers(1, MAX_WARP_ORDER)
+detunings = st.floats(-1.0, 1.0)
 GATE_TOL = 1e-6
 
 
@@ -70,3 +71,19 @@ def test_plan_files_are_byte_identical(q, big_t, k):
         for suffix in (".csv", ".json"):
             a, b = (p.with_suffix(suffix).read_bytes() for p in paths)
             assert a == b
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(q=targets, big_t=durations, k=warp_orders, dr=detunings)
+def test_resonant_row_of_a_detuned_batch_equals_the_resonant_run(q, big_t, k, dr):
+    # a batch with some dr != 0 takes the general RK4 step, one with every
+    # dr == 0 the step without dr terms: the resonant rows agree bit for bit
+    assume(planned(q))
+    sched = sample_plan(plan_controls(UnitQuaternion(*q)), big_t, DEFAULT_SAMPLES, k)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        finals, drifts = propagate_final_batch([sched, sched], delta_r=[0.0, dr])
+        f0, d0 = propagate_final_batch([sched])
+        f1, d1 = propagate_final_batch([sched], delta_r=dr)
+    assert finals[0].tobytes() == f0[0].tobytes() and drifts[:1].tobytes() == d0.tobytes()
+    assert finals[1].tobytes() == f1[0].tobytes() and drifts[1:].tobytes() == d1.tobytes()
