@@ -137,8 +137,8 @@ def cmd_plan(args) -> int:
     sched = planner.sample_plan(plan, args.T, args.N, args.k)
     ok_ends = sched.u1[0] == 0.0 and sched.u2[0] == 0.0 \
         and sched.u1[-1] == 0.0 and sched.u2[-1] == 0.0
-    print(f"min |z| on s grid:   {_fmt(plan.min_abs_z)}")
-    print(f"|theta(1)|:          {_fmt(abs(plan.theta[-1]))}")
+    print(f"min |z| on samples:  {_fmt(sched.min_abs_z)}")
+    print(f"|theta(1)|:          {_fmt(abs(plan.theta1))}")
     print(f"endpoint controls are exactly zero: {ok_ends}")
     side = write_schedule(sched, args.out)
     print(f"wrote {args.out} and {side}")

@@ -10,21 +10,19 @@ Pipeline, all in closed form:
 2. hermite cubics        alpha(s), beta(s) of degree <= 3 matching eight
                          endpoint conditions exactly.
 3. check_alpha_monotone  analytic proof obligation alpha' > 0 on (0, 1)
-                         plus a numeric grid confirmation.
-4. controls_in_s         closed-form phase theta and |z| of z(s) = w2 - i*w3
-                         (below) with their guards; plan_controls returns the
+                         plus its closed-form minimum on a fixed open grid.
+4. check_winding         terminal phase theta(1) of z(s) = w2 - i*w3 (below)
+                         from its end values; plan_controls returns the
                          checked Plan, whose controls(s) are rotated back by
                          eta_bar.
 5. sample_plan           s = smoothstep(t) with vanishing endpoint
                          derivatives; the controls at s, scaled by ds/dt,
                          vanish at 0 and T and are written as a "cubic"
-                         schedule.  The clock (t, s, ds/dt) depends only on
-                         (T, n, k): the last CLOCK_CACHE_SIZE clocks of at
-                         most CLOCK_CACHE_MAX_N intervals are kept as
-                         read-only arrays and shared by every target.
-
-The validation grids of steps 3 and 4 are fixed read-only s grids, built
-once.
+                         schedule with min |z| over the sampled s.  The
+                         clock (t, s, ds/dt) depends only on (T, n, k): the
+                         last CLOCK_CACHE_SIZE clocks of at most
+                         CLOCK_CACHE_MAX_N intervals are kept as read-only
+                         arrays and shared by every target.
 
 Step 4 in closed form.  The lift Y = cos(alpha) + sin(alpha)(cos(beta) e2
 + sin(beta) e3) has body rates w1 = beta' sin(alpha)^2 and
@@ -32,13 +30,13 @@ Step 4 in closed form.  The lift Y = cos(alpha) + sin(alpha)(cos(beta) e2
     z = w2 - i*w3 = exp(-i*beta) (alpha' - i*q),   q = beta' sin(2 alpha) / 2.
 
 On alpha' >= 0 the point (alpha', -q) stays in the closed right half plane,
-so theta = atan2(-q, alpha') - beta is the continuous phase of z, and the
-controls u2 = |z| = sqrt(alpha'^2 + q^2), u1 = w1 + theta'/2 need no unwrap
-and no trig of beta (Plan.controls).  The endpoint conditions give
-alpha' = a cos(b), q = -a sin(b) and beta = b at s = 0 and 1 (a = alpha_bar
-> 0, |b| <= pi/2), so theta(0) = theta(1) = 0 and |z| = a there; with
-alpha' > 0 in between (step 3) a planner curve can neither wind around 0
-nor reach it, and those checks remain only as guards.
+so theta = atan2(-q, alpha') - beta is the continuous phase of z, read at
+the ends alone for theta(1), and the controls u2 = |z| = sqrt(alpha'^2 +
+q^2), u1 = w1 + theta'/2 need no unwrap and no trig of beta (Plan.controls).
+The endpoint conditions give alpha' = a cos(b), q = -a sin(b) and beta = b
+at s = 0 and 1 (a = alpha_bar > 0, |b| <= pi/2), so theta(0) = theta(1) = 0
+and |z| = a there; with alpha' > 0 in between (step 3) a planner curve can
+neither wind around 0 nor reach it, and those checks remain only as guards.
 
 The sampled control steers dq/dt = (u1 e1 + u2 e2) q from q(0) = 1 to
 q(T) = target.
@@ -56,12 +54,11 @@ from .flat import SINGULAR_Z_TOL, LiftSamplePath
 from .quat import UnitQuaternion
 from .schedule import INTERP_CUBIC, PulseSchedule, check_duration
 
-# min|z| on the s grid is about dist(target, 1) / sqrt(2), so every target
-# beyond this distance clears controls_in_s's SINGULAR_Z_TOL.
+# min|z| over s is about dist(target, 1) / sqrt(2), so every target beyond
+# this distance clears the SINGULAR_Z_TOL guard of Plan.controls.
 IDENTITY_TOL = 2.0 * SINGULAR_Z_TOL
 ETA_DEGENERATE_SQ = 1e-24        # q1^2 + q2^2 below this: eta_bar := 0
-Z_GRID = 2048                    # validation grid for |z| and theta
-ALPHA_GRID = 1024                # open grid for the alpha' > 0 confirmation
+ALPHA_GRID = 1024                # open grid i / (ALPHA_GRID + 1) for the alpha' > 0 confirmation
 WINDING_TOL = 1e-6
 # The smallest power of two whose cubic-interpolation floor keeps the
 # reference scenario (e3, T = 2, k = 1) within 1e-9: 512 intervals give
@@ -80,16 +77,11 @@ MAX_WARP_ORDER = 8
 # floats, 12.6 MB); larger clocks are built per call.
 CLOCK_CACHE_SIZE = 8
 CLOCK_CACHE_MAX_N = 2 ** 16
-_EPS = float(np.finfo(float).eps)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
-
-
-_Z_S = _frozen(np.linspace(0.0, 1.0, Z_GRID))
-_ALPHA_S = _frozen(np.linspace(0.0, 1.0, ALPHA_GRID + 2)[1:-1])
 
 
 @dataclass(frozen=True)
@@ -238,14 +230,22 @@ def check_alpha_monotone(c: CubicPair) -> float:
 
     Analytically alpha'(s) = -6*delta*s*(s - 1) + alpha'(0) with
     delta >= 0, so positivity needs delta > 0 with alpha'(0) >= 0, or
-    delta = 0 with alpha'(0) > 0.  A 1024-point open grid confirms.
+    delta = 0 with alpha'(0) > 0.  The open grid s_i = i / (ALPHA_GRID + 1)
+    confirms; the quadratic alpha' has its grid minimum at an end of the
+    grid or, if convex, next to its vertex, and only those are evaluated.
     """
     d0 = float(c.ca[1])
     ok = (c.delta > 0.0 and d0 >= 0.0) or (c.delta == 0.0 and d0 > 0.0)
     if not ok:
         raise MonotonicityViolation(
             f"alpha'(0) = {d0!r}, delta = {c.delta!r}: alpha is not increasing")
-    grid_min = float(np.min(c.dalpha(_ALPHA_S)))
+    ca = c.ca.tolist()
+    step = 1.0 / (ALPHA_GRID + 1)          # s_i = i * step, as np.linspace has it
+    points = [1, ALPHA_GRID]
+    vertex = -ca[2] / (3.0 * ca[3]) * (ALPHA_GRID + 1) if ca[3] > 0.0 else 0.0
+    if 1.0 < vertex < ALPHA_GRID:
+        points += [math.floor(vertex), math.floor(vertex) + 1]
+    grid_min = min(_poly_d1(ca, i * step) for i in points)
     if grid_min <= 0.0:
         raise MonotonicityViolation(f"grid min alpha' = {grid_min!r}")
     return grid_min
@@ -279,20 +279,21 @@ def lift_path(c: CubicPair, m: int) -> LiftSamplePath:
 
 @dataclass(frozen=True)
 class Plan:
-    """One target planned in virtual time s, with the validation traces that
-    proved it usable: the continuous phase theta of z on the Z_GRID s grid
-    and the grid minimum of |z|."""
+    """One target planned in virtual time s, with the scalar witnesses that
+    proved it usable: the grid minimum of alpha' and the terminal phase
+    theta(1) of z; controls(s) gives the third, min |z| over s."""
 
     target: UnitQuaternion
     dec: TargetDecomposition
     cubics: CubicPair
-    theta: np.ndarray
-    min_abs_z: float
+    alpha_grid_min: float
+    theta1: float
 
     def controls(self, s):
         """Controls (u1, u2) at virtual times s, rotated back by eta_bar onto
-        the original target: u2 = |z| and u1 = w1 + theta'/2 =
-        ((q alpha'' - alpha' q') / |z|^2 - beta' cos(2 alpha)) / 2."""
+        the original target, and min |z| over s: u2 = |z| and u1 = w1 +
+        theta'/2 = ((q alpha'' - alpha' q') / |z|^2 - beta' cos(2 alpha)) / 2.
+        Raises SingularFlatCurve for min |z| <= SINGULAR_Z_TOL."""
         # In place, in the order of the formula, with each temporary freed
         # once used: sample_plan reads up to MAX_SAMPLES + 1 points.
         c, s = self.cubics, np.asarray(s, dtype=float)
@@ -314,6 +315,9 @@ class Plan:
         w = q * q
         mag2 += w                               # |z|^2
         del w
+        min_abs_z = math.sqrt(float(np.min(mag2)))
+        if min_abs_z <= SINGULAR_Z_TOL:
+            raise SingularFlatCurve(f"min |z| = {min_abs_z!r} at the sampled s")
         a = c.ddalpha(s)
         a *= q
         del q
@@ -332,32 +336,22 @@ class Plan:
         u1 += w
         u2, w = a * -se, b * ce
         u2 += w
-        return u1, u2
+        return u1, u2, min_abs_z
 
 
-def controls_in_s(c: CubicPair) -> tuple[np.ndarray, float]:
-    """Validity checks of the closed-form controls in s; returns the phase
-    theta of z on the Z_GRID s grid, relative to s = 0, and the grid minimum
-    of |z|.  Raises MonotonicityViolation where alpha' < 0 (off the atan2
-    branch), SingularFlatCurve for min |z| <= SINGULAR_Z_TOL and
-    WindingNonzero for |theta(1)| > WINDING_TOL."""
-    s = _Z_S
-    da = c.dalpha(s)
-    # alpha' = alpha_bar cos(beta_bar) >= 0 at the ends can round to a few
-    # ulp below 0 for beta_bar near +-pi/2: not a branch change
-    _, c1, c2, c3 = c.ca.tolist()
-    slack = 4.0 * _EPS * (abs(c1) + 2.0 * abs(c2) + 3.0 * abs(c3))
-    if np.min(da) < -slack:
-        raise MonotonicityViolation(f"grid min alpha' = {np.min(da)!r} < 0: off the atan2 branch")
-    q = 0.5 * c.dbeta(s) * np.sin(2.0 * c.alpha(s))
-    min_abs_z = float(np.sqrt(np.min(da * da + q * q)))
-    if min_abs_z <= SINGULAR_Z_TOL:
-        raise SingularFlatCurve(f"min |z| = {min_abs_z!r} on the s grid")
-    theta = np.arctan2(-q, da) - c.beta(s)
-    theta -= theta[0]
-    if abs(theta[-1]) > WINDING_TOL:
-        raise WindingNonzero(f"theta(1) = {theta[-1]!r}; z winds around 0")
-    return theta, min_abs_z
+def check_winding(c: CubicPair) -> float:
+    """Terminal phase theta(1) of z relative to s = 0, from the end values
+    of theta = atan2(-q, alpha') - beta, which is continuous while alpha' > 0
+    (check_alpha_monotone); raises WindingNonzero above WINDING_TOL."""
+    ca, cb = c.ca.tolist(), c.cb.tolist()
+    theta0, theta1 = (
+        math.atan2(-0.5 * _poly_d1(cb, s) * math.sin(2.0 * _poly_eval(ca, s)),
+                   _poly_d1(ca, s)) - _poly_eval(cb, s)
+        for s in (0.0, 1.0))
+    theta1 -= theta0
+    if abs(theta1) > WINDING_TOL:
+        raise WindingNonzero(f"theta(1) = {theta1!r}; z winds around 0")
+    return theta1
 
 
 def smoothstep(t, big_t: float, k: int = 1):
@@ -398,9 +392,7 @@ def plan_controls(qbar: UnitQuaternion) -> Plan:
     """Plan qbar once: decomposition, cubics and their validity checks."""
     dec = decompose_target(qbar)
     cubics = CubicPair.from_decomposition(dec)
-    check_alpha_monotone(cubics)
-    theta, min_abs_z = controls_in_s(cubics)
-    return Plan(qbar, dec, cubics, theta, min_abs_z)
+    return Plan(qbar, dec, cubics, check_alpha_monotone(cubics), check_winding(cubics))
 
 
 def _sample_grid(big_t: float, n: int) -> np.ndarray:
@@ -436,7 +428,7 @@ def sample_plan(plan: Plan, big_t: float, n: int = DEFAULT_SAMPLES,
     through the order-k clock warp, giving controls of class C^(k-1) that
     vanish exactly at both ends."""
     t, s, sd = _clock(big_t, n, k)
-    u1, u2 = plan.controls(s)
+    u1, u2, min_abs_z = plan.controls(s)
     del s
     u1 *= sd
     u2 *= sd
@@ -445,7 +437,7 @@ def sample_plan(plan: Plan, big_t: float, n: int = DEFAULT_SAMPLES,
     u1[0] = u1[-1] = 0.0
     u2[0] = u2[-1] = 0.0
     return PulseSchedule(t, u1, u2, target=plan.target, interpolation=INTERP_CUBIC,
-                         warp_order=k, eta_bar=plan.dec.eta_bar, min_abs_z=plan.min_abs_z)
+                         warp_order=k, eta_bar=plan.dec.eta_bar, min_abs_z=min_abs_z)
 
 
 def synthesize(qbar: UnitQuaternion, big_t: float, n: int = DEFAULT_SAMPLES,
@@ -461,9 +453,9 @@ def unwarped_schedule(qbar: UnitQuaternion, n: int = DEFAULT_SAMPLES) -> PulseSc
     invariance."""
     plan = plan_controls(qbar)
     s = _sample_grid(1.0, n)
-    u1, u2 = plan.controls(s)
+    u1, u2, min_abs_z = plan.controls(s)
     return PulseSchedule(s, u1, u2, target=qbar, interpolation=INTERP_CUBIC,
-                         warp_order=None, eta_bar=plan.dec.eta_bar, min_abs_z=plan.min_abs_z)
+                         warp_order=None, eta_bar=plan.dec.eta_bar, min_abs_z=min_abs_z)
 
 
 def rotate_controls(sched: PulseSchedule, eta: float) -> PulseSchedule:

@@ -26,12 +26,17 @@ INTERP_LINEAR = "linear"
 INTERP_PCONST = "pconst"
 INTERP_CUBIC = "cubic"
 
+# Controls scale as 1/T, up to ~22/T for the planner (6.7 in s times ds/dt
+# <= 3.34/T) and 3*pi/T for the baseline: a shorter T leaves under 1e7 of
+# headroom below the float range, and a subnormal T overflows 1/T itself.
+MIN_DURATION = 1e-300
+
 
 def check_duration(big_t: float) -> None:
-    """Refuse a duration that is not a positive finite number (NaN too),
-    before any arithmetic on it."""
-    if not 0.0 < big_t < math.inf:
-        raise ValueError("duration must be positive and finite")
+    """Refuse a duration that is not a finite number of at least
+    MIN_DURATION (NaN too), before any arithmetic on it."""
+    if not MIN_DURATION <= big_t < math.inf:
+        raise ValueError(f"duration must be positive and finite, at least {MIN_DURATION!r}")
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,7 @@ class PulseSchedule:
     u1: np.ndarray
     u2: np.ndarray
     target: UnitQuaternion
-    interpolation: str = INTERP_LINEAR
+    interpolation: str
     warp_order: int | None = None
     eta_bar: float | None = None
     min_abs_z: float | None = None

@@ -4,7 +4,9 @@ rates_arrays evaluates the lift's body rates w1, w2, w3 and the
 derivatives of w2, w3 with sin and cos of both alpha and beta.  Passed
 through flat.lift_controls and unwrap_phase it gives, by the general route,
 the controls and the phase of z = w2 - i*w3 that the planner writes in
-closed form from alpha and beta' alone.
+closed form from alpha and beta' alone.  closed_form_phase is that closed
+phase on the whole Z_GRID s grid, as the planner once evaluated it for every
+target; the planner's scalar witnesses are pinned to it.
 
 chunked_rows is the pair kernel one 256-step chunk at a time, as it was
 before steps were built in blocks of whole chunks, reading the stages in
@@ -24,11 +26,12 @@ import numpy as np
 
 from flatgate import quat
 from flatgate.flat import lift_controls, unwrap_phase
-from flatgate.planner import Z_GRID
 from flatgate.propagator import (
     _STEP_CHUNK, _prefix_product, _rk4_steps, _stage_values, _tree_product)
 from flatgate.quat import pair_rows, pmul, row_pair
 from flatgate.schedule import INTERP_CUBIC, INTERP_PCONST
+
+Z_GRID = 2048                    # the s grid of the phase oracles
 
 
 def rates_arrays(c, s):
@@ -61,6 +64,18 @@ def oracle_phase(c):
     _, w2, w3, _, _ = rates_arrays(c, np.linspace(0.0, 1.0, Z_GRID))
     z = w2 - 1j * w3
     return unwrap_phase(z, 0.0), float(np.min(np.abs(z)))
+
+
+def closed_form_phase(c):
+    """theta = atan2(-q, alpha') - beta on the Z_GRID s grid, relative to
+    s = 0, and the grid min of |z| = sqrt(alpha'^2 + q^2), with
+    q = beta' sin(2 alpha) / 2."""
+    s = np.linspace(0.0, 1.0, Z_GRID)
+    da = c.dalpha(s)
+    q = 0.5 * c.dbeta(s) * np.sin(2.0 * c.alpha(s))
+    theta = np.arctan2(-q, da) - c.beta(s)
+    theta -= theta[0]
+    return theta, float(np.sqrt(np.min(da * da + q * q)))
 
 
 def chunked_rows(v, sched, delta_r, h, n, start, record):

@@ -17,7 +17,6 @@ from flatgate.flat import LiftSamplePath, flat_point, invert_lift
 from flatgate.planner import (
     CubicPair,
     check_alpha_monotone,
-    controls_in_s,
     decompose_target,
     rotate_controls,
     synthesize,
@@ -32,7 +31,7 @@ from flatgate.propagator import (
 )
 from flatgate.quat import E1, E3, ONE, ImagQuaternion, UnitQuaternion, exp_pure, mul
 from flatgate.schedule import INTERP_PCONST, PulseSchedule
-from oracles import rates_arrays
+from oracles import closed_form_phase, rates_arrays
 
 PI = math.pi
 MINUS_ONE = UnitQuaternion(-1.0, 0.0, 0.0, 0.0)
@@ -199,7 +198,7 @@ def test_criterion_06_planner_validity_analytics(capsys):
         min_grid_alpha = min(min_grid_alpha, check_alpha_monotone(cubics))
         _, w2, w3, _, _ = rates_arrays(cubics, np.array([0.0, 1.0]))
         worst_z = max(worst_z, float(np.max(np.abs(w2 - 1j * w3 - dec.alpha_bar))))
-        theta, _ = controls_in_s(cubics)
+        theta, _ = closed_form_phase(cubics)
         worst_theta = max(worst_theta, abs(theta[-1]))
     ok = (min_grid_alpha > 0.0 and worst_z <= 1e-10 and worst_theta <= 1e-9)
     with capsys.disabled():

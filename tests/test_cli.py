@@ -326,9 +326,10 @@ def run_quiet(argv, capsys):
     return result
 
 
-@pytest.mark.parametrize("big_t", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("big_t", ["nan", "inf", "-inf", "1e-310"])
 @pytest.mark.parametrize("command", ["plan", "compare", "sweep"])
 def test_non_finite_duration_exits_1_without_warnings(tmp_path, capsys, command, big_t):
+    # a subnormal T is refused the same way, before 1/T could overflow
     out = tmp_path / "x.csv"
     argv = [command, "--gate", "Z", f"--T={big_t}"]
     if command != "compare":
@@ -337,6 +338,7 @@ def test_non_finite_duration_exits_1_without_warnings(tmp_path, capsys, command,
         argv += ["--delta-r-min", "-1", "--delta-r-max", "1", "--steps", "3"]
     code, _, err = run_quiet(argv, capsys)
     assert code == 1 and "duration must be positive and finite" in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,14 +12,16 @@ from flatgate.errors import (IdentityTarget, MonotonicityViolation, SingularFlat
                              WindingNonzero)
 from flatgate.flat import body_velocity, invert_lift
 from flatgate.planner import (
+    ALPHA_GRID,
     DEFAULT_SAMPLES,
     IDENTITY_TOL,
     MAX_SAMPLES,
     MAX_WARP_ORDER,
+    WINDING_TOL,
     CubicPair,
     boundary_data,
     check_alpha_monotone,
-    controls_in_s,
+    check_winding,
     decompose_target,
     hermite_cubic,
     lift_path,
@@ -29,7 +34,9 @@ from flatgate.planner import (
     unwarped_schedule,
 )
 from flatgate.quat import E1, E2, E3, ONE, Quaternion, UnitQuaternion
-from oracles import oracle_controls, oracle_phase, rates_arrays
+from flatgate.schedule import MIN_DURATION
+from flatgate.zyz import euler_decompose, zyz_schedule
+from oracles import closed_form_phase, oracle_controls, oracle_phase, rates_arrays
 
 MINUS_ONE = UnitQuaternion(-1.0, 0.0, 0.0, 0.0)
 PI = math.pi
@@ -101,9 +108,9 @@ def test_near_identity_targets_plan_and_steer():
         for a in axes:
             v = np.concatenate([[math.cos(th)], math.sin(th) * a / np.linalg.norm(a)])
             t = UnitQuaternion(*v)
-            plan = plan_controls(t)
-            assert plan.min_abs_z > 0.5 * th
-            final = propagate(sample_plan(plan, 1.0, 256, 1), h=1.0 / 256).final
+            sched = sample_plan(plan_controls(t), 1.0, 256, 1)
+            assert sched.min_abs_z > 0.5 * th
+            final = propagate(sched, h=1.0 / 256).final
             assert np.linalg.norm(final.as_array() - v) <= 1e-4 * th + 1e-11
 
 
@@ -272,18 +279,17 @@ def test_rate_derivatives_match_finite_differences():
 
 def test_s_controls_minus_one():
     plan = plan_controls(MINUS_ONE)
-    u1, u2 = plan.controls(np.linspace(0, 1, 65))
+    u1, u2, _ = plan.controls(np.linspace(0, 1, 65))
     assert np.max(np.abs(u1)) <= 1e-12
     assert np.max(np.abs(u2 - PI)) <= 1e-12
 
 
 def test_s_controls_e3_endpoints():
     plan = plan_controls(E3)
-    _, u2 = plan.controls(np.array([0.0, 1.0]))
+    _, u2, _ = plan.controls(np.array([0.0, 1.0]))
     assert np.max(np.abs(u2 - PI / 2)) <= 1e-12
     # the unwrapped argument of z closes the loop at zero
-    assert plan.theta[0] == 0.0
-    assert abs(plan.theta[-1]) <= 1e-9
+    assert abs(plan.theta1) <= 1e-9
 
 
 def test_s_controls_never_vanish():
@@ -293,7 +299,7 @@ def test_s_controls_never_vanish():
         plan = plan_controls(rand_target(rng))
         _, w2, w3, _, _ = rates_arrays(plan.cubics, s)
         assert np.min(np.hypot(w2, w3)) > 0.0
-        assert plan.min_abs_z > 0.0
+        assert sample_plan(plan, 1.0, 256, 1).min_abs_z > 0.0
 
 
 def test_plan_controls_match_lift_inversion():
@@ -304,7 +310,7 @@ def test_plan_controls_match_lift_inversion():
         plan = plan_controls(rand_target(rng))
         inv = invert_lift(lift_path(plan.cubics, 129), 0)
         ce, se = math.cos(plan.dec.eta_bar), math.sin(plan.dec.eta_bar)
-        u1, u2 = plan.controls(inv.s)
+        u1, u2, _ = plan.controls(inv.s)
         assert np.max(np.abs(u1 - (ce * inv.u1 + se * inv.u2))) <= 1e-12
         assert np.max(np.abs(u2 - (-se * inv.u1 + ce * inv.u2))) <= 1e-12
 
@@ -315,11 +321,63 @@ def test_closed_form_phase_matches_unwrapped_oracle():
     rng = np.random.default_rng(31)
     for t in [rand_target(rng) for _ in range(200)] + edge_targets():
         c = CubicPair.from_decomposition(decompose_target(t))
-        theta, min_abs_z = controls_in_s(c)
+        theta, min_abs_z = closed_form_phase(c)
         ref_theta, ref_min = oracle_phase(c)
         assert theta[0] == 0.0
         assert np.max(np.abs(theta - ref_theta)) <= 1e-14
         assert abs(min_abs_z - ref_min) <= 1e-14
+
+
+def rounding_target():
+    """beta_bar near pi/2 where alpha'(1) = alpha_bar cos(beta_bar) ~ 5e-16
+    evaluates to -1.2e-15."""
+    a, r = 1.2, 5e-16
+    return UnitQuaternion(math.cos(a), 0.0, r, math.sqrt(math.sin(a) ** 2 - r * r))
+
+
+def witness_targets(seed):
+    """Haar targets, the edge set, targets just beyond the identity cutoff,
+    beta_bar = +-pi/2 and the endpoint-rounding target."""
+    rng = np.random.default_rng(seed)
+    th = IDENTITY_TOL * (1.0 + 1e-6)
+    near = [UnitQuaternion(*np.concatenate([[math.cos(th)], math.sin(th) * axis]))
+            for axis in np.eye(3)]
+    a = 1.2
+    gimbal = [UnitQuaternion(math.cos(a), 0.0, 0.0, sgn * math.sin(a)) for sgn in (1.0, -1.0)]
+    return ([rand_target(rng) for _ in range(200)] + edge_targets() + near + gimbal
+            + [rounding_target()])
+
+
+def test_theta1_witness_matches_the_grid_phase():
+    # the end-value theta(1) against the last point of the 2048-point phase
+    for t in witness_targets(33):
+        plan = plan_controls(t)
+        theta, _ = closed_form_phase(plan.cubics)
+        assert abs(plan.theta1 - theta[-1]) <= 1e-15
+
+
+def _alpha_grid_min(c):
+    return float(np.min(c.dalpha(np.linspace(0.0, 1.0, ALPHA_GRID + 2)[1:-1])))
+
+
+def test_alpha_grid_witness_equals_the_full_grid_minimum():
+    for t in witness_targets(34):
+        plan = plan_controls(t)
+        assert plan.alpha_grid_min == _alpha_grid_min(plan.cubics)
+
+
+def test_alpha_grid_witness_of_convex_quadratics():
+    # alpha' = c1 + 2 c2 s + 3 c3 s^2 with c3 > 0: the grid minimum lies next
+    # to the vertex, which is put anywhere on and around the grid
+    rng = np.random.default_rng(35)
+    beta = np.zeros(4)
+    for _ in range(300):
+        vertex, curv = rng.uniform(-0.2, 1.2), rng.uniform(1e-3, 10.0)
+        c3 = curv / 3.0
+        c2 = -vertex * curv / 2.0
+        c1 = curv * vertex ** 2 / 2.0 + rng.uniform(1e-3, 1.0)
+        c = CubicPair(np.array([0.0, c1, c2, c3]), beta, 1.0)
+        assert check_alpha_monotone(c) == _alpha_grid_min(c)
 
 
 def test_closed_form_controls_match_lift_controls_on_warped_grids():
@@ -329,46 +387,73 @@ def test_closed_form_controls_match_lift_controls_on_warped_grids():
     for i, target in enumerate(targets):
         plan = plan_controls(target)
         s, _ = smoothstep(t, 1.0, 1 + i % 3)
-        u1, u2 = plan.controls(s)
+        u1, u2, _ = plan.controls(s)
         r1, r2 = oracle_controls(plan, s)
         scale = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
         assert np.max(np.abs(u1 - r1)) <= 1e-14 * scale
         assert np.max(np.abs(u2 - r2)) <= 1e-14 * scale
 
 
+def test_sampled_min_abs_z_matches_the_oracle():
+    # the schedule's min |z| is the minimum over its own sampled s, which
+    # include both ends; the 513 warped samples read at most 1e-4 above the
+    # 2048-point grid minimum (the grid resolves the dip better) and 1e-5
+    # below it (the dip falls between grid points)
+    for i, t in enumerate(witness_targets(36)):
+        k = 1 + i % MAX_WARP_ORDER
+        plan = plan_controls(t)
+        sched = sample_plan(plan, 1.5, DEFAULT_SAMPLES, k)
+        s, _ = smoothstep(sched.t, 1.5, k)
+        _, w2, w3, _, _ = rates_arrays(plan.cubics, s)
+        ref = float(np.min(np.hypot(w2, w3)))
+        assert abs(sched.min_abs_z - ref) <= 1e-14 * ref
+        _, grid_min = oracle_phase(plan.cubics)
+        assert (1.0 - 1e-5) * grid_min <= sched.min_abs_z <= (1.0 + 1e-4) * grid_min
+        assert sched.min_abs_z <= decompose_target(t).alpha_bar * (1.0 + 1e-15)
+
+
 def test_branch_guard_rejects_decreasing_alpha():
     # alpha' = 1 - 6s turns negative with beta' = 1 keeping z away from 0:
     # atan2(-q, alpha') would leave its branch
     c = CubicPair(np.array([0.0, 1.0, -3.0, 0.0]), np.array([0.0, 1.0, 0.0, 0.0]), 0.0)
-    with pytest.raises(MonotonicityViolation):
-        controls_in_s(c)
+    with pytest.raises(MonotonicityViolation, match="grid min"):
+        check_alpha_monotone(c)
 
 
 def test_endpoint_slope_rounding_below_zero_still_plans():
     # beta_bar near pi/2: alpha'(1) = alpha_bar cos(beta_bar) ~ 5e-16
     # evaluates to -1.2e-15; that is rounding, not a branch change
-    a, r = 1.2, 5e-16
-    t = UnitQuaternion(math.cos(a), 0.0, r, math.sqrt(math.sin(a) ** 2 - r * r))
-    plan = plan_controls(t)
+    plan = plan_controls(rounding_target())
     assert plan.cubics.dalpha(1.0) < 0.0
     ref_theta, ref_min = oracle_phase(plan.cubics)
-    assert np.max(np.abs(plan.theta - ref_theta)) <= 1e-14
-    assert abs(plan.min_abs_z - ref_min) <= 1e-14
+    assert abs(plan.theta1 - ref_theta[-1]) <= 1e-14
+    assert plan.alpha_grid_min > 0.0
+    # 2047 intervals sample the 2048 points of the oracle's grid
+    sched = unwarped_schedule(rounding_target(), 2047)
+    assert abs(sched.min_abs_z - ref_min) <= 1e-14
 
 
 def test_singular_curve_is_rejected():
-    # constant alpha and beta: z vanishes everywhere
+    # constant alpha and beta: z vanishes everywhere; the guard fires
+    # before the division by |z|^2 could warn
     c = CubicPair(np.array([0.3, 0.0, 0.0, 0.0]), np.zeros(4), 0.0)
-    with pytest.raises(SingularFlatCurve):
-        controls_in_s(c)
+    plan = dataclasses.replace(plan_controls(E3), cubics=c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularFlatCurve):
+            plan.controls(np.linspace(0.0, 1.0, 65))
+        with pytest.raises(SingularFlatCurve):
+            sample_plan(plan, 1.0, 256, 1)
 
 
 def test_winding_check_fires_on_looping_curve():
     # alpha' = 1 with a full 2*pi beta loop winds z around the origin
     c = CubicPair(np.array([0.0, 1.0, 0.0, 0.0]),
                   np.array([0.0, 2 * PI, 0.0, 0.0]), 0.0)
+    assert check_alpha_monotone(c) > 0.0
     with pytest.raises(WindingNonzero):
-        controls_in_s(c)
+        check_winding(c)
+    assert abs(check_winding(CubicPair.from_decomposition(decompose_target(E3)))) <= WINDING_TOL
 
 
 # ---------------------------------------------------------------- smoothstep
@@ -521,7 +606,7 @@ def test_synthesize_validates_arguments():
 
 def test_unwarped_schedule_shares_the_s_profile():
     sched = unwarped_schedule(E3, 256)
-    u1, u2 = plan_controls(E3).controls(np.linspace(0, 1, 257))
+    u1, u2, _ = plan_controls(E3).controls(np.linspace(0, 1, 257))
     assert np.max(np.abs(sched.u1 - u1)) <= 1e-12
     assert np.max(np.abs(sched.u2 - u2)) <= 1e-12
 
@@ -591,7 +676,7 @@ def test_sample_plan_cold_and_warm_clock_are_bit_identical():
         assert planner._cached_clock.cache_info().hits == 1
         t = planner._sample_grid(big_t, n)
         s, sd = smoothstep(t, big_t, k)
-        u1, u2 = plan.controls(s)
+        u1, u2, _ = plan.controls(s)
         u1, u2 = u1 * sd, u2 * sd
         u1[0] = u1[-1] = u2[0] = u2[-1] = 0.0
         for got in (cold, warm):
@@ -630,12 +715,27 @@ def test_large_clock_is_not_retained():
     assert retained < 8 * (n + 1) // 16
 
 
-@pytest.mark.parametrize("big_t", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("big_t", [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-310,
+                                   sys.float_info.min, 0.5 * MIN_DURATION])
 def test_bad_durations_are_refused_before_any_arithmetic(big_t):
     info = planner._cached_clock.cache_info()
-    for call in (lambda: planner._sample_grid(big_t, 512),
-                 lambda: smoothstep(0.0, big_t, 1),
-                 lambda: synthesize(E3, big_t)):
-        with pytest.raises(ValueError, match="positive and finite"):
-            call()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: planner._sample_grid(big_t, 512),
+                     lambda: smoothstep(0.0, big_t, 1),
+                     lambda: synthesize(E3, big_t, k=MAX_WARP_ORDER),
+                     lambda: zyz_schedule(euler_decompose(E3), big_t)):
+            with pytest.raises(ValueError, match="positive and finite, at least"):
+                call()
     assert planner._cached_clock.cache_info().currsize == info.currsize
+
+
+def test_shortest_duration_plans_every_warp_order_without_warnings():
+    # controls ~ 1/T stay finite at the bound, at the largest warp order too
+    rng = np.random.default_rng(37)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(1, MAX_WARP_ORDER + 1):
+            for t in [rand_target(rng) for _ in range(5)] + [E3, MINUS_ONE]:
+                sched = synthesize(t, MIN_DURATION, DEFAULT_SAMPLES, k)
+                assert np.all(np.isfinite(sched.u1)) and np.all(np.isfinite(sched.u2))

@@ -115,6 +115,13 @@ def test_cubic_schedule_needs_four_samples():
     PulseSchedule(t, u, u, target=ONE, interpolation=INTERP_CUBIC)
 
 
+def test_schedule_interpolation_has_no_default():
+    # a schedule that leaves out its interpolation is refused, not read linearly
+    t, u = np.linspace(0.0, 1.0, 4), np.zeros(4)
+    with pytest.raises(TypeError, match="interpolation"):
+        PulseSchedule(t, u, u, target=ONE)
+
+
 def test_cubic_stencil_reproduces_cubic_controls():
     # the 4-point Lagrange cubic is exact on cubics, end intervals included
     big_t, n = 1.3, 16

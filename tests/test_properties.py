@@ -44,7 +44,7 @@ def test_every_non_identity_target_plans(q, big_t, k):
         sched = sample_plan(plan, big_t, 256, k)
     assert np.all(np.isfinite(sched.u1)) and np.all(np.isfinite(sched.u2))
     assert sched.u1[0] == sched.u1[-1] == sched.u2[0] == sched.u2[-1] == 0.0
-    assert abs(plan.theta[-1]) <= WINDING_TOL
+    assert abs(plan.theta1) <= WINDING_TOL
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
