@@ -30,7 +30,6 @@ from .quat import (
     to_su2,
 )
 from .flat import (
-    BodyVelocity,
     FlatPoint,
     LiftInversion,
     LiftSamplePath,

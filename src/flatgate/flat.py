@@ -42,18 +42,6 @@ class FlatPoint:
         return self.v.as_array()
 
 
-@dataclass(frozen=True)
-class BodyVelocity:
-    """Components (w1, w2, w3) of (dY/dt) Y* in the basis e1, e2, e3."""
-
-    w1: float
-    w2: float
-    w3: float
-
-    def as_imag(self) -> ImagQuaternion:
-        return ImagQuaternion(self.w1, self.w2, self.w3)
-
-
 def flat_point(q: UnitQuaternion) -> FlatPoint:
     """Output map q -> q* e1 q.
 
@@ -94,12 +82,13 @@ def section(y: FlatPoint) -> UnitQuaternion:
     return quat.exp_pure(ImagQuaternion(0.0, ay / s * half, az / s * half))
 
 
-def body_velocity(y: UnitQuaternion, ydot: Quaternion) -> BodyVelocity:
-    """Components of ydot * y*; ydot must be tangent at y."""
+def body_velocity(y: UnitQuaternion, ydot: Quaternion) -> ImagQuaternion:
+    """The body velocity ydot * y*, whose components (x, y, z) are the rates
+    (w1, w2, w3) about e1, e2, e3; ydot must be tangent at y."""
     v = quat.mul(ydot, quat.conj(y))
     if abs(v.w) > TANGENT_TOL:
         raise NotTangent(f"Re(ydot y*) = {v.w!r} exceeds {TANGENT_TOL}")
-    return BodyVelocity(v.x, v.y, v.z)
+    return v.imag()
 
 
 def unwrap_phase(zs, theta0: float) -> np.ndarray:

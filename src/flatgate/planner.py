@@ -52,7 +52,7 @@ import numpy as np
 from .errors import IdentityTarget, MonotonicityViolation, SingularFlatCurve, WindingNonzero
 from .flat import SINGULAR_Z_TOL, LiftSamplePath
 from .quat import UnitQuaternion
-from .schedule import INTERP_CUBIC, PulseSchedule, check_duration
+from .schedule import INTERP_CUBIC, MAX_SAMPLES, PulseSchedule, check_duration
 
 # min|z| over s is about dist(target, 1) / sqrt(2), so every target beyond
 # this distance clears the SINGULAR_Z_TOL guard of Plan.controls.
@@ -66,7 +66,6 @@ WINDING_TOL = 1e-6
 # give 5.7e-9.  A linear read of 512 intervals leaves 2.2e-5, of 8192 8.6e-8.
 DEFAULT_SAMPLES = 512
 MIN_SAMPLES = 64
-MAX_SAMPLES = 2 ** 22            # the propagator's step cap; larger n is an input error
 # Largest clock order whose smoothstep stays within 1e-9 of the exact
 # polynomial: the alternating coefficients cancel in floating point, and
 # the error grows about tenfold per order (k = 9 is off by 1.3e-9, k = 20
@@ -173,15 +172,15 @@ def hermite_cubic(p0: float, p1: float, d0: float, d1: float) -> np.ndarray:
     ])
 
 
-def _poly_eval(c: np.ndarray, s):
+def _poly_eval(c: tuple[float, ...], s):
     return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
 
 
-def _poly_d1(c: np.ndarray, s):
+def _poly_d1(c: tuple[float, ...], s):
     return c[1] + s * (2.0 * c[2] + s * 3.0 * c[3])
 
 
-def _poly_d2(c: np.ndarray, s):
+def _poly_d2(c: tuple[float, ...], s):
     return 2.0 * c[2] + s * 6.0 * c[3]
 
 
@@ -189,15 +188,14 @@ def _poly_d2(c: np.ndarray, s):
 class CubicPair:
     """The two boundary-value cubics with their derivative closed forms."""
 
-    ca: np.ndarray            # alpha coefficients, ascending powers
-    cb: np.ndarray            # beta coefficients
+    ca: tuple[float, ...]     # alpha coefficients, ascending powers
+    cb: tuple[float, ...]     # beta coefficients
     delta: float              # alpha_bar * (1 - cos(beta_bar))
 
     def __post_init__(self):
         for name in ("ca", "cb"):
-            a = np.asarray(getattr(self, name), dtype=float).copy()
-            a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            c = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, tuple(c.tolist()))
 
     @classmethod
     def from_decomposition(cls, dec: TargetDecomposition) -> "CubicPair":
@@ -234,12 +232,12 @@ def check_alpha_monotone(c: CubicPair) -> float:
     confirms; the quadratic alpha' has its grid minimum at an end of the
     grid or, if convex, next to its vertex, and only those are evaluated.
     """
-    d0 = float(c.ca[1])
+    ca = c.ca
+    d0 = ca[1]
     ok = (c.delta > 0.0 and d0 >= 0.0) or (c.delta == 0.0 and d0 > 0.0)
     if not ok:
         raise MonotonicityViolation(
             f"alpha'(0) = {d0!r}, delta = {c.delta!r}: alpha is not increasing")
-    ca = c.ca.tolist()
     step = 1.0 / (ALPHA_GRID + 1)          # s_i = i * step, as np.linspace has it
     points = [1, ALPHA_GRID]
     vertex = -ca[2] / (3.0 * ca[3]) * (ALPHA_GRID + 1) if ca[3] > 0.0 else 0.0
@@ -343,7 +341,7 @@ def check_winding(c: CubicPair) -> float:
     """Terminal phase theta(1) of z relative to s = 0, from the end values
     of theta = atan2(-q, alpha') - beta, which is continuous while alpha' > 0
     (check_alpha_monotone); raises WindingNonzero above WINDING_TOL."""
-    ca, cb = c.ca.tolist(), c.cb.tolist()
+    ca, cb = c.ca, c.cb
     theta0, theta1 = (
         math.atan2(-0.5 * _poly_d1(cb, s) * math.sin(2.0 * _poly_eval(ca, s)),
                    _poly_d1(ca, s)) - _poly_eval(cb, s)

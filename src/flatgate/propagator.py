@@ -51,13 +51,12 @@ import numpy as np
 from .errors import InvalidPropagationInput, StepTooLarge
 from . import quat
 from .quat import ImagQuaternion, UnitQuaternion
-from .schedule import INTERP_CUBIC, INTERP_PCONST, PulseSchedule
+from .schedule import INTERP_CUBIC, INTERP_PCONST, MAX_SAMPLES, PulseSchedule
 
 DEFAULT_STEP_DIVISOR = 8192
 _STEP_CHUNK = 256
 _BLOCK_CELLS = 16 * _STEP_CHUNK   # rows x steps built at once; 16 or more rows get one chunk per block
 _ROW_BLOCK = 64               # batch rows propagated at once
-_MAX_STEPS = 2 ** 22          # a 128 MB recorded trajectory; larger counts are input errors
 
 
 @dataclass(frozen=True)
@@ -98,8 +97,8 @@ def _resolve_steps(sched: PulseSchedule, h: float | None) -> tuple[int, float]:
     if h > sched.spacing * (1.0 + 1e-12):
         raise StepTooLarge(
             f"step {h!r} exceeds the sample spacing {sched.spacing!r}")
-    if big_t / h > _MAX_STEPS:
-        raise InvalidPropagationInput(f"step {h!r} needs more than {_MAX_STEPS} steps")
+    if big_t / h > MAX_SAMPLES:
+        raise InvalidPropagationInput(f"step {h!r} needs more than {MAX_SAMPLES} steps")
     n = max(1, round(big_t / h))
     return n, big_t / n
 
@@ -325,9 +324,10 @@ def propagate(sched: PulseSchedule, delta_r: float = 0.0,
     return PropagationResult(quat.as_unit(finals[0]), t, states, float(drift[0]))
 
 
-def propagate_final_batch(scheds: list[PulseSchedule], delta_r: float = 0.0,
+def propagate_final_batch(scheds: list[PulseSchedule], delta_r=0.0,
                           h: float | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Terminal states for many schedules sharing one time grid.
+    """Terminal states for many schedules sharing one time grid, at one
+    detuning or one per row (one schedule at b detunings gives b rows).
 
     Returns (finals (b, 4), max_norm_drift (b,)).  Used for bulk
     verification where per-step trajectories are not needed.
@@ -352,21 +352,18 @@ def detuning_sweep(sched: PulseSchedule, delta_r_list, target: UnitQuaternion,
     dr = np.atleast_1d(np.asarray(delta_r_list, dtype=float))
     if dr.size == 0:
         raise InvalidPropagationInput("empty detuning list")
-    n, h = _resolve_steps(sched, h)
-    finals, _, _ = _propagate_rows(_control_rows([sched]), sched, dr, h, n,
-                                   quat.ONE.as_array(), record=False)
-    fid = finals @ target.as_array()
-    return DetuningSweep(dr, fid)
+    finals, _ = propagate_final_batch([sched], dr, h)
+    return DetuningSweep(dr, finals @ target.as_array())
 
 
-def propagate_piecewise_exact(sched: PulseSchedule, delta_r: float = 0.0,
-                              start: UnitQuaternion = quat.ONE) -> UnitQuaternion:
-    """Exact propagation of a piecewise-constant schedule: the ordered
-    product of one exponential per interval."""
+def propagate_piecewise_exact(sched: PulseSchedule,
+                              delta_r: float = 0.0) -> UnitQuaternion:
+    """Exact propagation of a piecewise-constant schedule from the identity:
+    the ordered product of one exponential per interval."""
     if sched.interpolation != INTERP_PCONST:
         raise InvalidPropagationInput(
             "exact propagation needs a piecewise-constant schedule")
-    q = start
+    q = quat.ONE
     dt = sched.spacing
     for i in range(sched.n_intervals):
         v = ImagQuaternion(sched.u1[i] * dt, sched.u2[i] * dt, delta_r * dt)

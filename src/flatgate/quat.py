@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import NotSpecialUnitary
 
-UNIT_NORM_TOL = 1e-12     # invariant after construction
 UNIT_RENORM_TOL = 1e-6    # larger deviations are rejected, not hidden
 SMALL_ANGLE = 1e-8        # series switch in exp_pure
 SU2_TOL = 1e-9
@@ -111,8 +110,6 @@ E1 = UnitQuaternion(0.0, 1.0, 0.0, 0.0)
 E2 = UnitQuaternion(0.0, 0.0, 1.0, 0.0)
 E3 = UnitQuaternion(0.0, 0.0, 0.0, 1.0)
 IM_E1 = ImagQuaternion(1.0, 0.0, 0.0)
-IM_E2 = ImagQuaternion(0.0, 1.0, 0.0)
-IM_E3 = ImagQuaternion(0.0, 0.0, 1.0)
 
 
 def mul(a: Quaternion, b: Quaternion) -> Quaternion:
@@ -161,10 +158,13 @@ class SU2Matrix:
         m = np.array(self.m, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("SU2Matrix needs a 2x2 matrix")
-        if np.max(np.abs(m.conj().T @ m - np.eye(2))) > SU2_TOL:
+        # unitary entries have modulus at most 1, so bounding them first
+        # keeps the products below finite; NaN fails every test
+        if not (np.max(np.abs(m)) <= 1.0 + SU2_TOL
+                and np.max(np.abs(m.conj().T @ m - np.eye(2))) <= SU2_TOL):
             raise NotSpecialUnitary("matrix is not unitary")
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        if abs(det - 1.0) > SU2_TOL:
+        if not abs(det - 1.0) <= SU2_TOL:
             raise NotSpecialUnitary(f"determinant is {det}, not 1")
         m.flags.writeable = False
         object.__setattr__(self, "m", m)

@@ -14,7 +14,7 @@ not.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,11 @@ FORMAT_VERSION = 1
 INTERP_LINEAR = "linear"
 INTERP_PCONST = "pconst"
 INTERP_CUBIC = "cubic"
+
+# The most sample intervals a plan has and the most steps a propagation
+# takes; a recorded trajectory of this many steps is 128 MB, and larger
+# counts are input errors.
+MAX_SAMPLES = 2 ** 22
 
 # Controls scale as 1/T, up to ~22/T for the planner (6.7 in s times ds/dt
 # <= 3.34/T) and 3*pi/T for the baseline: a shorter T leaves under 1e7 of
@@ -49,7 +54,6 @@ class PulseSchedule:
     warp_order: int | None = None
     eta_bar: float | None = None
     min_abs_z: float | None = None
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)

@@ -342,6 +342,36 @@ def test_non_finite_duration_exits_1_without_warnings(tmp_path, capsys, command,
     assert not out.exists()
 
 
+def run_strict(argv, capsys):
+    """run with every warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(argv, capsys)
+
+
+@pytest.mark.parametrize("bounds", [("-1e308", "1e308"), ("-inf", "1"), ("0", "inf"),
+                                    ("nan", "1")])
+def test_sweep_refuses_unbounded_detuning_span(tmp_path, capsys, bounds):
+    # a span that overflows (or is not a number) would make np.linspace warn
+    out = tmp_path / "sweep.csv"
+    code, _, err = run_strict(["sweep", "--gate", "Z", "--T", "2",
+                               f"--delta-r-min={bounds[0]}", f"--delta-r-max={bounds[1]}",
+                               "--steps", "41", "--out", str(out)], capsys)
+    assert code == 1 and "finite detuning bounds" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entries", ["1e300,0,0,0,0,0,1e300,0", "inf,0,0,0,0,0,1,0",
+                                     "0,inf,0,0,0,0,1,0", "nan,0,0,0,0,0,1,0"])
+def test_su2_overflow_or_non_finite_exits_1_without_warnings(tmp_path, capsys, entries):
+    out = tmp_path / "plan.csv"
+    code, _, err = run_strict(["plan", "--su2", entries, "--out", str(out)], capsys)
+    assert code == 1 and "not unitary" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_control_overflow_exits_1_without_warnings_or_files(tmp_path, capsys):
     # at T = 1e-300 the controls are ~1e300, and |v|^2 overflows
     out = tmp_path / "sweep.csv"

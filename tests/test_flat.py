@@ -110,12 +110,12 @@ def test_body_velocity_constant_rotation():
     y = exp_pure(ImagQuaternion(0, t, 0))
     yd = mul(E2, y)
     w = body_velocity(y, Quaternion(*yd.as_array()))
-    assert np.max(np.abs([w.w1, w.w2 - 1.0, w.w3])) <= 1e-12
+    assert np.max(np.abs([w.x, w.y - 1.0, w.z])) <= 1e-12
 
 
 def test_body_velocity_at_identity():
     w = body_velocity(ONE, Quaternion(0, 3, 0, 4))
-    assert (w.w1, w.w2, w.w3) == (3.0, 0.0, 4.0)
+    assert (w.x, w.y, w.z) == (3.0, 0.0, 4.0)
 
 
 def test_body_velocity_recovers_left_rate():
@@ -125,7 +125,7 @@ def test_body_velocity_recovers_left_rate():
         v = ImagQuaternion(*rng.normal(size=3))
         yd = mul(v.as_quaternion(), y)
         w = body_velocity(y, yd)
-        assert np.max(np.abs(np.array([w.w1, w.w2, w.w3]) - v.as_array())) <= 1e-12
+        assert np.max(np.abs(np.array([w.x, w.y, w.z]) - v.as_array())) <= 1e-12
 
 
 def test_body_velocity_rejects_non_tangent():

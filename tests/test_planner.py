@@ -259,7 +259,7 @@ def test_rates_match_body_velocity_of_lift():
         for i in range(33):
             w = body_velocity(quat.as_unit(path.y[i]),
                               Quaternion(*path.yd[i]))
-            assert np.max(np.abs([w.w1, w.w2, w.w3] - got[i])) <= 1e-10
+            assert np.max(np.abs([w.x, w.y, w.z] - got[i])) <= 1e-10
 
 
 def test_rate_derivatives_match_finite_differences():

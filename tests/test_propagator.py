@@ -9,7 +9,6 @@ from flatgate.errors import FlatGateError, InvalidPropagationInput, StepTooLarge
 from flatgate.planner import synthesize, unwarped_schedule
 from flatgate.propagator import (
     _BLOCK_CELLS,
-    _MAX_STEPS,
     _ROW_BLOCK,
     DEFAULT_STEP_DIVISOR,
     _control_rows,
@@ -27,7 +26,8 @@ from flatgate.propagator import (
 from flatgate.quat import (
     E1, E2, E3, ONE, ImagQuaternion, UnitQuaternion, exp_pure, mul, pair_rows,
     qmul_arr, row_pair)
-from flatgate.schedule import INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST, PulseSchedule
+from flatgate.schedule import (
+    INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST, MAX_SAMPLES, PulseSchedule)
 from oracles import chunked_rows, row_kernel
 
 PI = math.pi
@@ -257,7 +257,7 @@ def test_step_count_cap_rejected_before_allocation():
     with pytest.raises(ValueError, match="steps"):
         propagate(sched, h=1e-12)
     with pytest.raises(ValueError, match="steps"):
-        propagate_final_batch([sched], h=1.0 / (_MAX_STEPS + 1))
+        propagate_final_batch([sched], h=1.0 / (MAX_SAMPLES + 1))
     with pytest.raises(ValueError, match="steps"):
         detuning_sweep(sched, [0.0], E3, h=1e-12)
 

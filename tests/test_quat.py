@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,6 +129,14 @@ def test_su2_rejects_bad_matrices():
         SU2Matrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
     with pytest.raises(NotSpecialUnitary):
         SU2Matrix(np.diag([1j, 1j]))  # unitary but det = -1
+    # m* m would overflow, or be NaN, which compares false with any bound
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for big in (1e300, np.inf, np.nan):
+            with pytest.raises(NotSpecialUnitary):
+                SU2Matrix(np.diag([big, big]))
+            with pytest.raises(NotSpecialUnitary):
+                SU2Matrix(np.array([[0.0, complex(0.0, big)], [1.0, 0.0]]))
 
 
 def test_rotate_vector_examples():
