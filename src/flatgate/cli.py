@@ -4,9 +4,10 @@ three-pulse baseline, sweep detuning, and run a self-test.
 File formats
 ------------
 Schedule:    CSV with header ``t,u1,u2``, 17 significant digits per value,
-             plus a sidecar JSON manifest (same path with a .json suffix)
-             carrying {format_version, target, T, N, k, eta_bar, min_abs_z,
-             interpolation}.
+             on the uniform grid t_i = i*T/N (read to within 1e-9*T), plus
+             a sidecar JSON manifest (same path with a .json suffix, which
+             must differ from the CSV path) carrying {format_version,
+             target, T, N, k, eta_bar, min_abs_z, interpolation}.
 Trajectory:  CSV with header ``t,q0,q1,q2,q3`` (scalar-first components).
 Sweep:       CSV with header ``delta_r,fidelity``.
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import planner, propagator, zyz
 from .errors import FlatGateError
 from .quat import UnitQuaternion, as_unit, from_su2, SU2Matrix
-from .schedule import FORMAT_VERSION, PulseSchedule
+from .schedule import FORMAT_VERSION, PulseSchedule, check_duration
 
 SQ2 = 1.0 / math.sqrt(2.0)
 # Bounds a sweep's run time and its (steps, 4) terminal states; propagation
@@ -83,6 +84,9 @@ def _write_csv(path, header: str, columns) -> None:
 def write_schedule(sched: PulseSchedule, path: str) -> Path:
     """Write the schedule CSV and its JSON sidecar; returns the sidecar path."""
     p = Path(path)
+    side = p.with_suffix(".json")
+    if side == p:
+        raise OSError(f"{path}: a schedule path cannot be its own .json sidecar")
     _write_csv(p, "t,u1,u2", (sched.t, sched.u1, sched.u2))
     manifest = {
         "format_version": FORMAT_VERSION,
@@ -94,15 +98,14 @@ def write_schedule(sched: PulseSchedule, path: str) -> Path:
         "min_abs_z": sched.min_abs_z,
         "interpolation": sched.interpolation,
     }
-    side = p.with_suffix(".json")
     side.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return side
 
 
 def read_schedule(path: str) -> PulseSchedule:
-    """Read a schedule CSV plus its sidecar manifest; a sidecar that is not
-    a JSON object with a four-number target and a string interpolation
-    raises OSError."""
+    """Read a schedule CSV on the finite grid t_i = i*T/N (to within 1e-9*T)
+    plus its sidecar manifest; a sidecar that is not a JSON object with a
+    four-number target and a string interpolation raises OSError."""
     p = Path(path)
     rows = p.read_text().strip().splitlines()
     if not rows or rows[0].strip() != "t,u1,u2":
@@ -110,6 +113,14 @@ def read_schedule(path: str) -> PulseSchedule:
     data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
     if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != 3:
         raise FlatGateError(f"{path}: schedule needs at least two t,u1,u2 rows")
+    t = data[:, 0]
+    if not np.all(np.isfinite(t)):
+        raise ValueError(f"{path}: t must be finite")
+    check_duration(t[-1])
+    with np.errstate(over="ignore"):        # an overflowing offset is inf, refused
+        off = np.max(np.abs(t - np.linspace(0.0, t[-1], len(t))))
+    if t[0] != 0.0 or not off <= 1e-9 * t[-1]:
+        raise ValueError(f"{path}: t must start at 0 and be the uniform grid i*T/N")
     side = p.with_suffix(".json")
     man = json.loads(side.read_text())
     if not isinstance(man, dict):
@@ -124,7 +135,7 @@ def read_schedule(path: str) -> PulseSchedule:
     if not isinstance(interpolation, str):
         raise OSError(f"{side}: interpolation must be a string")
     return PulseSchedule(
-        data[:, 0], data[:, 1], data[:, 2],
+        t[-1], data[:, 1], data[:, 2],
         target=UnitQuaternion(*target),
         interpolation=interpolation,
         warp_order=man.get("k"), eta_bar=man.get("eta_bar"),

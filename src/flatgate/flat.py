@@ -200,9 +200,7 @@ def invert_lift(path: LiftSamplePath, branch: int) -> LiftInversion:
     if branch not in (0, 1, 2, 3):
         raise ValueError(f"branch must be in 0..3, got {branch!r}")
     yc = quat.qconj_arr(path.y)
-    v = quat.qmul_arr(path.yd, yc)
-    if np.max(np.abs(v[:, 0])) > TANGENT_TOL:
-        raise NotTangent("yd is not tangent to the unit sphere")
+    v = quat.qmul_arr(path.yd, yc)         # Re(Y' Y*) = 0: LiftSamplePath checks it
     w1, w2, w3 = v[:, 1], v[:, 2], v[:, 3]
     # (Y' Y*)' = Y'' Y* + Y' (Y')*
     vd = quat.qmul_arr(path.ydd, yc) + quat.qmul_arr(path.yd, quat.qconj_arr(path.yd))

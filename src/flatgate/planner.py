@@ -19,7 +19,7 @@ Pipeline, all in closed form:
                          derivatives; the controls at s, scaled by ds/dt,
                          vanish at 0 and T and are written as a "cubic"
                          schedule with min |z| over the sampled s.  The
-                         clock (t, s, ds/dt) depends only on (T, n, k): the
+                         clock (s, ds/dt) depends only on (T, n, k): the
                          last CLOCK_CACHE_SIZE clocks of at most
                          CLOCK_CACHE_MAX_N intervals are kept as read-only
                          arrays and shared by every target.
@@ -72,15 +72,10 @@ MIN_SAMPLES = 64
 # by O(1)).
 MAX_WARP_ORDER = 8
 # Clocks kept for reuse: a few (T, n, k) cover a session or a compile run,
-# and the cap on n bounds what is retained (8 x 3 arrays of at most 2**16 + 1
-# floats, 12.6 MB); larger clocks are built per call.
+# and the cap on n bounds what is retained (8 x 2 arrays of at most 2**16 + 1
+# floats, 8.4 MB); larger clocks are built per call.
 CLOCK_CACHE_SIZE = 8
 CLOCK_CACHE_MAX_N = 2 ** 16
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
 
 
 @dataclass(frozen=True)
@@ -402,18 +397,19 @@ def _sample_grid(big_t: float, n: int) -> np.ndarray:
     return np.linspace(0.0, big_t, n + 1)
 
 
-def _make_clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t = _sample_grid(big_t, n)
-    return (t, *smoothstep(t, big_t, k))
+def _make_clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    return smoothstep(_sample_grid(big_t, n), big_t, k)
 
 
 @functools.lru_cache(maxsize=CLOCK_CACHE_SIZE)
-def _cached_clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return tuple(_frozen(a) for a in _make_clock(big_t, n, k))
+def _cached_clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    s, sd = _make_clock(big_t, n, k)
+    s.flags.writeable = sd.flags.writeable = False
+    return s, sd
 
 
-def _clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(t, s(t), ds/dt) on n uniform intervals of [0, T]; shared read-only
+def _clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(s(t), ds/dt) on n uniform intervals of [0, T]; shared read-only
     arrays for n <= CLOCK_CACHE_MAX_N, fresh ones above."""
     if n > CLOCK_CACHE_MAX_N:
         return _make_clock(big_t, n, k)
@@ -425,7 +421,7 @@ def sample_plan(plan: Plan, big_t: float, n: int = DEFAULT_SAMPLES,
     """Sample a plan on n uniform intervals of [0, T] (n + 1 samples)
     through the order-k clock warp, giving controls of class C^(k-1) that
     vanish exactly at both ends."""
-    t, s, sd = _clock(big_t, n, k)
+    s, sd = _clock(big_t, n, k)
     u1, u2, min_abs_z = plan.controls(s)
     del s
     u1 *= sd
@@ -434,7 +430,7 @@ def sample_plan(plan: Plan, big_t: float, n: int = DEFAULT_SAMPLES,
     # sd vanishes identically at both ends; pin the exact zeros
     u1[0] = u1[-1] = 0.0
     u2[0] = u2[-1] = 0.0
-    return PulseSchedule(t, u1, u2, target=plan.target, interpolation=INTERP_CUBIC,
+    return PulseSchedule(big_t, u1, u2, target=plan.target, interpolation=INTERP_CUBIC,
                          warp_order=k, eta_bar=plan.dec.eta_bar, min_abs_z=min_abs_z)
 
 
@@ -452,7 +448,7 @@ def unwarped_schedule(qbar: UnitQuaternion, n: int = DEFAULT_SAMPLES) -> PulseSc
     plan = plan_controls(qbar)
     s = _sample_grid(1.0, n)
     u1, u2, min_abs_z = plan.controls(s)
-    return PulseSchedule(s, u1, u2, target=qbar, interpolation=INTERP_CUBIC,
+    return PulseSchedule(1.0, u1, u2, target=qbar, interpolation=INTERP_CUBIC,
                          warp_order=None, eta_bar=plan.dec.eta_bar, min_abs_z=min_abs_z)
 
 
@@ -468,7 +464,7 @@ def rotate_controls(sched: PulseSchedule, eta: float) -> PulseSchedule:
     u2 = se * sched.u1 + ce * sched.u2
     p = sched.target
     target = UnitQuaternion(p.w, ce * p.x - se * p.y, se * p.x + ce * p.y, p.z)
-    return PulseSchedule(sched.t, u1, u2, target=target,
+    return PulseSchedule(sched.duration, u1, u2, target=target,
                          interpolation=sched.interpolation,
                          warp_order=sched.warp_order, eta_bar=None,
                          min_abs_z=sched.min_abs_z)

@@ -335,9 +335,9 @@ def propagate_final_batch(scheds: list[PulseSchedule], delta_r=0.0,
     if len(scheds) == 0:
         raise InvalidPropagationInput("empty batch")
     first = scheds[0]
+    grid = (first.duration, first.n_intervals, first.interpolation)
     for s in scheds[1:]:
-        if s.t.shape != first.t.shape or not np.array_equal(s.t, first.t) \
-                or s.interpolation != first.interpolation:
+        if (s.duration, s.n_intervals, s.interpolation) != grid:
             raise InvalidPropagationInput(
                 "batch schedules must share grid and interpolation")
     n, h = _resolve_steps(first, h)

@@ -1,20 +1,20 @@
 """Sampled control schedules: the exchange format between planner,
 baseline, propagator, and CLI.
 
-A schedule holds N + 1 samples (u1, u2) on the uniform grid t_i = i*T/N
-plus the metadata needed to verify it later.  `interpolation` declares how
-values between samples are meant to be read: "cubic" for smooth planner
-output (the local 4-point Lagrange cubic on samples i-1..i+2, one-sided
-stencils 0..3 and N-3..N on the end intervals; at least 4 samples),
-"linear" for straight lines between samples, "pconst" for
-piecewise-constant baselines (value held on [t_i, t_{i+1})).  Planner
-schedules vanish exactly at both ends; baseline schedules intentionally do
-not.
+A schedule holds its duration T and N + 1 samples (u1, u2) on the uniform
+grid t_i = i*T/N, which T and N alone define, plus the metadata needed to
+verify it later.  `interpolation` declares how values between samples are
+meant to be read: "cubic" for smooth planner output (the local 4-point
+Lagrange cubic on samples i-1..i+2, one-sided stencils 0..3 and N-3..N on
+the end intervals; at least 4 samples), "linear" for straight lines between
+samples, "pconst" for piecewise-constant baselines (value held on [t_i,
+t_{i+1})).  Planner schedules vanish exactly at both ends; baseline
+schedules intentionally do not.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 import numpy as np
 
@@ -46,9 +46,10 @@ def check_duration(big_t: float) -> None:
 
 @dataclass(frozen=True)
 class PulseSchedule:
-    t: np.ndarray
+    duration: float
     u1: np.ndarray
     u2: np.ndarray
+    _: KW_ONLY
     target: UnitQuaternion
     interpolation: str
     warp_order: int | None = None
@@ -56,40 +57,35 @@ class PulseSchedule:
     min_abs_z: float | None = None
 
     def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        u1 = np.asarray(self.u1, dtype=float)
-        u2 = np.asarray(self.u2, dtype=float)
-        if t.ndim != 1 or t.shape != u1.shape or t.shape != u2.shape:
-            raise ValueError("t, u1, u2 must be 1-d arrays of equal length")
-        if t.shape[0] < 2:
-            raise ValueError("schedule needs at least two samples")
-        if not all(np.all(np.isfinite(a)) for a in (t, u1, u2)):
-            raise ValueError("t, u1, u2 must be finite")
-        if t[0] != 0.0 or t[-1] <= 0.0:
-            raise ValueError("t grid must start at 0 and end at T > 0")
-        dt = np.diff(t)
-        if np.any(dt <= 0.0) or np.max(np.abs(dt - dt[0])) > 1e-9 * max(t[-1], 1.0):
-            raise ValueError("t grid must be uniform and increasing")
+        check_duration(self.duration)
+        # copies, so that the caller's arrays cannot change a frozen schedule
+        u1 = np.array(self.u1, dtype=float)
+        u2 = np.array(self.u2, dtype=float)
+        if u1.ndim != 1 or u1.shape != u2.shape or u1.shape[0] < 2:
+            raise ValueError("u1, u2 must be 1-d arrays of equal length, at least two samples")
+        if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
+            raise ValueError("u1, u2 must be finite")
         if self.interpolation not in (INTERP_LINEAR, INTERP_PCONST, INTERP_CUBIC):
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
-        if self.interpolation == INTERP_CUBIC and t.shape[0] < 4:
+        if self.interpolation == INTERP_CUBIC and u1.shape[0] < 4:
             raise ValueError("cubic schedule needs at least four samples")
-        for name, a in (("t", t), ("u1", u1), ("u2", u2)):
-            a = a.copy()
+        object.__setattr__(self, "duration", float(self.duration))
+        for name, a in (("u1", u1), ("u2", u2)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
     @property
-    def duration(self) -> float:
-        return float(self.t[-1])
-
-    @property
     def n_intervals(self) -> int:
-        return self.t.shape[0] - 1
+        return self.u1.shape[0] - 1
 
     @property
     def spacing(self) -> float:
-        return float(self.t[1] - self.t[0])
+        return self.duration / self.n_intervals
+
+    @property
+    def t(self) -> np.ndarray:
+        """The sample times i*T/N, i = 0..N."""
+        return np.linspace(0.0, self.duration, self.n_intervals + 1)
 
     def max_amplitudes(self) -> tuple[float, float]:
         return float(np.max(np.abs(self.u1))), float(np.max(np.abs(self.u2)))

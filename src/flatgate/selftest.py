@@ -71,8 +71,7 @@ def _suite_planner_steering():
 
 def _suite_two_pulse_oracle():
     half = math.pi / 2
-    sched = PulseSchedule(np.array([0.0, 1.0, 2.0]),
-                          np.array([0.0, half, half]),
+    sched = PulseSchedule(2.0, np.array([0.0, half, half]),
                           np.array([half, 0.0, 0.0]),
                           target=quat.E3, interpolation=INTERP_PCONST)
     e_exact = np.linalg.norm(

@@ -68,8 +68,7 @@ def zyz_schedule(angles: EulerE1E2E1, big_t: float) -> PulseSchedule:
     segments."""
     check_duration(big_t)
     amp = 3.0 / big_t
-    t = np.linspace(0.0, big_t, 4)
     u1 = np.array([amp * angles.a, 0.0, amp * angles.c, amp * angles.c])
     u2 = np.array([0.0, amp * angles.b, 0.0, 0.0])
-    return PulseSchedule(t, u1, u2, target=angles.reconstruct(),
+    return PulseSchedule(big_t, u1, u2, target=angles.reconstruct(),
                          interpolation=INTERP_PCONST)

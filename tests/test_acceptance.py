@@ -77,8 +77,7 @@ def test_criterion_01_reference_scenario(tmp_path, capsys):
 
 def test_criterion_02_zyz_two_pulse_oracle(capsys):
     half = PI / 2
-    sched = PulseSchedule(np.array([0.0, 1.0, 2.0]),
-                          np.array([0.0, half, half]),
+    sched = PulseSchedule(2.0, np.array([0.0, half, half]),
                           np.array([half, 0.0, 0.0]),
                           target=E3, interpolation=INTERP_PCONST)
     e_rk4 = float(np.linalg.norm(

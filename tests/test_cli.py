@@ -60,7 +60,7 @@ def test_plan_identity_is_rejected(capsys, tmp_path):
 def test_schedule_round_trip_preserves_propagation(tmp_path, capsys):
     planned = synthesize(E3, 2.0, 512, 1)
     for interpolation in ("cubic", "linear", "pconst"):
-        sched = PulseSchedule(planned.t, planned.u1, planned.u2, target=E3,
+        sched = PulseSchedule(planned.duration, planned.u1, planned.u2, target=E3,
                               interpolation=interpolation)
         write_schedule(sched, str(tmp_path / "s.csv"))
         back = read_schedule(str(tmp_path / "s.csv"))
@@ -370,6 +370,41 @@ def test_su2_overflow_or_non_finite_exits_1_without_warnings(tmp_path, capsys, e
     assert code == 1 and "not unitary" in err
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+def test_plan_refuses_an_output_that_is_its_own_sidecar(tmp_path, capsys):
+    out = tmp_path / "z.json"
+    code, _, err = run_strict(["plan", "--gate", "Z", "--out", str(out)], capsys)
+    assert code == 2 and "i/o error" in err and "sidecar" in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("t, message", [
+    # below T ~ 1e-9 an absolute tolerance let any increasing grid through
+    (["0", "1e-12", "1e-10"], "uniform grid"),
+    (["0", "0.2", "2"], "uniform grid"),
+    (["0.5", "1.25", "2"], "start at 0"),
+    (["inf", "1", "2"], "finite"),
+    (["nan", "1", "2"], "finite"),
+    (["0", "inf", "2"], "finite"),
+    (["0", "nan", "2"], "finite"),
+    (["0", "1", "inf"], "finite"),
+    (["0", "1", "nan"], "finite"),
+    (["0", "5e-311", "1e-310"], "duration must be positive and finite"),
+], ids=["tiny-T", "non-uniform", "late-start", "inf-first", "nan-first", "inf-middle",
+        "nan-middle", "inf-last", "nan-last", "subnormal-T"])
+def test_simulate_refuses_a_bad_time_column(tmp_path, capsys, t, message):
+    path = tmp_path / "s.csv"
+    rows = [f"{ti},{u1},0" for ti, u1 in zip(t, ["0", "1e9", "2e9"])]
+    path.write_text("t,u1,u2\n" + "\n".join(rows) + "\n")
+    path.with_suffix(".json").write_text(json.dumps(
+        {"format_version": 1, "target": [1.0, 0.0, 0.0, 0.0], "interpolation": "linear"}))
+    traj = tmp_path / "traj.csv"
+    code, _, err = run_strict(["simulate", str(path), "--out", str(traj)], capsys)
+    assert code == 1 and message in err
+    assert err.count("\n") == 1
+    assert not traj.exists()
 
 
 def test_control_overflow_exits_1_without_warnings_or_files(tmp_path, capsys):

@@ -33,19 +33,19 @@ from oracles import chunked_rows, row_kernel
 PI = math.pi
 
 
-def pconst(t, u1, u2, target=ONE):
-    return PulseSchedule(np.asarray(t, float), np.asarray(u1, float),
+def pconst(big_t, u1, u2, target=ONE):
+    return PulseSchedule(big_t, np.asarray(u1, float),
                          np.asarray(u2, float), target=target,
                          interpolation=INTERP_PCONST)
 
 
 def two_pulse_reference():
     half = PI / 2
-    return pconst([0.0, 1.0, 2.0], [0.0, half, half], [half, 0.0, 0.0], target=E3)
+    return pconst(2.0, [0.0, half, half], [half, 0.0, 0.0], target=E3)
 
 
 def test_zero_schedule_stays_at_identity():
-    sched = pconst([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    sched = pconst(1.0, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
     res = propagate(sched, h=1.0 / 64)
     assert np.max(np.abs(res.final.as_array() - [1, 0, 0, 0])) <= 1e-15
 
@@ -57,7 +57,7 @@ def test_two_pulse_reference_reaches_e3():
 
 def test_constant_first_channel_is_a_rotation_about_e1():
     w, big_t = 0.7, 1.3
-    sched = pconst([0.0, big_t / 2, big_t], [w, w, w], [0.0, 0.0, 0.0])
+    sched = pconst(big_t, [w, w, w], [0.0, 0.0, 0.0])
     res = propagate(sched, h=big_t / 1024)
     expect = exp_pure(ImagQuaternion(w * big_t, 0.0, 0.0)).as_array()
     assert np.max(np.abs(res.final.as_array() - expect)) <= 1e-12
@@ -79,7 +79,7 @@ def test_norm_drift_is_negligible():
 
 
 def reinterpolated(sched, interpolation):
-    return PulseSchedule(sched.t, sched.u1, sched.u2, target=sched.target,
+    return PulseSchedule(sched.duration, sched.u1, sched.u2, target=sched.target,
                          interpolation=interpolation)
 
 
@@ -107,19 +107,19 @@ def test_default_step_follows_the_interpolation():
 
 
 def test_cubic_schedule_needs_four_samples():
-    t, u = np.linspace(0.0, 1.0, 3), np.zeros(3)
+    u = np.zeros(3)
     with pytest.raises(ValueError, match="four samples"):
-        PulseSchedule(t, u, u, target=ONE, interpolation=INTERP_CUBIC)
-    PulseSchedule(t, u, u, target=ONE, interpolation=INTERP_LINEAR)
-    t, u = np.linspace(0.0, 1.0, 4), np.zeros(4)
-    PulseSchedule(t, u, u, target=ONE, interpolation=INTERP_CUBIC)
+        PulseSchedule(1.0, u, u, target=ONE, interpolation=INTERP_CUBIC)
+    PulseSchedule(1.0, u, u, target=ONE, interpolation=INTERP_LINEAR)
+    u = np.zeros(4)
+    PulseSchedule(1.0, u, u, target=ONE, interpolation=INTERP_CUBIC)
 
 
 def test_schedule_interpolation_has_no_default():
     # a schedule that leaves out its interpolation is refused, not read linearly
-    t, u = np.linspace(0.0, 1.0, 4), np.zeros(4)
+    u = np.zeros(4)
     with pytest.raises(TypeError, match="interpolation"):
-        PulseSchedule(t, u, u, target=ONE)
+        PulseSchedule(1.0, u, u, target=ONE)
 
 
 def test_cubic_stencil_reproduces_cubic_controls():
@@ -128,7 +128,7 @@ def test_cubic_stencil_reproduces_cubic_controls():
     t = np.linspace(0.0, big_t, n + 1)
     p1 = np.polynomial.Polynomial([0.7, -1.1, 0.4, -0.9])
     p2 = np.polynomial.Polynomial([-0.2, 0.5, 1.3, 0.6])
-    sched = PulseSchedule(t, p1(t), p2(t), target=ONE, interpolation=INTERP_CUBIC)
+    sched = PulseSchedule(big_t, p1(t), p2(t), target=ONE, interpolation=INTERP_CUBIC)
     for r in (1, 2, 16):
         h = sched.spacing / r
         count = 2 * n * r + 1
@@ -141,9 +141,8 @@ def test_cubic_stencil_reproduces_cubic_controls():
 def test_cubic_stage_points_at_the_spacing():
     rng = np.random.default_rng(50)
     n = 12
-    t = np.linspace(0.0, 0.9, n + 1)
     u1, u2 = rng.standard_normal((2, n + 1))
-    sched = PulseSchedule(t, u1, u2, target=ONE, interpolation=INTERP_CUBIC)
+    sched = PulseSchedule(0.9, u1, u2, target=ONE, interpolation=INTERP_CUBIC)
     x = _stage_values(_control_rows([sched]), sched, sched.spacing,
                       np.arange(2 * n + 1))[0]
     for u, v in ((u1, x.real), (u2, x.imag)):
@@ -253,7 +252,7 @@ def test_public_outputs_match_the_real_row_kernel(interpolation):
 
 
 def test_step_count_cap_rejected_before_allocation():
-    sched = pconst([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    sched = pconst(1.0, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="steps"):
         propagate(sched, h=1e-12)
     with pytest.raises(ValueError, match="steps"):
@@ -265,11 +264,11 @@ def test_step_count_cap_rejected_before_allocation():
 def test_non_finite_schedule_rejected():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
-            pconst([0.0, 0.5, 1.0], [0.0, bad, 0.0], [0.0, 0.0, 0.0])
+            pconst(1.0, [0.0, bad, 0.0], [0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="finite"):
-            pconst([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, bad])
+            pconst(1.0, [0.0, 0.0, 0.0], [0.0, 0.0, bad])
         with pytest.raises(ValueError, match="finite"):
-            pconst([0.0, bad, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+            pconst(bad, [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 def test_non_finite_detuning_and_step_rejected():
@@ -302,7 +301,7 @@ def test_terminal_and_recorded_finals_agree_with_odd_chunk_remainder():
     # 999 steps leave a last chunk of 231, an odd count for the tree
     rng = np.random.default_rng(45)
     linear = synthesize(quat.as_unit(quat.random_unit(rng)), 1.0, 512, 1)
-    piecewise = pconst([0.0, 1 / 3, 2 / 3, 1.0], [0.4, -0.7, 1.1, 0.0],
+    piecewise = pconst(1.0, [0.4, -0.7, 1.1, 0.0],
                        [-0.3, 0.9, 0.2, 0.0])
     for sched in (linear, piecewise):
         finals, drifts = propagate_final_batch([sched], delta_r=0.25, h=1.0 / 999)
@@ -469,6 +468,16 @@ def test_batch_propagation_rejects_empty_batch():
         propagate_final_batch([])
 
 
+def test_batch_propagation_rejects_mismatched_grids():
+    sched = synthesize(E3, 1.0, 128, 1)
+    for other in (synthesize(E3, 1.5, 128, 1), synthesize(E3, 1.0, 256, 1),
+                  reinterpolated(sched, INTERP_LINEAR)):
+        with pytest.raises(InvalidPropagationInput, match="share grid"):
+            propagate_final_batch([sched, other])
+    finals, _ = propagate_final_batch([sched, synthesize(E2, 1.0, 128, 1)])
+    assert finals.shape == (2, 4)
+
+
 def test_detuning_sweep_zero_matches_plain_propagation():
     sched = synthesize(E3, 2.0, 1024, 1)
     sweep = detuning_sweep(sched, [0.0], E3, h=2.0 / 2048)
@@ -503,7 +512,7 @@ def test_detuning_sweep_rejects_empty_list():
 def test_detuned_propagation_matches_exact_exponential():
     # constant controls + constant detuning admit one exact exponential
     w1, w2, dr, big_t = 0.4, -0.3, 0.25, 1.0
-    sched = pconst([0.0, 0.5, 1.0], [w1, w1, w1], [w2, w2, w2])
+    sched = pconst(1.0, [w1, w1, w1], [w2, w2, w2])
     res = propagate(sched, delta_r=dr, h=big_t / 2048)
     expect = exp_pure(ImagQuaternion(w1 * big_t, w2 * big_t, dr * big_t))
     assert np.max(np.abs(res.final.as_array() - expect.as_array())) <= 1e-12
@@ -514,7 +523,7 @@ def test_detuned_propagation_matches_exact_exponential():
 def test_detuned_three_segment_propagation_matches_exact_with_chunk_remainder():
     # 999 steps = three aligned segments of 333, and not a multiple of the
     # step chunk, so the last chunk is partial
-    sched = pconst([0.0, 1 / 3, 2 / 3, 1.0], [0.4, -0.7, 1.1, 0.0],
+    sched = pconst(1.0, [0.4, -0.7, 1.1, 0.0],
                    [-0.3, 0.9, 0.2, 0.0])
     res = propagate(sched, delta_r=0.25, h=1.0 / 999)
     exact = propagate_piecewise_exact(sched, delta_r=0.25)
