@@ -4,10 +4,13 @@ three-pulse baseline, sweep detuning, and run a self-test.
 File formats
 ------------
 Schedule:    CSV with header ``t,u1,u2``, 17 significant digits per value,
-             on the uniform grid t_i = i*T/N (read to within 1e-9*T), plus
-             a sidecar JSON manifest (same path with a .json suffix, which
-             must differ from the CSV path) carrying {format_version,
-             target, T, N, k, eta_bar, min_abs_z, interpolation}.
+             on the finite grid t_i = i*T/N (read to within 1e-9*T), plus a
+             sidecar JSON object (same path with a .json suffix, which must
+             differ from the CSV path): integer format_version, four-number
+             target, T and N (optional on reading; else within 1e-9*T of the
+             last t, and the row count less one), integer or null k, number
+             or null eta_bar and min_abs_z, string interpolation.  True and
+             false are not numbers; any other sidecar is an I/O error.
 Trajectory:  CSV with header ``t,q0,q1,q2,q3`` (scalar-first components).
 Sweep:       CSV with header ``delta_r,fidelity``.
 
@@ -102,10 +105,13 @@ def write_schedule(sched: PulseSchedule, path: str) -> Path:
     return side
 
 
+def _fits(value, kind) -> bool:
+    """isinstance(value, kind), except that JSON true and false are not numbers."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def read_schedule(path: str) -> PulseSchedule:
-    """Read a schedule CSV on the finite grid t_i = i*T/N (to within 1e-9*T)
-    plus its sidecar manifest; a sidecar that is not a JSON object with a
-    four-number target and a string interpolation raises OSError."""
+    """Read a schedule CSV and its sidecar, as the module docstring has them."""
     p = Path(path)
     rows = p.read_text().strip().splitlines()
     if not rows or rows[0].strip() != "t,u1,u2":
@@ -125,19 +131,28 @@ def read_schedule(path: str) -> PulseSchedule:
     man = json.loads(side.read_text())
     if not isinstance(man, dict):
         raise OSError(f"{side}: sidecar is not a JSON object")
-    if man.get("format_version") != FORMAT_VERSION:
+    end, n, null = float(t[-1]), len(t) - 1, type(None)
+    big_t, target = man.get("T", end), man.get("target")
+    for key, ok, rule in (
+            ("format_version", _fits(man.get("format_version"), int), "an integer"),
+            ("target", isinstance(target, list) and len(target) == 4
+             and all(_fits(v, (int, float)) for v in target), "a list of four numbers"),
+            ("interpolation", isinstance(man.get("interpolation"), str), "a string"),
+            ("k", _fits(man.get("k"), (int, null)), "an integer or null"),
+            ("eta_bar", _fits(man.get("eta_bar"), (int, float, null)), "a number or null"),
+            ("min_abs_z", _fits(man.get("min_abs_z"), (int, float, null)), "a number or null"),
+            ("T", _fits(big_t, (int, float)) and end - 1e-9 * end <= big_t <= end + 1e-9 * end,
+             f"within 1e-9*T of the last t, {end!r}"),
+            ("N", _fits(man.get("N", n), int) and man.get("N", n) == n,
+             f"the row count less one, {n}")):
+        if not ok:
+            raise OSError(f"{side}: {key} must be {rule}")
+    if man["format_version"] != FORMAT_VERSION:
         raise FlatGateError(f"{path}: unsupported format_version")
-    target = man.get("target")
-    if not (isinstance(target, list) and len(target) == 4
-            and all(isinstance(v, (int, float)) for v in target)):
-        raise OSError(f"{side}: target must be a list of four numbers")
-    interpolation = man.get("interpolation")
-    if not isinstance(interpolation, str):
-        raise OSError(f"{side}: interpolation must be a string")
     return PulseSchedule(
         t[-1], data[:, 1], data[:, 2],
         target=UnitQuaternion(*target),
-        interpolation=interpolation,
+        interpolation=man["interpolation"],
         warp_order=man.get("k"), eta_bar=man.get("eta_bar"),
         min_abs_z=man.get("min_abs_z"))
 

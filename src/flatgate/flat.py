@@ -108,16 +108,11 @@ def unwrap_phase(zs, theta0: float) -> np.ndarray:
     start_err = abs(_wrap_pi(raw[0] - theta0))
     if start_err > 1e-9:
         raise ValueError(f"theta0 off arg(z[0]) by {start_err!r} (mod 2 pi)")
-    d = np.diff(raw)
-    d = _wrap_pi(d)
+    d = _wrap_pi(np.diff(raw))
     if d.size and np.max(np.abs(d)) >= UNWRAP_MAX_JUMP:
         i = int(np.argmax(np.abs(d) >= UNWRAP_MAX_JUMP))
         raise GridTooCoarse(f"phase jump {d[i]!r} between samples {i} and {i + 1}")
-    out = np.empty(z.shape)
-    out[0] = theta0
-    np.cumsum(d, out=out[1:])
-    out[1:] += theta0
-    return out
+    return np.concatenate(([theta0], np.cumsum(d) + theta0))
 
 
 def _wrap_pi(x):

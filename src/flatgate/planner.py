@@ -287,48 +287,26 @@ class Plan:
         the original target, and min |z| over s: u2 = |z| and u1 = w1 +
         theta'/2 = ((q alpha'' - alpha' q') / |z|^2 - beta' cos(2 alpha)) / 2.
         Raises SingularFlatCurve for min |z| <= SINGULAR_Z_TOL."""
-        # In place, in the order of the formula, with each temporary freed
-        # once used: sample_plan reads up to MAX_SAMPLES + 1 points.
+        # del frees each temporary after its last use (up to MAX_SAMPLES + 1 points)
         c, s = self.cubics, np.asarray(s, dtype=float)
-        two_al = c.alpha(s)
-        two_al *= 2.0
+        two_al = 2.0 * c.alpha(s)
         sn, cs = np.sin(two_al), np.cos(two_al)
         del two_al
         da, db = c.dalpha(s), c.dbeta(s)
-        q = 0.5 * db
-        q *= sn                                 # q = beta' sin(2 alpha) / 2
-        qd = c.ddbeta(s)
-        qd *= 0.5
-        qd *= sn
+        q = 0.5 * db * sn                       # q = beta' sin(2 alpha) / 2
+        qd = c.ddbeta(s) * 0.5 * sn + da * db * cs      # q'
         del sn
-        w = da * db
-        w *= cs
-        qd += w                                 # q'
-        mag2 = da * da
-        w = q * q
-        mag2 += w                               # |z|^2
-        del w
+        mag2 = da * da + q * q                  # |z|^2
         min_abs_z = math.sqrt(float(np.min(mag2)))
         if min_abs_z <= SINGULAR_Z_TOL:
             raise SingularFlatCurve(f"min |z| = {min_abs_z!r} at the sampled s")
-        a = c.ddalpha(s)
-        a *= q
-        del q
-        qd *= da
-        a -= qd
-        del qd, da
-        a /= mag2
-        cs *= db
-        a -= cs
-        del cs, db
-        a *= 0.5
+        a = 0.5 * ((c.ddalpha(s) * q - qd * da) / mag2 - cs * db)
+        del q, qd, da, db, cs
         b = np.sqrt(mag2)
         del mag2
         ce, se = math.cos(self.dec.eta_bar), math.sin(self.dec.eta_bar)
-        u1, w = a * ce, b * se
-        u1 += w
-        u2, w = a * -se, b * ce
-        u2 += w
+        u1 = a * ce + b * se
+        u2 = a * -se + b * ce
         return u1, u2, min_abs_z
 
 
@@ -371,11 +349,7 @@ def smoothstep(t, big_t: float, k: int = 1):
         s *= u
         s += num // den
     s *= u ** (k + 1)
-    ds = 1.0 - u
-    ds *= u
-    ds **= k
-    ds *= ck
-    ds /= big_t
+    ds = ((1.0 - u) * u) ** k * ck / big_t
     if np.ndim(t) == 0:
         return float(s), float(ds)
     return s, ds

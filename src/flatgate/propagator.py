@@ -39,11 +39,12 @@ samples i-1..i+2 (one-sided 0..3 and N-3..N on the end intervals; Keys,
 IEEE Trans. ASSP 29(6), 1981), whose O(spacing^4) floor lets a cubic
 schedule step at its own spacing: each stage endpoint is then a sample and
 each midpoint (-1, 9, 9, -1)/16 of its neighbours.  Without an explicit
-step, cubic schedules step at their spacing and the others at
-T / DEFAULT_STEP_DIVISOR.
+step, cubic schedules step at their spacing and the others take N
+ceil(DEFAULT_STEP_DIVISOR / N) steps, whole steps per sample interval.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,7 +90,8 @@ def fidelity(p: UnitQuaternion, q: UnitQuaternion) -> float:
 def _resolve_steps(sched: PulseSchedule, h: float | None) -> tuple[int, float]:
     big_t = sched.duration
     if h is None:
-        h = sched.spacing if sched.interpolation == INTERP_CUBIC else big_t / DEFAULT_STEP_DIVISOR
+        h = sched.spacing / (1 if sched.interpolation == INTERP_CUBIC
+                             else math.ceil(DEFAULT_STEP_DIVISOR / sched.n_intervals))
     if h <= 0.0:
         raise InvalidPropagationInput("step must be positive")
     if np.isnan(h):
@@ -128,9 +130,7 @@ def _stage_values(v: np.ndarray, sched: PulseSchedule, h: float,
         # land on samples and midpoints halfway between
         pos = np.minimum(half_steps * (0.5 * h / sched.spacing), sched.n_intervals)
     else:
-        tau = half_steps * (0.5 * h)
-        np.minimum(tau, sched.duration, out=tau)
-        pos = tau / sched.spacing
+        pos = np.minimum(half_steps * (0.5 * h), sched.duration) / sched.spacing
     last = sched.n_intervals - 1
     idx = np.clip(np.floor(pos).astype(int), 0, last)
     if not cubic:

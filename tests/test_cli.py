@@ -307,8 +307,37 @@ def test_size_caps_exit_1_before_allocating(tmp_path, capsys, argv, cap):
     '"min_abs_z": 1.0}',
     '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": 3, '
     '"k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic", '
+    '"k": "abc", "eta_bar": 0.0, "min_abs_z": 1.0}',
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic", '
+    '"k": 1, "eta_bar": 0.0, "min_abs_z": [1]}',
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic", '
+    '"k": 1, "eta_bar": {"x": 1}, "min_abs_z": 1.0}',
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic", '
+    '"k": true, "eta_bar": 0.0, "min_abs_z": 1.0}',
+    '{"format_version": true, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic", '
+    '"k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
+    # booleans would simulate against the identity
+    '{"format_version": 1, "target": [true, false, false, false], "interpolation": "cubic", '
+    '"k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic", '
+    '"T": 5.0, "N": 7, "k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic", '
+    '"T": 2.00000001, "N": 64, "k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic", '
+    '"T": 2.0, "N": 63, "k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic", '
+    '"T": "2", "N": 64, "k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic", '
+    '"T": 2.0, "N": 64.0, "k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic", '
+    '"T": 1e999, "k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic", '
+    '"T": 1' + '0' * 400 + '}',
 ], ids=["no-target", "json-list", "short-target", "truncated", "no-interpolation",
-        "numeric-interpolation"])
+        "numeric-interpolation", "string-k", "list-min-abs-z", "object-eta-bar", "bool-k",
+        "bool-format-version", "bool-target", "edited-T-and-N", "edited-T", "edited-N",
+        "string-T", "float-N", "infinite-T", "huge-integer-T"])
 def test_simulate_malformed_sidecar_is_io_error(tmp_path, capsys, sidecar):
     path = tmp_path / "s.csv"
     write_schedule(synthesize(E3, 2.0, 64, 1), str(path))

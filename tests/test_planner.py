@@ -665,6 +665,22 @@ def test_sample_plan_peak_memory():
         assert peak <= 12 * 8 * (n + 1)
 
 
+@pytest.mark.parametrize("k", [1, MAX_WARP_ORDER])
+def test_sample_plan_peak_is_ten_arrays(k):
+    # Plan.controls frees each temporary after its last use, and numpy
+    # reuses expression temporaries in place: 10 float arrays of n + 1
+    # samples at the peak, 15 if the temporaries lived to the return
+    n = 2 ** 20
+    plan = plan_controls(E3)
+    tracemalloc.start()
+    try:
+        sample_plan(plan, 2.0, n, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.5 * 8 * (n + 1)
+
+
 # ---------------------------------------------------------------- shared clock
 
 def test_sample_plan_cold_and_warm_clock_are_bit_identical():

@@ -106,6 +106,16 @@ def test_default_step_follows_the_interpolation():
         assert len(propagate(other).t) == DEFAULT_STEP_DIVISOR + 1
 
 
+@pytest.mark.parametrize("interpolation", [INTERP_LINEAR, INTERP_PCONST])
+def test_default_step_takes_whole_steps_per_sample_interval(interpolation):
+    # the fewest whole steps per interval that make at least 8192: 10000
+    # intervals step at their spacing, 3 take 2731 steps each
+    for n, steps in ((10000, 10000), (3, 3 * 2731), (384, 384 * 22)):
+        u = np.linspace(0.0, 1.0, n + 1)
+        t = propagate(PulseSchedule(2.0, u, u, target=ONE, interpolation=interpolation)).t
+        assert len(t) == steps + 1 and t[-1] == 2.0
+
+
 def test_cubic_schedule_needs_four_samples():
     u = np.zeros(3)
     with pytest.raises(ValueError, match="four samples"):
@@ -161,7 +171,8 @@ def test_linear_and_pconst_match_the_earlier_kernel_bit_for_bit(interpolation):
                                         1 + i % 3), interpolation) for i in range(5)]
     v, one = _control_rows(scheds), ONE.as_array()
     for h in (None, 1.0 / 384, 1.0 / 999):
-        n = round(1.0 / h) if h else DEFAULT_STEP_DIVISOR
+        # by default, 22 whole steps per interval: the fewest making 8192 in all
+        n = round(1.0 / h) if h else 384 * 22
         for dr in (0.0, [0.0, 0.3, -1.2, 0.7, 2.0]):
             finals, drifts = propagate_final_batch(scheds, delta_r=dr, h=h)
             ref_f, ref_d, _ = chunked_rows(v, scheds[0], dr, 1.0 / n, n, one,

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from flatgate import quat
-from flatgate.propagator import fidelity, propagate, propagate_piecewise_exact
+from flatgate.cli import NAMED_GATES
+from flatgate.propagator import (fidelity, propagate, propagate_final_batch,
+                                 propagate_piecewise_exact)
 from flatgate.quat import E1, E3, ONE, UnitQuaternion
 from flatgate.zyz import EulerE1E2E1, euler_decompose, zyz_schedule
 
@@ -91,6 +93,18 @@ def test_rk4_tracks_exact_propagation():
     exact = propagate_piecewise_exact(sched)
     rk4 = propagate(sched, h=2.0 / (3 * 2048)).final
     assert fidelity(exact, rk4) >= 1.0 - 1e-12
+
+
+@pytest.mark.parametrize("gate", sorted(NAMED_GATES))
+def test_default_step_matches_exact_propagation(gate):
+    # the default step divides each third of T into whole steps, so RK4
+    # misses each constant segment by its truncation error alone
+    target = NAMED_GATES[gate]
+    sched = zyz_schedule(euler_decompose(target), 2.0)
+    exact = propagate_piecewise_exact(sched).as_array()
+    finals, _ = propagate_final_batch([sched])
+    assert np.max(np.abs(finals[0] - exact)) <= 1e-13
+    assert np.max(np.abs(propagate(sched).final.as_array() - exact)) <= 1e-13
 
 
 def test_zyz_schedule_rejects_bad_duration():
