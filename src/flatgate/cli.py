@@ -9,8 +9,9 @@ Schedule:    CSV with header ``t,u1,u2``, 17 significant digits per value,
              differ from the CSV path): integer format_version, four-number
              target, T and N (optional on reading; else within 1e-9*T of the
              last t, and the row count less one), integer or null k, number
-             or null eta_bar and min_abs_z, string interpolation.  True and
-             false are not numbers; any other sidecar is an I/O error.
+             or null eta_bar and min_abs_z, string interpolation.  Numbers are
+             finite numbers that fit a float (not true, false, NaN, Infinity
+             or a larger integer); any other sidecar is an I/O error.
 Trajectory:  CSV with header ``t,q0,q1,q2,q3`` (scalar-first components).
 Sweep:       CSV with header ``delta_r,fidelity``.
 
@@ -106,8 +107,10 @@ def write_schedule(sched: PulseSchedule, path: str) -> Path:
 
 
 def _fits(value, kind) -> bool:
-    """isinstance(value, kind), except that JSON true and false are not numbers."""
-    return isinstance(value, kind) and not isinstance(value, bool)
+    """isinstance(value, kind), except that JSON true and false are not numbers
+    and a number must fit a float (compared, not converted, so NaN fails)."""
+    return isinstance(value, kind) and not isinstance(value, bool) and (
+        not isinstance(value, (int, float)) or abs(value) <= sys.float_info.max)
 
 
 def read_schedule(path: str) -> PulseSchedule:
@@ -128,7 +131,10 @@ def read_schedule(path: str) -> PulseSchedule:
     if t[0] != 0.0 or not off <= 1e-9 * t[-1]:
         raise ValueError(f"{path}: t must start at 0 and be the uniform grid i*T/N")
     side = p.with_suffix(".json")
-    man = json.loads(side.read_text())
+    try:
+        man = json.loads(side.read_text())
+    except RecursionError:
+        raise OSError(f"{side}: sidecar is nested too deeply") from None
     if not isinstance(man, dict):
         raise OSError(f"{side}: sidecar is not a JSON object")
     end, n, null = float(t[-1]), len(t) - 1, type(None)

@@ -93,16 +93,12 @@ class TargetDecomposition:
     beta_bar: float
     lambda_bar: float
 
-    def rotated_target(self) -> UnitQuaternion:
-        """The eta_bar-normalized target (zero e1 component)."""
-        a, b = self.alpha_bar, self.beta_bar
-        return UnitQuaternion(math.cos(a), 0.0,
-                              math.sin(a) * math.cos(b),
-                              math.sin(a) * math.sin(b))
-
     def reconstruct(self) -> UnitQuaternion:
         """Rebuild the original target from the four angles."""
-        p = self.rotated_target()
+        a, b = self.alpha_bar, self.beta_bar
+        # the eta_bar-normalized target (zero e1 component), renormalized
+        p = UnitQuaternion(math.cos(a), 0.0, math.sin(a) * math.cos(b),
+                           math.sin(a) * math.sin(b))
         se, ce = math.sin(self.eta_bar), math.cos(self.eta_bar)
         return UnitQuaternion(p.w, p.y * se, p.y * ce, p.z)
 
@@ -133,38 +129,20 @@ def start_offset(alpha_bar: float) -> float:
     return lam
 
 
-@dataclass(frozen=True)
-class BoundaryData:
-    """Endpoint values and slopes for the two cubics."""
-
-    alpha0: float
-    alpha1: float
-    dalpha0: float
-    dalpha1: float
-    beta0: float
-    beta1: float
-    dbeta0: float
-    dbeta1: float
-
-
-def boundary_data(dec: TargetDecomposition) -> BoundaryData:
-    """Endpoint conditions: alpha ramps by alpha_bar, beta closes a loop."""
+def boundary_data(dec: TargetDecomposition) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Endpoint conditions, alpha ramping by alpha_bar and beta closing a
+    loop: hermite_cubic's arguments (p0, p1, d0, d1) for alpha, then beta."""
     a, b, lam = dec.alpha_bar, dec.beta_bar, dec.lambda_bar
     da = a * math.cos(b)
     db0 = -a * math.sin(b) / (math.sin(lam) * math.cos(lam))
     db1 = -a * math.sin(b) / (math.sin(lam + a) * math.cos(lam + a))
-    return BoundaryData(lam, lam + a, da, da, b, b, db0, db1)
+    return (lam, lam + a, da, da), (b, b, db0, db1)
 
 
-def hermite_cubic(p0: float, p1: float, d0: float, d1: float) -> np.ndarray:
+def hermite_cubic(p0: float, p1: float, d0: float, d1: float) -> tuple[float, ...]:
     """Coefficients (c0, c1, c2, c3) of the cubic matching value and slope
     at s = 0 and s = 1."""
-    return np.array([
-        p0,
-        d0,
-        3.0 * (p1 - p0) - 2.0 * d0 - d1,
-        2.0 * (p0 - p1) + d0 + d1,
-    ])
+    return (p0, d0, 3.0 * (p1 - p0) - 2.0 * d0 - d1, 2.0 * (p0 - p1) + d0 + d1)
 
 
 def _poly_eval(c: tuple[float, ...], s):
@@ -187,17 +165,11 @@ class CubicPair:
     cb: tuple[float, ...]     # beta coefficients
     delta: float              # alpha_bar * (1 - cos(beta_bar))
 
-    def __post_init__(self):
-        for name in ("ca", "cb"):
-            c = np.asarray(getattr(self, name), dtype=float)
-            object.__setattr__(self, name, tuple(c.tolist()))
-
     @classmethod
     def from_decomposition(cls, dec: TargetDecomposition) -> "CubicPair":
-        bd = boundary_data(dec)
-        ca = hermite_cubic(bd.alpha0, bd.alpha1, bd.dalpha0, bd.dalpha1)
-        cb = hermite_cubic(bd.beta0, bd.beta1, bd.dbeta0, bd.dbeta1)
-        return cls(ca, cb, dec.alpha_bar * (1.0 - math.cos(dec.beta_bar)))
+        alpha, beta = boundary_data(dec)
+        return cls(hermite_cubic(*alpha), hermite_cubic(*beta),
+                   dec.alpha_bar * (1.0 - math.cos(dec.beta_bar)))
 
     def alpha(self, s):
         return _poly_eval(self.ca, s)
@@ -371,13 +343,9 @@ def _sample_grid(big_t: float, n: int) -> np.ndarray:
     return np.linspace(0.0, big_t, n + 1)
 
 
-def _make_clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    return smoothstep(_sample_grid(big_t, n), big_t, k)
-
-
 @functools.lru_cache(maxsize=CLOCK_CACHE_SIZE)
 def _cached_clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    s, sd = _make_clock(big_t, n, k)
+    s, sd = smoothstep(_sample_grid(big_t, n), big_t, k)
     s.flags.writeable = sd.flags.writeable = False
     return s, sd
 
@@ -386,7 +354,7 @@ def _clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """(s(t), ds/dt) on n uniform intervals of [0, T]; shared read-only
     arrays for n <= CLOCK_CACHE_MAX_N, fresh ones above."""
     if n > CLOCK_CACHE_MAX_N:
-        return _make_clock(big_t, n, k)
+        return smoothstep(_sample_grid(big_t, n), big_t, k)
     return _cached_clock(big_t, n, k)
 
 

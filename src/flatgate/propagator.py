@@ -359,14 +359,20 @@ def detuning_sweep(sched: PulseSchedule, delta_r_list, target: UnitQuaternion,
 def propagate_piecewise_exact(sched: PulseSchedule,
                               delta_r: float = 0.0) -> UnitQuaternion:
     """Exact propagation of a piecewise-constant schedule from the identity:
-    the ordered product of one exponential per interval."""
+    the ordered product of one exponential per interval.  A non-finite
+    delta_r or generator times dt raises InvalidPropagationInput."""
     if sched.interpolation != INTERP_PCONST:
         raise InvalidPropagationInput(
             "exact propagation needs a piecewise-constant schedule")
+    if not math.isfinite(delta_r):
+        raise InvalidPropagationInput("delta_r must be finite")
     q = quat.ONE
     dt = sched.spacing
-    for i in range(sched.n_intervals):
-        v = ImagQuaternion(sched.u1[i] * dt, sched.u2[i] * dt, delta_r * dt)
+    # products of Python floats overflow to inf without a numpy warning
+    for u1, u2 in zip(sched.u1[:-1].tolist(), sched.u2[:-1].tolist()):
+        v = ImagQuaternion(u1 * dt, u2 * dt, float(delta_r) * dt)
+        if not math.isfinite(v.norm()):
+            raise InvalidPropagationInput("generator times dt is not finite")
         q = quat.mul(quat.exp_pure(v), q)
     return q
 

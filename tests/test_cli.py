@@ -334,10 +334,21 @@ def test_size_caps_exit_1_before_allocating(tmp_path, capsys, argv, cap):
     '"T": 1e999, "k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
     '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic", '
     '"T": 1' + '0' * 400 + '}',
+    # numbers must fit a float: no huge integer, NaN or Infinity
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1' + '0' * 400 + '], '
+    '"interpolation": "cubic", "k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
+    '{"format_version": 1, "target": [NaN, 0.0, 0.0, 1.0], "interpolation": "cubic", '
+    '"k": 1, "eta_bar": 0.0, "min_abs_z": 1.0}',
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic", '
+    '"k": 1, "eta_bar": Infinity, "min_abs_z": 1.0}',
+    '{"format_version": 1, "target": [0.0, 0.0, 0.0, 1.0], "interpolation": "cubic", '
+    '"k": 1, "eta_bar": 0.0, "min_abs_z": -Infinity}',
+    '[' * 100000 + ']' * 100000,
 ], ids=["no-target", "json-list", "short-target", "truncated", "no-interpolation",
         "numeric-interpolation", "string-k", "list-min-abs-z", "object-eta-bar", "bool-k",
         "bool-format-version", "bool-target", "edited-T-and-N", "edited-T", "edited-N",
-        "string-T", "float-N", "infinite-T", "huge-integer-T"])
+        "string-T", "float-N", "infinite-T", "huge-integer-T", "huge-integer-target",
+        "nan-target", "infinite-eta-bar", "infinite-min-abs-z", "deeply-nested"])
 def test_simulate_malformed_sidecar_is_io_error(tmp_path, capsys, sidecar):
     path = tmp_path / "s.csv"
     write_schedule(synthesize(E3, 2.0, 64, 1), str(path))

@@ -149,23 +149,25 @@ def test_start_offset_margin():
 # ------------------------------------------------------------- boundary_data
 
 def test_boundary_data_e3():
-    bd = boundary_data(decompose_target(E3))
-    assert bd.alpha0 == pytest.approx(-PI / 4, abs=1e-15)
-    assert bd.alpha1 == pytest.approx(PI / 4, abs=1e-15)
-    assert abs(bd.dalpha0) <= 1e-15 and abs(bd.dalpha1) <= 1e-15
-    assert bd.beta0 == bd.beta1 == pytest.approx(PI / 2, abs=1e-15)
-    assert bd.dbeta0 == pytest.approx(PI, abs=1e-12)
-    assert bd.dbeta1 == pytest.approx(-PI, abs=1e-12)
+    (alpha0, alpha1, dalpha0, dalpha1), (beta0, beta1, dbeta0, dbeta1) = \
+        boundary_data(decompose_target(E3))
+    assert alpha0 == pytest.approx(-PI / 4, abs=1e-15)
+    assert alpha1 == pytest.approx(PI / 4, abs=1e-15)
+    assert abs(dalpha0) <= 1e-15 and abs(dalpha1) <= 1e-15
+    assert beta0 == beta1 == pytest.approx(PI / 2, abs=1e-15)
+    assert dbeta0 == pytest.approx(PI, abs=1e-12)
+    assert dbeta1 == pytest.approx(-PI, abs=1e-12)
 
 
 def test_boundary_data_minus_one():
-    bd = boundary_data(decompose_target(MINUS_ONE))
-    assert bd.alpha0 == pytest.approx(-PI / 4, abs=1e-15)
-    assert bd.alpha1 == pytest.approx(3 * PI / 4, abs=1e-15)
-    assert bd.dalpha0 == pytest.approx(PI, abs=1e-15)
-    assert bd.dalpha1 == pytest.approx(PI, abs=1e-15)
-    assert bd.beta0 == bd.beta1 == 0.0
-    assert bd.dbeta0 == 0.0 and bd.dbeta1 == 0.0
+    (alpha0, alpha1, dalpha0, dalpha1), (beta0, beta1, dbeta0, dbeta1) = \
+        boundary_data(decompose_target(MINUS_ONE))
+    assert alpha0 == pytest.approx(-PI / 4, abs=1e-15)
+    assert alpha1 == pytest.approx(3 * PI / 4, abs=1e-15)
+    assert dalpha0 == pytest.approx(PI, abs=1e-15)
+    assert dalpha1 == pytest.approx(PI, abs=1e-15)
+    assert beta0 == beta1 == 0.0
+    assert dbeta0 == 0.0 and dbeta1 == 0.0
 
 
 def test_flat_beta_targets_have_constant_beta():
@@ -177,8 +179,8 @@ def test_flat_beta_targets_have_constant_beta():
         t = UnitQuaternion(w / n, x / n, y / n, 0.0)
         if abs(t.w - 1.0) < 1e-3:
             continue
-        bd = boundary_data(decompose_target(t))
-        assert bd.dbeta0 == 0.0 and bd.dbeta1 == 0.0
+        _, (_, _, dbeta0, dbeta1) = boundary_data(decompose_target(t))
+        assert dbeta0 == 0.0 and dbeta1 == 0.0
 
 
 # ------------------------------------------------------------- hermite_cubic
@@ -188,7 +190,7 @@ def test_hermite_smoothstep():
 
 
 def test_hermite_beta_cubic_for_e3():
-    c = hermite_cubic(PI / 2, PI / 2, PI, -PI)
+    c = np.array(hermite_cubic(PI / 2, PI / 2, PI, -PI))
     assert np.max(np.abs(c - [PI / 2, PI, -PI, 0.0])) <= 1e-15
 
 
@@ -200,7 +202,7 @@ def test_hermite_endpoint_exactness():
     rng = np.random.default_rng(23)
     for _ in range(200):
         p0, p1, d0, d1 = rng.normal(size=4) * 3
-        c = hermite_cubic(p0, p1, d0, d1)
+        c = np.array(hermite_cubic(p0, p1, d0, d1))
         assert c[0] == p0 and c[1] == d0
         scale = max(1.0, np.max(np.abs(c)))
         assert abs(c.sum() - p1) <= 1e-13 * scale

@@ -28,6 +28,7 @@ from flatgate.quat import (
     qmul_arr, row_pair)
 from flatgate.schedule import (
     INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST, MAX_SAMPLES, PulseSchedule)
+from flatgate.zyz import euler_decompose, zyz_schedule
 from oracles import chunked_rows, row_kernel
 
 PI = math.pi
@@ -546,6 +547,21 @@ def test_piecewise_exact_requires_pconst():
     sched = synthesize(E3, 1.0, 128, 1)
     with pytest.raises(ValueError):
         propagate_piecewise_exact(sched)
+
+
+@pytest.mark.parametrize("dr", [math.nan, math.inf, -math.inf])
+def test_piecewise_exact_refuses_non_finite_detuning(dr):
+    sched = zyz_schedule(euler_decompose(E3), 2.0)
+    with pytest.raises(InvalidPropagationInput, match="delta_r must be finite"):
+        propagate_piecewise_exact(sched, delta_r=dr)
+
+
+@pytest.mark.parametrize("u1, dr", [(0.0, 1e308), (1e308, 0.0)])
+def test_piecewise_exact_refuses_overflowing_generator(u1, dr):
+    # T = 30 on N = 3 intervals: dt = 10, so 1e308 * dt overflows
+    sched = pconst(30.0, [u1] * 4, [0.0] * 4)
+    with pytest.raises(InvalidPropagationInput, match="generator times dt is not finite"):
+        propagate_piecewise_exact(sched, delta_r=dr)
 
 
 def test_ode_residual_second_order_on_exact_trajectory():

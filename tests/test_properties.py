@@ -1,6 +1,7 @@
 """Property tests of the planner over the whole target sphere."""
 import contextlib
 import io
+import json
 import tempfile
 import warnings
 from pathlib import Path
@@ -24,6 +25,16 @@ durations = st.floats(0.5, 4.0)
 warp_orders = st.integers(1, MAX_WARP_ORDER)
 detunings = st.floats(-1.0, 1.0)
 GATE_TOL = 1e-6
+# JSON values a sidecar key may hold: numbers beyond the float range, NaN and
+# Infinity among them, four-number lists (targets) and short nested lists and
+# objects
+sidecar_scalars = st.one_of(st.none(), st.booleans(), st.integers(),
+                            st.integers(-10 ** 400, 10 ** 400), st.floats(),
+                            st.text(max_size=8))
+sidecar_values = st.one_of(
+    st.lists(st.one_of(st.integers(2 ** 1024, 10 ** 400), st.floats()), min_size=4, max_size=4),
+    st.recursive(sidecar_scalars, lambda inner: st.lists(inner, max_size=4)
+                 | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6))
 
 
 def planned(q):
@@ -87,3 +98,28 @@ def test_resonant_row_of_a_detuned_batch_equals_the_resonant_run(q, big_t, k, dr
         f1, d1 = propagate_final_batch([sched], delta_r=dr)
     assert finals[0].tobytes() == f0[0].tobytes() and drifts[:1].tobytes() == d0.tobytes()
     assert finals[1].tobytes() == f1[0].tobytes() and drifts[1:].tobytes() == d1.tobytes()
+
+
+@pytest.mark.parametrize("key", ["format_version", "target", "T", "N", "k", "eta_bar",
+                                 "min_abs_z", "interpolation"])
+def test_any_sidecar_value_exits_with_a_code(tmp_path, key):
+    # one key of a valid sidecar replaced: simulate returns 0, 1 or 2 and
+    # raises nothing, warnings included
+    path = tmp_path / "z.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["plan", "--gate", "Z", "--T", "2", "--N", "64",
+                         "--out", str(path)]) == 0
+    side = path.with_suffix(".json")
+    valid = json.loads(side.read_text())
+
+    @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+    @given(value=sidecar_values)
+    def simulate_edited(value):
+        side.write_text(json.dumps({**valid, key: value}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert cli.main(["simulate", str(path)]) in (0, 1, 2)
+
+    simulate_edited()
