@@ -18,16 +18,18 @@ propagate NaN.
 Steps are multiplied in chunks of 256: a recorded run applies each chunk
 as one log-depth prefix product, a terminal-only run as one pairwise tree
 product (c - 1 pair products for c steps).  The steps of several whole
-chunks are built at once, in one block of at most 4096 rows x steps, and
-each chunk of the block is multiplied as its own row, so a single schedule
-costs a few dozen array calls per block instead of per chunk, while the
-association, and so every bit of the result, stays that of chunk-by-chunk
-propagation.  Batches are propagated 64 rows at a time, so memory stays
-bounded at any batch size.  Desk-scale sweeps and thousand-target
-verification runs stay fast without any compiled extension.  The
-quaternion norm is multiplicative, so |m q| = |m| for unit q: normalizing
-each reported state equals renormalizing after every step, and the drift
-audit is exactly max_j ||m_j| - 1|.
+chunks are built at once, in one block of b rows x k chunks (k the most
+with b k 256 <= 4096, at least one: up to 4096 cells for 16 rows or fewer,
+b x 256 above, 16,384 for 64 rows), and each chunk of the block is
+multiplied as its own row, so a single schedule costs a few dozen array
+calls per block instead of per chunk, while the association, and so every
+bit of the result, stays that of chunk-by-chunk propagation.  Batches are
+propagated 64 rows at a time, control rows included, so memory does not
+grow with the batch.  Desk-scale sweeps and thousand-target verification
+runs stay fast without any compiled extension.  The quaternion norm is
+multiplicative, so |m q| = |m| for unit q: normalizing each reported state
+equals renormalizing after every step, and the drift audit is exactly
+max_j ||m_j| - 1|, taken at each row's largest and smallest |m_j|^2.
 
 Controls between samples are read according to the schedule's declared
 interpolation: "cubic" and "linear" evaluate every RK4 stage on the
@@ -41,6 +43,15 @@ schedule step at its own spacing: each stage endpoint is then a sample and
 each midpoint (-1, 9, 9, -1)/16 of its neighbours.  Without an explicit
 step, cubic schedules step at their spacing and the others take N
 ceil(DEFAULT_STEP_DIVISOR / N) steps, whole steps per sample interval.
+
+Stepped at h = spacing / r, with r = 1, 2 or 4, every cubic stage sits at
+one of the 2r phases p / 2r of its sample interval, and each phase is read
+as one 4-tap sum over contiguous slices of the control rows, with weights
+from one table per propagation, whose one-sided rows serve the end
+intervals and the end point.  The sums are the gather's own, bit for bit.
+Any other step gathers a 4-sample stencil per stage with weights computed
+per stage, as do linear reads; from r = 8 the per-phase sums, 2r of them
+per block, cost more than the gather.
 """
 from __future__ import annotations
 
@@ -58,6 +69,9 @@ DEFAULT_STEP_DIVISOR = 8192
 _STEP_CHUNK = 256
 _BLOCK_CELLS = 16 * _STEP_CHUNK   # rows x steps built at once; 16 or more rows get one chunk per block
 _ROW_BLOCK = 64               # batch rows propagated at once
+# steps per sample interval at which cubic stages are read by phase; from 8
+# on the gather of _stage_values is faster
+_PHASE_STEPS = (1, 2, 4)
 
 
 @dataclass(frozen=True)
@@ -114,6 +128,14 @@ def _control_rows(scheds: list[PulseSchedule]) -> np.ndarray:
     return v
 
 
+def _lagrange_weights(x0: np.ndarray) -> np.ndarray:
+    """Weights (4, ...) of the Lagrange cubic through nodes 0, 1, 2, 3 at
+    the positions x0."""
+    x1, x2, x3 = x0 - 1.0, x0 - 2.0, x0 - 3.0
+    return np.stack((x1 * x2 * x3 / -6.0, x0 * x2 * x3 / 2.0,
+                     x0 * x1 * x3 / -2.0, x0 * x1 * x2 / 6.0))
+
+
 def _stage_values(v: np.ndarray, sched: PulseSchedule, h: float,
                   half_steps: np.ndarray) -> np.ndarray:
     """The complex sample rows `v` (b, N + 1) read at the RK4 stage times
@@ -137,14 +159,66 @@ def _stage_values(v: np.ndarray, sched: PulseSchedule, h: float,
         frac = pos - idx
         return v[:, idx] * (1.0 - frac) + v[:, idx + 1] * frac
     j = np.clip(idx - 1, 0, last - 2)
-    x0 = pos - j
-    x1, x2, x3 = x0 - 1.0, x0 - 2.0, x0 - 3.0
-    w = np.stack((x1 * x2 * x3 / -6.0, x0 * x2 * x3 / 2.0,
-                  x0 * x1 * x3 / -2.0, x0 * x1 * x2 / 6.0))
+    w = _lagrange_weights(pos - j)
     stencil = j + np.arange(4)[:, None]
     # one real contraction over interleaved (real, imaginary) parts
     return np.einsum("bkl,kl->bl", np.take(v, stencil, axis=1).view(float),
                      np.repeat(w, 2, axis=1)).view(complex)
+
+
+def _phase_table(sched: PulseSchedule, h: float, n: int) -> list | None:
+    """The stage weights of a cubic schedule stepped r times per sample
+    interval, r in _PHASE_STEPS, with h / spacing exactly 1 / r: every stage
+    then sits at a position x0 = q / 2r of its stencil, q = 0..6r, and row q
+    of the (6r + 1, 4) table holds the weights _stage_values computes there.
+    None for every other schedule and step."""
+    r, rest = divmod(n, sched.n_intervals)
+    if (sched.interpolation != INTERP_CUBIC or rest or r not in _PHASE_STEPS
+            or 0.5 * h / sched.spacing != 0.5 / r):
+        return None
+    return _lagrange_weights(np.arange(6 * r + 1) / (2 * r)).T.tolist()
+
+
+def _phase_stages(v: np.ndarray, table: list, done: int, kc: int) -> np.ndarray:
+    """The cubic stage values of steps done..done + kc - 1, both whole
+    multiples of r, read by phase with the weights of _phase_table: the
+    (b, 2 kc + 1) step ends then midpoints of _stage_values, bit for bit.
+
+    Half-step phase p of interval i reads samples j..j + 3,
+    j = clip(i - 1, 0, N - 3), with table row 2r (i - j) + p; the end point
+    T is phase 2r of interval N - 1.  One phase of a run of intervals with
+    the same i - j (the first interval, the inner ones, the last) is one sum
+    over contiguous slices of the control rows."""
+    two_r = (len(table) - 1) // 3
+    r = two_r // 2
+    b, last = v.shape[0], v.shape[1] - 2
+    m, i0 = kc // r, done // r
+    x = np.empty((b, 2 * kc + 1), dtype=complex)
+    ends, mids = x[:, :kc].reshape(b, m, r), x[:, kc + 1:].reshape(b, m, r)
+    vf = v.view(float)
+    cuts = sorted({i0, i0 + m} | {i for i in (1, last) if i0 < i < i0 + m})
+    for lo, hi in zip(cuts, cuts[1:]):
+        j = min(max(lo - 1, 0), last - 2)
+        for p in range(two_r):
+            _taps(vf, j, table[two_r * (lo - j) + p],
+                  (mids if p % 2 else ends)[:, lo - i0:hi - i0, p // 2])
+    i = min(i0 + m, last)
+    j = min(max(i - 1, 0), last - 2)
+    _taps(vf, j, table[two_r * (i0 + m - j)], x[:, kc:kc + 1])
+    return x
+
+
+def _taps(vf: np.ndarray, j: int, w: list, out: np.ndarray) -> None:
+    """out (b, m), complex = sum over k of w[k] times the m complex samples
+    from j + k of the float rows vf: real sums, taps in order and from +0,
+    as einsum sums them.  A tap of zero weight only adds a zero (the
+    controls are finite), so it is left out."""
+    m = out.shape[1]
+    taps = [(vf[:, 2 * (j + k):2 * (j + k + m)], wk) for k, wk in enumerate(w) if wk]
+    acc = np.multiply(*taps[0])
+    for tap, wk in taps[1:]:
+        acc += tap * wk
+    np.add(acc.view(complex), 0.0, out=out)
 
 
 def _rk4_steps(v0, vm, v1, dr, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -181,26 +255,36 @@ def _rk4_steps(v0, vm, v1, dr, h: float) -> tuple[np.ndarray, np.ndarray]:
     if detuned:
         ma = f * (v1 * c0 + dd) - h * (vm * c0 + vm.conj() * v1 + (2.0 * dd + nm))
         ma.imag += (6.0 - 2.0 * g) * dr
+        mb = (1.0 - g) * (v0 + v1) + 4.0 * vm
+        mb += ((h - f) * dr) * (-1j * (v1 - v0))
     else:
-        ma = f * (v1 * c0) - h * (vm * c0 + vm.conj() * v1 + nm)
+        # the operations above less their dr terms, in place
+        ma = v1 * c0
+        ma *= f
+        t = vm * c0
+        t += vm.conj() * v1
+        t += nm
+        t *= h
+        ma -= t
+        mb = v0 + v1
+        np.subtract(1.0, g, out=g)
+        mb *= g
+        mb += 4.0 * vm
     ma *= h / 6.0
     ma.real += 1.0
-    mb = (1.0 - g) * (v0 + v1) + 4.0 * vm
-    if detuned:
-        mb += ((h - f) * dr) * (-1j * (v1 - v0))
     mb *= h / 6.0
     return ma, mb
 
 
-def _norm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Norms of pairs, summed as w^2 + x^2 + y^2 + z^2 (np.linalg.norm's
-    order on the rows) at a fraction of its cost."""
-    return np.sqrt(a.real ** 2 + b.real ** 2 + b.imag ** 2 + a.imag ** 2)
+def _norm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared norms of pairs, summed as w^2 + x^2 + y^2 + z^2
+    (np.linalg.norm's order on the rows) at a fraction of its cost."""
+    return a.real ** 2 + b.real ** 2 + b.imag ** 2 + a.imag ** 2
 
 
 def _normalize(a: np.ndarray, b: np.ndarray) -> None:
     """Divide contiguous pairs by their norms in place, part by part."""
-    n = _norm(a, b)[..., None]
+    n = np.sqrt(_norm2(a, b))[..., None]
     for p in (a, b):
         p.view(float).reshape(p.shape + (2,))[...] /= n
 
@@ -228,18 +312,18 @@ def _tree_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return a, b
 
 
-def _propagate_rows(v: np.ndarray, sched: PulseSchedule, delta_r, h: float,
-                    n: int, start: np.ndarray, record: bool):
+def _propagate_rows(scheds: list[PulseSchedule], delta_r, h: float, n: int,
+                    start: np.ndarray, record: bool):
     """Propagate b systems from the one start row (w, x, y, z) in lockstep
-    on the grid and interpolation of `sched`, for the complex control rows
-    `v` (b or 1, N + 1) and the detunings `delta_r` (one, or one per row);
-    returns (finals (b, 4), drifts (b,), states), states only if `record`
-    (of row 0), which also picks each chunk's product: prefix if
-    recording, else tree.  Rows are taken _ROW_BLOCK at a time, so the
-    working set does not grow with b."""
+    on the grid and interpolation of scheds[0], for the schedules `scheds`
+    (b, or one for all rows) and the detunings `delta_r` (one, or one per
+    row); returns (finals (b, 4), drifts (b,), states), states only if
+    `record` (of row 0), which also picks each chunk's product: prefix if
+    recording, else tree.  Rows, their control rows included, are taken
+    _ROW_BLOCK at a time, so the working set does not grow with b."""
     dr = np.asarray(delta_r, dtype=float).reshape(-1, 1)
-    b = max(v.shape[0], dr.shape[0])
-    if {v.shape[0], dr.shape[0]} - {1, b}:
+    b = max(len(scheds), dr.shape[0])
+    if {len(scheds), dr.shape[0]} - {1, b}:
         raise InvalidPropagationInput(
             "delta_r needs one value or one per control row")
     if not np.all(np.isfinite(dr)):
@@ -248,6 +332,7 @@ def _propagate_rows(v: np.ndarray, sched: PulseSchedule, delta_r, h: float,
     if record:
         states[0] = start
     pair = quat.row_pair(start)
+    table = _phase_table(scheds[0], h, n)
     finals, drifts = np.empty((b, 4)), np.empty(b)
     # controls past ~1e154 overflow |v|^2, and steps past ~1e102 overflow
     # h^3; either shows as a non-finite multiplier norm, so a drift or a
@@ -256,8 +341,9 @@ def _propagate_rows(v: np.ndarray, sched: PulseSchedule, delta_r, h: float,
         for lo in range(0, b, _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
             qa, qb, drifts[rows] = _propagate_block(
-                v[rows] if v.shape[0] > 1 else v, dr[rows] if dr.shape[0] > 1 else dr,
-                sched, h, n, pair, states)
+                _control_rows(scheds[rows] if len(scheds) > 1 else scheds),
+                dr[rows] if dr.shape[0] > 1 else dr, scheds[0], table, h, n, pair,
+                states)
             finals[rows] = quat.pair_rows(qa, qb)
     if not (np.isfinite(drifts).all() and np.isfinite(finals).all()
             and (states is None or np.isfinite(states).all())):
@@ -266,11 +352,12 @@ def _propagate_rows(v: np.ndarray, sched: PulseSchedule, delta_r, h: float,
     return finals, drifts, states
 
 
-def _propagate_block(v, dr, sched: PulseSchedule, h: float, n: int, start,
-                     states):
+def _propagate_block(v, dr, sched: PulseSchedule, table: list | None, h: float,
+                     n: int, start, states):
     """One block of at most _ROW_BLOCK rows from the start pair; returns the
     final pairs and the drifts, and fills `states` with row 0's states
-    unless it is None.
+    unless it is None.  Cubic stages are read by phase with `table`, the
+    _phase_table of the propagation, unless it is None.
 
     Each step block builds the step multipliers of k whole chunks (the
     most with b k _STEP_CHUNK <= _BLOCK_CELLS, at least one; a final
@@ -296,10 +383,17 @@ def _propagate_block(v, dr, sched: PulseSchedule, h: float, n: int, start,
         else:
             # step ends, then midpoints: unit-stride rows for _rk4_steps
             kc = k * c
-            ends = 2 * (done + np.arange(kc + 1))
-            x = _stage_values(v, sched, h, np.concatenate([ends, ends[:-1] + 1]))
+            if table is not None:
+                x = _phase_stages(v, table, done, kc)
+            else:
+                ends = 2 * (done + np.arange(kc + 1))
+                x = _stage_values(v, sched, h, np.concatenate([ends, ends[:-1] + 1]))
             ma, mb = _rk4_steps(x[:, :kc], x[:, kc + 1:], x[:, 1:kc + 1], dr, h)
-        np.maximum(drift, np.max(np.abs(_norm(ma, mb) - 1.0), axis=1), out=drift)
+        # sqrt is monotone and |x - 1| falls, then rises, so a row's largest
+        # ||m| - 1| is at its largest or smallest squared norm
+        sq = _norm2(ma, mb)
+        ext = np.sqrt(np.stack((sq.max(axis=1), sq.min(axis=1))))
+        np.maximum(drift, np.abs(ext - 1.0).max(axis=0), out=drift)
         ma, mb = ma.reshape(b * k, c), mb.reshape(b * k, c)
         pa, pb = _prefix_product(ma, mb) if record else _tree_product(ma, mb)
         pa, pb = pa.reshape(b, k, -1), pb.reshape(b, k, -1)
@@ -319,7 +413,7 @@ def propagate(sched: PulseSchedule, delta_r: float = 0.0,
     """Integrate one schedule from `start` (default: the identity)."""
     n, h = _resolve_steps(sched, h)
     finals, drift, states = _propagate_rows(
-        _control_rows([sched]), sched, delta_r, h, n, start.as_array(), record=True)
+        [sched], delta_r, h, n, start.as_array(), record=True)
     t = np.arange(n + 1) * h
     return PropagationResult(quat.as_unit(finals[0]), t, states, float(drift[0]))
 
@@ -341,8 +435,8 @@ def propagate_final_batch(scheds: list[PulseSchedule], delta_r=0.0,
             raise InvalidPropagationInput(
                 "batch schedules must share grid and interpolation")
     n, h = _resolve_steps(first, h)
-    finals, drifts, _ = _propagate_rows(_control_rows(scheds), first, delta_r, h, n,
-                                        quat.ONE.as_array(), record=False)
+    finals, drifts, _ = _propagate_rows(scheds, delta_r, h, n, quat.ONE.as_array(),
+                                        record=False)
     return finals, drifts
 
 

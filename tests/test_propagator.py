@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -12,6 +13,8 @@ from flatgate.propagator import (
     _ROW_BLOCK,
     DEFAULT_STEP_DIVISOR,
     _control_rows,
+    _phase_stages,
+    _phase_table,
     _prefix_product,
     _rk4_steps,
     _stage_values,
@@ -203,6 +206,58 @@ def test_single_schedule_blocks_match_the_chunked_kernel_bit_for_bit(interpolati
         finals, drifts = propagate_final_batch([sched], delta_r=dr, h=1.0 / n)
         ref_f, ref_d, _ = chunked_rows(v, sched, dr, 1.0 / n, n, one, record=False)
         assert np.array_equal(finals, ref_f) and np.array_equal(drifts, ref_d)
+
+
+@pytest.mark.parametrize("steps_per_interval", [1, 2, 4, 3, 2.5])
+@pytest.mark.parametrize("n_intervals", [3, 5, 300])
+def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_interval):
+    # 1, 2 and 4 steps per sample interval read the stages by phase, the
+    # others gather them; small N puts the first and last intervals and the
+    # end point in every block.  tobytes, as array_equal takes -0 for +0.
+    rng = np.random.default_rng(56)
+    big_t, big_n = 1.3, n_intervals
+    scheds = [PulseSchedule(big_t, *rng.standard_normal((2, big_n + 1)), target=ONE,
+                            interpolation=INTERP_CUBIC) for _ in range(149)]
+    # u2 = -0 makes zero stage values of both signs, which must match too
+    scheds.append(PulseSchedule(big_t, rng.standard_normal(big_n + 1),
+                                np.full(big_n + 1, -0.0), target=ONE,
+                                interpolation=INTERP_CUBIC))
+    n = round(steps_per_interval * big_n)
+    h = big_t / n
+    table = _phase_table(scheds[0], h, n)
+    assert (table is not None) == (steps_per_interval in (1, 2, 4))
+    v, one = _control_rows(scheds), ONE.as_array()
+    if table is not None:
+        ends = 2 * np.arange(n + 1)
+        gathered = _stage_values(v, scheds[0], h, np.concatenate([ends, ends[:-1] + 1]))
+        assert _phase_stages(v, table, 0, n).tobytes() == gathered.tobytes()
+    drs = rng.uniform(-1.0, 1.0, 150)
+    for rows in (slice(86, None), slice(None)):          # 64 and 150 rows
+        for dr in (0.0, drs[rows]):
+            finals, drifts = propagate_final_batch(scheds[rows], delta_r=dr, h=h)
+            ref_f, ref_d, _ = chunked_rows(v[rows], scheds[0], dr, h, n, one, record=False)
+            assert finals.tobytes() == ref_f.tobytes() and drifts.tobytes() == ref_d.tobytes()
+    for i, dr in ((0, 0.0), (0, 0.3), (149, 0.0)):
+        res = propagate(scheds[i], delta_r=dr, h=h)
+        ref_f, ref_d, ref_s = chunked_rows(v[i:i + 1], scheds[i], dr, h, n, one, record=True)
+        assert res.states.tobytes() == ref_s.tobytes()
+        assert res.final == quat.as_unit(ref_f[0])
+        assert np.float64(res.max_norm_drift).tobytes() == ref_d.tobytes()
+
+
+def test_batch_memory_does_not_grow_with_the_batch():
+    # control rows too are built one row block at a time
+    rng = np.random.default_rng(57)
+    eight = [synthesize(quat.as_unit(quat.random_unit(rng)), 1.0, 4096, 1) for _ in range(8)]
+    peaks = []
+    for b in (64, 512):
+        tracemalloc.start()
+        try:
+            propagate_final_batch(eight * (b // 8))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_single_schedule_final_equals_its_row_of_a_64_row_batch():
