@@ -51,7 +51,9 @@ from one table per propagation, whose one-sided rows serve the end
 intervals and the end point.  The sums are the gather's own, bit for bit.
 Any other step gathers a 4-sample stencil per stage with weights computed
 per stage, as do linear reads; from r = 8 the per-phase sums, 2r of them
-per block, cost more than the gather.
+per block, cost more than the gather, except on a single row, where the
+gather's fixed cost per stage dominates: one row is read by phase at r = 8
+and 16 too.
 """
 from __future__ import annotations
 
@@ -70,8 +72,9 @@ _STEP_CHUNK = 256
 _BLOCK_CELLS = 16 * _STEP_CHUNK   # rows x steps built at once; 16 or more rows get one chunk per block
 _ROW_BLOCK = 64               # batch rows propagated at once
 # steps per sample interval at which cubic stages are read by phase; from 8
-# on the gather of _stage_values is faster
+# on the gather of _stage_values is faster, but for a single row
 _PHASE_STEPS = (1, 2, 4)
+_PHASE_STEPS_ONE_ROW = (1, 2, 4, 8, 16)
 
 
 @dataclass(frozen=True)
@@ -166,14 +169,16 @@ def _stage_values(v: np.ndarray, sched: PulseSchedule, h: float,
                      np.repeat(w, 2, axis=1)).view(complex)
 
 
-def _phase_table(sched: PulseSchedule, h: float, n: int) -> list | None:
+def _phase_table(sched: PulseSchedule, h: float, n: int, rows: int) -> list | None:
     """The stage weights of a cubic schedule stepped r times per sample
-    interval, r in _PHASE_STEPS, with h / spacing exactly 1 / r: every stage
-    then sits at a position x0 = q / 2r of its stencil, q = 0..6r, and row q
-    of the (6r + 1, 4) table holds the weights _stage_values computes there.
-    None for every other schedule and step."""
+    interval, r in _PHASE_STEPS (_PHASE_STEPS_ONE_ROW if `rows` is 1), with
+    h / spacing exactly 1 / r: every stage then sits at a position
+    x0 = q / 2r of its stencil, q = 0..6r, and row q of the (6r + 1, 4)
+    table holds the weights _stage_values computes there.  None for every
+    other schedule and step."""
     r, rest = divmod(n, sched.n_intervals)
-    if (sched.interpolation != INTERP_CUBIC or rest or r not in _PHASE_STEPS
+    if (sched.interpolation != INTERP_CUBIC or rest
+            or r not in (_PHASE_STEPS_ONE_ROW if rows == 1 else _PHASE_STEPS)
             or 0.5 * h / sched.spacing != 0.5 / r):
         return None
     return _lagrange_weights(np.arange(6 * r + 1) / (2 * r)).T.tolist()
@@ -332,7 +337,7 @@ def _propagate_rows(scheds: list[PulseSchedule], delta_r, h: float, n: int,
     if record:
         states[0] = start
     pair = quat.row_pair(start)
-    table = _phase_table(scheds[0], h, n)
+    table = _phase_table(scheds[0], h, n, b)
     finals, drifts = np.empty((b, 4)), np.empty(b)
     # controls past ~1e154 overflow |v|^2, and steps past ~1e102 overflow
     # h^3; either shows as a non-finite multiplier norm, so a drift or a

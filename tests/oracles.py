@@ -19,6 +19,9 @@ row_kernel is the propagation kernel as it was on real (w, x, y, z) rows,
 before steps and states became complex pairs: its own Hamilton product,
 two real stage reads and the real closed-form step.  Public outputs must
 match it to rounding.
+
+per_value_csv is the CSV text of one format(v, ".17g") call per value,
+which the CLI's block writer must match byte for byte.
 """
 import math
 
@@ -216,3 +219,9 @@ def row_kernel(u1, u2, sched, delta_r, h, n, start, record):
         q = qs[:, -1]
         done += c
     return q, drift, states
+
+
+def per_value_csv(header, columns):
+    """The CSV lines, as bytes, of one format(v, ".17g") call per value."""
+    rows = (",".join(format(float(v), ".17g") for v in r) for r in zip(*columns))
+    return [f"{line}\n".encode() for line in (header, *rows)]

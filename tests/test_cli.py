@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from oracles import per_value_csv
 
 from flatgate import quat
 from flatgate.cli import (_CSV_BLOCK_ROWS, MAX_SWEEP_STEPS, NAMED_GATES, build_parser,
@@ -73,25 +74,53 @@ def test_schedule_round_trip_preserves_propagation(tmp_path, capsys):
         assert np.array_equal(fa, fb)
 
 
-def per_value_csv(header, columns):
-    """The CSV lines, as bytes, of one format(v, ".17g") call per value."""
-    rows = (",".join(format(float(v), ".17g") for v in r) for r in zip(*columns))
-    return [f"{line}\n".encode() for line in (header, *rows)]
-
-
-def test_bulk_writer_matches_per_value_formatting(tmp_path):
+def test_bulk_writer_matches_per_value_formatting(tmp_path, capsys):
     path = tmp_path / "traj.csv"
     # three write blocks, the last partial
     res = propagate(synthesize(E3, 2.0, 64, 1), h=2.0 / (2 * _CSV_BLOCK_ROWS + 5))
     write_trajectory(res, str(path))
     lines = path.read_bytes().splitlines(keepends=True)
     assert lines == per_value_csv("t,q0,q1,q2,q3", (res.t, *res.states.T))
+    # the README session's trajectories: 8192 steps, one row past whole
+    # blocks; X has components down to 1e-47, Y and minus-one zero columns
+    smallest, zero_columns = {}, {}
+    for gate in sorted(NAMED_GATES):
+        assert run(["plan", "--gate", gate, "--T", "2", "--k", "1",
+                    "--out", str(tmp_path / "fig1.csv")], capsys)[0] == 0
+        res = propagate(read_schedule(str(tmp_path / "fig1.csv")), h=0.000244140625)
+        assert len(res.t) % _CSV_BLOCK_ROWS == 1
+        write_trajectory(res, str(path))
+        lines = path.read_bytes().splitlines(keepends=True)
+        assert lines == per_value_csv("t,q0,q1,q2,q3", (res.t, *res.states.T))
+        smallest[gate] = np.min(np.abs(res.states[res.states != 0]))
+        zero_columns[gate] = int(np.sum(np.all(res.states == 0, axis=0)))
+    assert smallest["X"] < 1e-46
+    assert zero_columns["Y"] == zero_columns["minus-one"] == 2
     edge = np.array([-0.0, 5e-324, 1e-300, 1e16, 1.0 / 3.0, -2.5e-310, 0.1, -1e300])
     cols = [np.roll(edge, i) for i in range(5)]
     write_trajectory(PropagationResult(ONE, cols[0], np.stack(cols[1:], axis=1), 0.0),
                      str(path))
     lines = path.read_bytes().splitlines(keepends=True)
     assert lines == per_value_csv("t,q0,q1,q2,q3", cols)
+
+
+def test_writer_peak_is_a_few_blocks_whatever_the_rows(tmp_path):
+    # rows are formatted _CSV_BLOCK_ROWS at a time: the peak is a fixed
+    # multiple of one block's values, the same at four times the rows
+    rng = np.random.default_rng(5)
+    peaks = []
+    for rows in (8193, 32769):
+        states = rng.standard_normal((rows, 4)) * 10.0 ** rng.integers(-40, 3, (rows, 4))
+        res = PropagationResult(ONE, np.linspace(0.0, 2.0, rows), states, 0.0)
+        tracemalloc.start()
+        try:
+            write_trajectory(res, str(tmp_path / "traj.csv"))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    block = 8 * 5 * _CSV_BLOCK_ROWS
+    assert peaks[0] <= 48 * block
+    assert peaks[1] <= peaks[0] + block
 
 
 def test_simulate_reports_fidelity(tmp_path, capsys):

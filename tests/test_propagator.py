@@ -208,12 +208,13 @@ def test_single_schedule_blocks_match_the_chunked_kernel_bit_for_bit(interpolati
         assert np.array_equal(finals, ref_f) and np.array_equal(drifts, ref_d)
 
 
-@pytest.mark.parametrize("steps_per_interval", [1, 2, 4, 3, 2.5])
+@pytest.mark.parametrize("steps_per_interval", [1, 2, 4, 3, 2.5, 8, 16])
 @pytest.mark.parametrize("n_intervals", [3, 5, 300])
 def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_interval):
-    # 1, 2 and 4 steps per sample interval read the stages by phase, the
-    # others gather them; small N puts the first and last intervals and the
-    # end point in every block.  tobytes, as array_equal takes -0 for +0.
+    # 1, 2 and 4 steps per sample interval read the stages by phase, 8 and
+    # 16 only on a single row, the others gather them; small N puts the
+    # first and last intervals and the end point in every block.  tobytes,
+    # as array_equal takes -0 for +0.
     rng = np.random.default_rng(56)
     big_t, big_n = 1.3, n_intervals
     scheds = [PulseSchedule(big_t, *rng.standard_normal((2, big_n + 1)), target=ONE,
@@ -224,8 +225,9 @@ def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_inte
                                 interpolation=INTERP_CUBIC))
     n = round(steps_per_interval * big_n)
     h = big_t / n
-    table = _phase_table(scheds[0], h, n)
-    assert (table is not None) == (steps_per_interval in (1, 2, 4))
+    assert (_phase_table(scheds[0], h, n, 2) is not None) == (steps_per_interval in (1, 2, 4))
+    table = _phase_table(scheds[0], h, n, 1)
+    assert (table is not None) == (steps_per_interval in (1, 2, 4, 8, 16))
     v, one = _control_rows(scheds), ONE.as_array()
     if table is not None:
         ends = 2 * np.arange(n + 1)

@@ -1,7 +1,11 @@
-"""Property tests of the planner over the whole target sphere."""
+"""Property tests of the planner over the whole target sphere, and of the
+CLI's CSV writer over every float64."""
 import contextlib
+import decimal
 import io
 import json
+import math
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -9,6 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from oracles import per_value_csv
 
 from flatgate import cli
 from flatgate.errors import IdentityTarget
@@ -35,6 +41,17 @@ sidecar_values = st.one_of(
     st.lists(st.one_of(st.integers(2 ** 1024, 10 ** 400), st.floats()), min_size=4, max_size=4),
     st.recursive(sidecar_scalars, lambda inner: st.lists(inner, max_size=4)
                  | st.dictionaries(st.text(max_size=4), inner, max_size=3), max_leaves=6))
+
+
+# every float64 bit pattern, NaN payloads and both zeros included, besides
+# st.floats()'s own mix of specials, subnormals and round numbers, and
+# m / 2**j for small j, whose exact decimal often has 18 significant digits:
+# a tie for the 17-digit text
+float_bits = st.integers(0, 2 ** 64 - 1).map(
+    lambda b: struct.unpack("<d", b.to_bytes(8, "little"))[0])
+csv_values = st.one_of(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                       float_bits, st.builds(math.ldexp, st.integers(1, 2 ** 53 - 1),
+                                             st.integers(-8, -1)))
 
 
 def planned(q):
@@ -123,3 +140,53 @@ def test_any_sidecar_value_exits_with_a_code(tmp_path, key):
                 assert cli.main(["simulate", str(path)]) in (0, 1, 2)
 
     simulate_edited()
+
+
+def written_csv(block):
+    """The bytes cli._write_csv writes for the columns of `block`, and the
+    per-value oracle's."""
+    header = ",".join(f"c{j}" for j in range(block.shape[1]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.csv"
+        cli._write_csv(path, header, list(block.T))
+        return path.read_bytes(), b"".join(per_value_csv(header, block.T))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_csv_writer_writes_format_17g_byte_for_byte(data):
+    shape = data.draw(st.tuples(st.integers(1, 16), st.integers(1, 6)))
+    block = data.draw(arrays(np.float64, shape, elements=csv_values))
+    got, want = written_csv(block)
+    assert got == want
+
+
+def dyadic_ties():
+    """Doubles m / 2**j, m odd, whose exact decimal has 18 significant digits,
+    the last a 5: their 17-digit text rounds a tie, half to even."""
+    return [sign * v for bits in range(20, 54) for m in range(2 ** bits - 1, 2 ** bits - 20, -2)
+            for j in range(1, 60) for v in [math.ldexp(m, -j)]
+            if len(decimal.Decimal(v).as_tuple().digits) == 18 for sign in (1, -1)]
+
+
+def csv_edge_values():
+    around = lambda v: [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+              1.7976931348623157e308, -1.7976931348623157e308, 99999999999999999.0,
+              math.inf, -math.inf, math.nan]
+    for k in range(-323, 309):                  # the double nearest 10**k
+        values += around(float(f"1e{k}"))
+    for v in (1e16, 1e17, 1e-4, 1e-5, 9999999999999998.0, 0.1, 0.099999999999999992, 1e-7):
+        values += around(v) + [-x for x in around(v)]
+    return np.array(values + dyadic_ties())
+
+
+@pytest.mark.parametrize("cols", [1, 2, 3, 5])
+def test_csv_writer_edge_values(cols):
+    values = csv_edge_values()
+    ties = dyadic_ties()
+    # both ways of rounding a tie occur: the 17th digit even and odd
+    assert len({int(decimal.Decimal(t).as_tuple().digits[16]) % 2 for t in ties}) == 2
+    block = values[:len(values) - len(values) % cols].reshape(-1, cols)
+    got, want = written_csv(block)
+    assert got == want
