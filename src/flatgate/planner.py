@@ -22,7 +22,11 @@ Pipeline, all in closed form:
                          clock (s, ds/dt) depends only on (T, n, k): the
                          last CLOCK_CACHE_SIZE clocks of at most
                          CLOCK_CACHE_MAX_N intervals are kept as read-only
-                         arrays and shared by every target.
+                         arrays and shared by every target.  Plan.controls
+                         evaluates both cubics and their derivatives
+                         itself, making the factors s * 3 and s * 6 once
+                         for the pair, with every product in the order
+                         and association of one evaluation each.
 
 Step 4 in closed form.  The lift Y = cos(alpha) + sin(alpha)(cos(beta) e2
 + sin(beta) e3) has body rates w1 = beta' sin(alpha)^2 and
@@ -259,21 +263,33 @@ class Plan:
         the original target, and min |z| over s: u2 = |z| and u1 = w1 +
         theta'/2 = ((q alpha'' - alpha' q') / |z|^2 - beta' cos(2 alpha)) / 2.
         Raises SingularFlatCurve for min |z| <= SINGULAR_Z_TOL."""
-        # del frees each temporary after its last use (up to MAX_SAMPLES + 1 points)
-        c, s = self.cubics, np.asarray(s, dtype=float)
-        two_al = 2.0 * c.alpha(s)
+        # The cubics are evaluated as _poly_eval, _poly_d1 and _poly_d2 do,
+        # with the factors s * 3.0 and s * 6.0 made once for alpha and beta;
+        # del frees each array after its last use (up to MAX_SAMPLES + 1
+        # points), and alpha'' q is formed while s * 6.0 is alive, so that
+        # no more arrays are alive at once than with one evaluation each.
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = self.cubics.ca, self.cubics.cb
+        s = np.asarray(s, dtype=float)
+        s3 = s * 3.0
+        da = a1 + s * (2.0 * a2 + s3 * a3)      # alpha'
+        db = b1 + s * (2.0 * b2 + s3 * b3)      # beta'
+        del s3
+        two_al = 2.0 * (a0 + s * (a1 + s * (a2 + s * a3)))
         sn, cs = np.sin(two_al), np.cos(two_al)
         del two_al
-        da, db = c.dalpha(s), c.dbeta(s)
         q = 0.5 * db * sn                       # q = beta' sin(2 alpha) / 2
-        qd = c.ddbeta(s) * 0.5 * sn + da * db * cs      # q'
+        s6 = s * 6.0
+        qd = (2.0 * b2 + s6 * b3) * 0.5 * sn + da * db * cs     # q'
         del sn
+        ddaq = (2.0 * a2 + s6 * a3) * q         # alpha'' q
+        del s6
         mag2 = da * da + q * q                  # |z|^2
-        min_abs_z = math.sqrt(float(np.min(mag2)))
+        min_abs_z = math.sqrt(float(mag2.min()))
         if min_abs_z <= SINGULAR_Z_TOL:
             raise SingularFlatCurve(f"min |z| = {min_abs_z!r} at the sampled s")
-        a = 0.5 * ((c.ddalpha(s) * q - qd * da) / mag2 - cs * db)
-        del q, qd, da, db, cs
+        del q
+        a = 0.5 * ((ddaq - qd * da) / mag2 - cs * db)
+        del ddaq, qd, da, db, cs
         b = np.sqrt(mag2)
         del mag2
         ce, se = math.cos(self.dec.eta_bar), math.sin(self.dec.eta_bar)
@@ -381,17 +397,6 @@ def synthesize(qbar: UnitQuaternion, big_t: float, n: int = DEFAULT_SAMPLES,
     """Full pipeline: one smooth pulse steering 1 -> qbar over [0, T];
     see sample_plan for n and k."""
     return sample_plan(plan_controls(qbar), big_t, n, k)
-
-
-def unwarped_schedule(qbar: UnitQuaternion, n: int = DEFAULT_SAMPLES) -> PulseSchedule:
-    """The same plan sampled directly in virtual time on [0, 1] (no clock
-    warp, endpoint controls nonzero); useful to check reparameterization
-    invariance."""
-    plan = plan_controls(qbar)
-    s = _sample_grid(1.0, n)
-    u1, u2, min_abs_z = plan.controls(s)
-    return PulseSchedule(1.0, u1, u2, target=qbar, interpolation=INTERP_CUBIC,
-                         warp_order=None, eta_bar=plan.dec.eta_bar, min_abs_z=min_abs_z)
 
 
 def rotate_controls(sched: PulseSchedule, eta: float) -> PulseSchedule:

@@ -49,11 +49,15 @@ one of the 2r phases p / 2r of its sample interval, and each phase is read
 as one 4-tap sum over contiguous slices of the control rows, with weights
 from one table per propagation, whose one-sided rows serve the end
 intervals and the end point.  The sums are the gather's own, bit for bit.
-Any other step gathers a 4-sample stencil per stage with weights computed
-per stage, as do linear reads; from r = 8 the per-phase sums, 2r of them
-per block, cost more than the gather, except on a single row, where the
-gather's fixed cost per stage dominates: one row is read by phase at r = 8
-and 16 too.
+Any other step gathers a 4-sample stencil per stage, as do linear reads;
+from r = 8 the per-phase sums, 2r of them per block, cost more than the
+gather, except on a single row, where the gather's fixed cost per stage
+dominates: one row is read by phase at r = 8 and 16 too.  A batch at r = 8
+or 16 gathers, but its stages still sit at exact phases, so every block of
+steps over intervals 1..N - 3 reads the same weights on stencils shifted by
+its first interval: they are built once per propagation, from the first
+such block of each length, and dropped with it.  Every other block, step
+and linear read computes its stencils and weights per block.
 """
 from __future__ import annotations
 
@@ -145,43 +149,84 @@ def _stage_values(v: np.ndarray, sched: PulseSchedule, h: float,
     i h/2, i in `half_steps`, clamped to T, on the interpolant `sched`
     declares, as (b, len(half_steps)); all rows are gathered from one index
     computation.  Linear reads the line through samples i, i + 1 of the
-    interval containing a stage; cubic the Lagrange cubic through samples
-    j..j + 3, j = clip(i - 1, 0, N - 3), whose weights at integer and
-    half-integer positions are exact.  The weights are real and act on the
-    real and imaginary parts alike."""
-    cubic = sched.interpolation == INTERP_CUBIC
-    if cubic:
-        # h / spacing is exactly 1 at the default step, so stage endpoints
-        # land on samples and midpoints halfway between
-        pos = np.minimum(half_steps * (0.5 * h / sched.spacing), sched.n_intervals)
-    else:
-        pos = np.minimum(half_steps * (0.5 * h), sched.duration) / sched.spacing
+    interval containing a stage; cubic the Lagrange cubic of _cubic_stencils.
+    The weights are real and act on the real and imaginary parts alike."""
+    if sched.interpolation == INTERP_CUBIC:
+        return _gather(v, *_cubic_stencils(sched, h, half_steps))
+    pos = np.minimum(half_steps * (0.5 * h), sched.duration) / sched.spacing
+    idx = np.clip(np.floor(pos).astype(int), 0, sched.n_intervals - 1)
+    frac = pos - idx
+    return v[:, idx] * (1.0 - frac) + v[:, idx + 1] * frac
+
+
+def _cubic_stencils(sched: PulseSchedule, h: float,
+                    half_steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cubic reads at the stage times i h/2 of _stage_values: the (4, L)
+    samples j..j + 3 of each, j = clip(i - 1, 0, N - 3) for the interval i
+    containing it, and the (4, 2L) Lagrange weights there, each twice, for
+    the real and the imaginary part; the weights at integer and
+    half-integer positions are exact."""
+    # h / spacing is exactly 1 at the default step, so stage endpoints
+    # land on samples and midpoints halfway between
+    pos = np.minimum(half_steps * (0.5 * h / sched.spacing), sched.n_intervals)
     last = sched.n_intervals - 1
-    idx = np.clip(np.floor(pos).astype(int), 0, last)
-    if not cubic:
-        frac = pos - idx
-        return v[:, idx] * (1.0 - frac) + v[:, idx + 1] * frac
-    j = np.clip(idx - 1, 0, last - 2)
-    w = _lagrange_weights(pos - j)
-    stencil = j + np.arange(4)[:, None]
-    # one real contraction over interleaved (real, imaginary) parts
-    return np.einsum("bkl,kl->bl", np.take(v, stencil, axis=1).view(float),
-                     np.repeat(w, 2, axis=1)).view(complex)
+    j = np.clip(np.clip(np.floor(pos).astype(int), 0, last) - 1, 0, last - 2)
+    return j + np.arange(4)[:, None], np.repeat(_lagrange_weights(pos - j), 2, axis=1)
+
+
+def _gather(v: np.ndarray, stencils: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """The sums over k of v[:, stencils[k]] times the weights w2[k] of
+    _cubic_stencils: one real contraction over interleaved parts."""
+    return np.einsum("bkl,kl->bl", np.take(v, stencils, axis=1).view(float),
+                     w2).view(complex)
+
+
+def _exact_steps(sched: PulseSchedule, h: float, n: int) -> int:
+    """r if a cubic schedule is stepped r times per sample interval, r in
+    _PHASE_STEPS_ONE_ROW, with h / spacing exactly 1 / r, else 0: every
+    stage then sits at a position x0 = q / 2r of its stencil, q = 0..6r,
+    exactly."""
+    r, rest = divmod(n, sched.n_intervals)
+    if (sched.interpolation != INTERP_CUBIC or rest or r not in _PHASE_STEPS_ONE_ROW
+            or 0.5 * h / sched.spacing != 0.5 / r):
+        return 0
+    return r
 
 
 def _phase_table(sched: PulseSchedule, h: float, n: int, rows: int) -> list | None:
-    """The stage weights of a cubic schedule stepped r times per sample
-    interval, r in _PHASE_STEPS (_PHASE_STEPS_ONE_ROW if `rows` is 1), with
-    h / spacing exactly 1 / r: every stage then sits at a position
-    x0 = q / 2r of its stencil, q = 0..6r, and row q of the (6r + 1, 4)
-    table holds the weights _stage_values computes there.  None for every
+    """The stage weights of a cubic schedule stepped at _exact_steps r, with
+    r in _PHASE_STEPS unless `rows` is 1: row q of the (6r + 1, 4) table
+    holds the weights _stage_values computes at x0 = q / 2r.  None for every
     other schedule and step."""
-    r, rest = divmod(n, sched.n_intervals)
-    if (sched.interpolation != INTERP_CUBIC or rest
-            or r not in (_PHASE_STEPS_ONE_ROW if rows == 1 else _PHASE_STEPS)
-            or 0.5 * h / sched.spacing != 0.5 / r):
+    r = _exact_steps(sched, h, n)
+    if not r or (rows > 1 and r not in _PHASE_STEPS):
         return None
     return _lagrange_weights(np.arange(6 * r + 1) / (2 * r)).T.tolist()
+
+
+def _gathered_stages(v: np.ndarray, sched: PulseSchedule, h: float, r: int,
+                     repeats: dict, done: int, kc: int) -> np.ndarray:
+    """The (b, 2 kc + 1) step ends then midpoints of steps done..done + kc - 1
+    by gather, bit for bit those of _stage_values.
+
+    With r, the _exact_steps of the propagation (0 for none), a block of
+    whole intervals i0..i1 - 1 (i0 = done / r, i1 = (done + kc) / r) with
+    1 <= i0 and i1 <= N - 2 reads every stage on its centred stencil, at the
+    same positions within its intervals as any other such block of kc steps:
+    the same weights on stencils shifted by i0.  The first such block keeps
+    its stencils, less its i0, and its weights in repeats[kc], a dict the
+    propagation owns, and the others gather with them."""
+    i0 = done // r if r else 0
+    repeat = i0 >= 1 and (done + kc) // r <= sched.n_intervals - 2
+    if not (repeat and kc in repeats):
+        ends = 2 * (done + np.arange(kc + 1))
+        half_steps = np.concatenate([ends, ends[:-1] + 1])
+        if not repeat:
+            return _stage_values(v, sched, h, half_steps)
+        stencils, w2 = _cubic_stencils(sched, h, half_steps)
+        repeats[kc] = stencils - i0, w2
+    stencils, w2 = repeats[kc]
+    return _gather(v, stencils + i0, w2)
 
 
 def _phase_stages(v: np.ndarray, table: list, done: int, kc: int) -> np.ndarray:
@@ -338,6 +383,14 @@ def _propagate_rows(scheds: list[PulseSchedule], delta_r, h: float, n: int,
         states[0] = start
     pair = quat.row_pair(start)
     table = _phase_table(scheds[0], h, n, b)
+    # the repeated gather blocks live as long as this propagation, no longer
+    r, repeats = _exact_steps(scheds[0], h, n), {}
+
+    def read(v, done, kc):
+        if table is not None:
+            return _phase_stages(v, table, done, kc)
+        return _gathered_stages(v, scheds[0], h, r, repeats, done, kc)
+
     finals, drifts = np.empty((b, 4)), np.empty(b)
     # controls past ~1e154 overflow |v|^2, and steps past ~1e102 overflow
     # h^3; either shows as a non-finite multiplier norm, so a drift or a
@@ -347,7 +400,7 @@ def _propagate_rows(scheds: list[PulseSchedule], delta_r, h: float, n: int,
             rows = slice(lo, lo + _ROW_BLOCK)
             qa, qb, drifts[rows] = _propagate_block(
                 _control_rows(scheds[rows] if len(scheds) > 1 else scheds),
-                dr[rows] if dr.shape[0] > 1 else dr, scheds[0], table, h, n, pair,
+                dr[rows] if dr.shape[0] > 1 else dr, scheds[0], read, h, n, pair,
                 states)
             finals[rows] = quat.pair_rows(qa, qb)
     if not (np.isfinite(drifts).all() and np.isfinite(finals).all()
@@ -357,12 +410,13 @@ def _propagate_rows(scheds: list[PulseSchedule], delta_r, h: float, n: int,
     return finals, drifts, states
 
 
-def _propagate_block(v, dr, sched: PulseSchedule, table: list | None, h: float,
-                     n: int, start, states):
+def _propagate_block(v, dr, sched: PulseSchedule, read, h: float, n: int, start,
+                     states):
     """One block of at most _ROW_BLOCK rows from the start pair; returns the
     final pairs and the drifts, and fills `states` with row 0's states
-    unless it is None.  Cubic stages are read by phase with `table`, the
-    _phase_table of the propagation, unless it is None.
+    unless it is None.  Cubic and linear stages come from `read(v, done,
+    kc)`, the propagation's stage read: by phase with its _phase_table, else
+    by _gathered_stages.
 
     Each step block builds the step multipliers of k whole chunks (the
     most with b k _STEP_CHUNK <= _BLOCK_CELLS, at least one; a final
@@ -388,11 +442,7 @@ def _propagate_block(v, dr, sched: PulseSchedule, table: list | None, h: float,
         else:
             # step ends, then midpoints: unit-stride rows for _rk4_steps
             kc = k * c
-            if table is not None:
-                x = _phase_stages(v, table, done, kc)
-            else:
-                ends = 2 * (done + np.arange(kc + 1))
-                x = _stage_values(v, sched, h, np.concatenate([ends, ends[:-1] + 1]))
+            x = read(v, done, kc)
             ma, mb = _rk4_steps(x[:, :kc], x[:, kc + 1:], x[:, 1:kc + 1], dr, h)
         # sqrt is monotone and |x - 1| falls, then rises, so a row's largest
         # ||m| - 1| is at its largest or smallest squared norm

@@ -63,7 +63,7 @@ class PulseSchedule:
         u2 = np.array(self.u2, dtype=float)
         if u1.ndim != 1 or u1.shape != u2.shape or u1.shape[0] < 2:
             raise ValueError("u1, u2 must be 1-d arrays of equal length, at least two samples")
-        if not (np.all(np.isfinite(u1)) and np.all(np.isfinite(u2))):
+        if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
             raise ValueError("u1, u2 must be finite")
         if self.interpolation not in (INTERP_LINEAR, INTERP_PCONST, INTERP_CUBIC):
             raise ValueError(f"unknown interpolation {self.interpolation!r}")

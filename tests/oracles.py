@@ -8,6 +8,11 @@ closed form from alpha and beta' alone.  closed_form_phase is that closed
 phase on the whole Z_GRID s grid, as the planner once evaluated it for every
 target; the planner's scalar witnesses are pinned to it.
 
+sampled_controls and sampled_plan are Plan.controls and sample_plan's
+arithmetic as they were written with one CubicPair evaluation per factor
+(s * 3.0 and s * 6.0 made twice); synthesize must match them byte for
+byte.  unwarped_schedule samples a plan in virtual time, without the clock.
+
 chunked_rows is the pair kernel one 256-step chunk at a time, as it was
 before steps were built in blocks of whole chunks, reading the stages in
 time order, with np.linalg.norm on (w, x, y, z) rows for the drift audit
@@ -29,10 +34,11 @@ import numpy as np
 
 from flatgate import quat
 from flatgate.flat import lift_controls, unwrap_phase
+from flatgate.planner import DEFAULT_SAMPLES, plan_controls, smoothstep
 from flatgate.propagator import (
     _STEP_CHUNK, _prefix_product, _rk4_steps, _stage_values, _tree_product)
 from flatgate.quat import pair_rows, pmul, row_pair
-from flatgate.schedule import INTERP_CUBIC, INTERP_PCONST
+from flatgate.schedule import INTERP_CUBIC, INTERP_PCONST, PulseSchedule
 
 Z_GRID = 2048                    # the s grid of the phase oracles
 
@@ -79,6 +85,45 @@ def closed_form_phase(c):
     theta = np.arctan2(-q, da) - c.beta(s)
     theta -= theta[0]
     return theta, float(np.sqrt(np.min(da * da + q * q)))
+
+
+def sampled_controls(plan, s):
+    """(u1, u2, min |z|) of plan at the virtual times s, one cubic
+    evaluation per factor."""
+    c, s = plan.cubics, np.asarray(s, dtype=float)
+    two_al = 2.0 * c.alpha(s)
+    sn, cs = np.sin(two_al), np.cos(two_al)
+    da, db = c.dalpha(s), c.dbeta(s)
+    q = 0.5 * db * sn
+    qd = c.ddbeta(s) * 0.5 * sn + da * db * cs
+    mag2 = da * da + q * q
+    min_abs_z = math.sqrt(float(np.min(mag2)))
+    a = 0.5 * ((c.ddalpha(s) * q - qd * da) / mag2 - cs * db)
+    b = np.sqrt(mag2)
+    ce, se = math.cos(plan.dec.eta_bar), math.sin(plan.dec.eta_bar)
+    return a * ce + b * se, a * -se + b * ce, min_abs_z
+
+
+def sampled_plan(plan, big_t, n, k):
+    """(u1, u2, min |z|) of plan on n uniform intervals of [0, T] through
+    the order-k clock."""
+    s, sd = smoothstep(np.linspace(0.0, big_t, n + 1), big_t, k)
+    u1, u2, min_abs_z = sampled_controls(plan, s)
+    u1 *= sd
+    u2 *= sd
+    u1[0] = u1[-1] = 0.0
+    u2[0] = u2[-1] = 0.0
+    return u1, u2, min_abs_z
+
+
+def unwarped_schedule(qbar, n=DEFAULT_SAMPLES):
+    """The plan of qbar sampled directly in virtual time on [0, 1] (no clock
+    warp, endpoint controls nonzero), to check reparameterization
+    invariance."""
+    plan = plan_controls(qbar)
+    u1, u2, min_abs_z = plan.controls(np.linspace(0.0, 1.0, n + 1))
+    return PulseSchedule(1.0, u1, u2, target=qbar, interpolation=INTERP_CUBIC,
+                         warp_order=None, eta_bar=plan.dec.eta_bar, min_abs_z=min_abs_z)
 
 
 def chunked_rows(v, sched, delta_r, h, n, start, record):

@@ -31,12 +31,12 @@ from flatgate.planner import (
     smoothstep,
     start_offset,
     synthesize,
-    unwarped_schedule,
 )
 from flatgate.quat import E1, E2, E3, ONE, Quaternion, UnitQuaternion
 from flatgate.schedule import MIN_DURATION
 from flatgate.zyz import euler_decompose, zyz_schedule
-from oracles import closed_form_phase, oracle_controls, oracle_phase, rates_arrays
+from oracles import (closed_form_phase, oracle_controls, oracle_phase, rates_arrays,
+                     sampled_plan, unwarped_schedule)
 
 MINUS_ONE = UnitQuaternion(-1.0, 0.0, 0.0, 0.0)
 PI = math.pi
@@ -700,6 +700,24 @@ def test_sample_plan_cold_and_warm_clock_are_bit_identical():
         for got in (cold, warm):
             assert [a.tobytes() for a in (got.t, got.u1, got.u2)] \
                 == [a.tobytes() for a in (t, u1, u2)]
+
+
+@pytest.mark.parametrize("n", [64, 512, 1000, 4096, 2 ** 17])
+def test_synthesize_equals_the_one_evaluation_per_factor_oracle(n):
+    # Plan.controls makes s * 3.0 and s * 6.0 once for alpha and beta and
+    # keeps every product's factors and association, so not one bit moves;
+    # 2**17 intervals take the per-call clock, the others the cached one
+    rng = np.random.default_rng(38)
+    near_identity = UnitQuaternion(math.cos(1e-9), 0.0, 0.0, math.sin(1e-9))
+    haar = [rand_target(rng) for _ in range(3 if n > planner.CLOCK_CACHE_MAX_N else 12)]
+    for t in haar + [E1, E3, MINUS_ONE, near_identity]:
+        plan = plan_controls(t)
+        for k in range(1, MAX_WARP_ORDER + 1):
+            big_t = (1.0, 0.7)[k % 2]
+            got = synthesize(t, big_t, n, k)
+            want = sampled_plan(plan, big_t, n, k)
+            assert [got.u1.tobytes(), got.u2.tobytes(), np.float64(got.min_abs_z).tobytes()] \
+                == [want[0].tobytes(), want[1].tobytes(), np.float64(want[2]).tobytes()]
 
 
 def test_cached_clock_is_read_only_and_bounded():

@@ -7,12 +7,15 @@ import pytest
 
 from flatgate import quat
 from flatgate.errors import FlatGateError, InvalidPropagationInput, StepTooLarge
-from flatgate.planner import synthesize, unwarped_schedule
+from flatgate.planner import synthesize
 from flatgate.propagator import (
     _BLOCK_CELLS,
     _ROW_BLOCK,
     DEFAULT_STEP_DIVISOR,
+    _STEP_CHUNK,
     _control_rows,
+    _exact_steps,
+    _gathered_stages,
     _phase_stages,
     _phase_table,
     _prefix_product,
@@ -32,7 +35,7 @@ from flatgate.quat import (
 from flatgate.schedule import (
     INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST, MAX_SAMPLES, PulseSchedule)
 from flatgate.zyz import euler_decompose, zyz_schedule
-from oracles import chunked_rows, row_kernel
+from oracles import chunked_rows, row_kernel, unwarped_schedule
 
 PI = math.pi
 
@@ -245,6 +248,44 @@ def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_inte
         assert res.states.tobytes() == ref_s.tobytes()
         assert res.final == quat.as_unit(ref_f[0])
         assert np.float64(res.max_norm_drift).tobytes() == ref_d.tobytes()
+
+
+@pytest.mark.parametrize("steps_per_interval", [8, 16, 32, 3])
+@pytest.mark.parametrize("n_intervals", [49, 50, 65, 66, 300])
+def test_repeated_gather_blocks_match_the_chunked_kernel_byte_for_byte(
+        n_intervals, steps_per_interval):
+    # batches at 8 and 16 steps per interval gather each block of intervals
+    # 1..N - 3 with one set of stencils and weights, built once per
+    # propagation; 32 and 3 gather every block afresh.  A block of 256
+    # steps spans 16 intervals at r = 16 and 32 at r = 8, so N = 50 and 66
+    # end the last repeated block at N - 2 and N = 49 and 65 one short of
+    # it, next to the one-sided first and last stencils, and no n here is a
+    # multiple of 256: the last chunk is partial
+    rng = np.random.default_rng(58)
+    big_t, big_n = 1.1, n_intervals
+    scheds = [PulseSchedule(big_t, *rng.standard_normal((2, big_n + 1)), target=ONE,
+                            interpolation=INTERP_CUBIC) for _ in range(64)]
+    n = steps_per_interval * big_n
+    h = big_t / n
+    assert _phase_table(scheds[0], h, n, 2) is None
+    r = _exact_steps(scheds[0], h, n)
+    assert r == (steps_per_interval if steps_per_interval in (8, 16) else 0)
+    v, one = _control_rows(scheds), ONE.as_array()
+    repeats = {}
+    for done in range(0, n, _STEP_CHUNK):
+        kc = min(_STEP_CHUNK, n - done)
+        ends = 2 * (done + np.arange(kc + 1))
+        gathered = _stage_values(v, scheds[0], h, np.concatenate([ends, ends[:-1] + 1]))
+        assert _gathered_stages(v, scheds[0], h, r, repeats, done, kc).tobytes() \
+            == gathered.tobytes()
+    # the second chunk, ending at interval 512 / r, is the first that can repeat
+    assert bool(repeats) == (bool(r) and 2 * _STEP_CHUNK // r <= big_n - 2)
+    drs = rng.uniform(-1.0, 1.0, 64)
+    for rows in (slice(59, None), slice(33, None), slice(None)):    # 5, 31 and 64 rows
+        for dr in (0.0, drs[rows]):
+            finals, drifts = propagate_final_batch(scheds[rows], delta_r=dr, h=h)
+            ref_f, ref_d, _ = chunked_rows(v[rows], scheds[0], dr, h, n, one, record=False)
+            assert finals.tobytes() == ref_f.tobytes() and drifts.tobytes() == ref_d.tobytes()
 
 
 def test_batch_memory_does_not_grow_with_the_batch():
