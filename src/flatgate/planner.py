@@ -149,18 +149,6 @@ def hermite_cubic(p0: float, p1: float, d0: float, d1: float) -> tuple[float, ..
     return (p0, d0, 3.0 * (p1 - p0) - 2.0 * d0 - d1, 2.0 * (p0 - p1) + d0 + d1)
 
 
-def _poly_eval(c: tuple[float, ...], s):
-    return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
-
-
-def _poly_d1(c: tuple[float, ...], s):
-    return c[1] + s * (2.0 * c[2] + s * 3.0 * c[3])
-
-
-def _poly_d2(c: tuple[float, ...], s):
-    return 2.0 * c[2] + s * 6.0 * c[3]
-
-
 @dataclass(frozen=True)
 class CubicPair:
     """The two boundary-value cubics with their derivative closed forms."""
@@ -176,22 +164,28 @@ class CubicPair:
                    dec.alpha_bar * (1.0 - math.cos(dec.beta_bar)))
 
     def alpha(self, s):
-        return _poly_eval(self.ca, s)
+        c = self.ca
+        return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
 
     def dalpha(self, s):
-        return _poly_d1(self.ca, s)
+        c = self.ca
+        return c[1] + s * (2.0 * c[2] + s * 3.0 * c[3])
 
     def ddalpha(self, s):
-        return _poly_d2(self.ca, s)
+        c = self.ca
+        return 2.0 * c[2] + s * 6.0 * c[3]
 
     def beta(self, s):
-        return _poly_eval(self.cb, s)
+        c = self.cb
+        return c[0] + s * (c[1] + s * (c[2] + s * c[3]))
 
     def dbeta(self, s):
-        return _poly_d1(self.cb, s)
+        c = self.cb
+        return c[1] + s * (2.0 * c[2] + s * 3.0 * c[3])
 
     def ddbeta(self, s):
-        return _poly_d2(self.cb, s)
+        c = self.cb
+        return 2.0 * c[2] + s * 6.0 * c[3]
 
 
 def check_alpha_monotone(c: CubicPair) -> float:
@@ -214,7 +208,7 @@ def check_alpha_monotone(c: CubicPair) -> float:
     vertex = -ca[2] / (3.0 * ca[3]) * (ALPHA_GRID + 1) if ca[3] > 0.0 else 0.0
     if 1.0 < vertex < ALPHA_GRID:
         points += [math.floor(vertex), math.floor(vertex) + 1]
-    grid_min = min(_poly_d1(ca, i * step) for i in points)
+    grid_min = min(c.dalpha(i * step) for i in points)
     if grid_min <= 0.0:
         raise MonotonicityViolation(f"grid min alpha' = {grid_min!r}")
     return grid_min
@@ -263,7 +257,7 @@ class Plan:
         the original target, and min |z| over s: u2 = |z| and u1 = w1 +
         theta'/2 = ((q alpha'' - alpha' q') / |z|^2 - beta' cos(2 alpha)) / 2.
         Raises SingularFlatCurve for min |z| <= SINGULAR_Z_TOL."""
-        # The cubics are evaluated as _poly_eval, _poly_d1 and _poly_d2 do,
+        # The cubics are evaluated as CubicPair.alpha ... ddbeta do,
         # with the factors s * 3.0 and s * 6.0 made once for alpha and beta;
         # del frees each array after its last use (up to MAX_SAMPLES + 1
         # points), and alpha'' q is formed while s * 6.0 is alive, so that
@@ -302,11 +296,9 @@ def check_winding(c: CubicPair) -> float:
     """Terminal phase theta(1) of z relative to s = 0, from the end values
     of theta = atan2(-q, alpha') - beta, which is continuous while alpha' > 0
     (check_alpha_monotone); raises WindingNonzero above WINDING_TOL."""
-    ca, cb = c.ca, c.cb
     theta0, theta1 = (
-        math.atan2(-0.5 * _poly_d1(cb, s) * math.sin(2.0 * _poly_eval(ca, s)),
-                   _poly_d1(ca, s)) - _poly_eval(cb, s)
-        for s in (0.0, 1.0))
+        math.atan2(-0.5 * c.dbeta(s) * math.sin(2.0 * c.alpha(s)), c.dalpha(s))
+        - c.beta(s) for s in (0.0, 1.0))
     theta1 -= theta0
     if abs(theta1) > WINDING_TOL:
         raise WindingNonzero(f"theta(1) = {theta1!r}; z winds around 0")

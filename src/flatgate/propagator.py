@@ -44,20 +44,21 @@ each midpoint (-1, 9, 9, -1)/16 of its neighbours.  Without an explicit
 step, cubic schedules step at their spacing and the others take N
 ceil(DEFAULT_STEP_DIVISOR / N) steps, whole steps per sample interval.
 
-Stepped at h = spacing / r, with r = 1, 2 or 4, every cubic stage sits at
-one of the 2r phases p / 2r of its sample interval, and each phase is read
-as one 4-tap sum over contiguous slices of the control rows, with weights
-from one table per propagation, whose one-sided rows serve the end
-intervals and the end point.  The sums are the gather's own, bit for bit.
-Any other step gathers a 4-sample stencil per stage, as do linear reads;
-from r = 8 the per-phase sums, 2r of them per block, cost more than the
-gather, except on a single row, where the gather's fixed cost per stage
-dominates: one row is read by phase at r = 8 and 16 too.  A batch at r = 8
-or 16 gathers, but its stages still sit at exact phases, so every block of
-steps over intervals 1..N - 3 reads the same weights on stencils shifted by
-its first interval: they are built once per propagation, from the first
-such block of each length, and dropped with it.  Every other block, step
-and linear read computes its stencils and weights per block.
+One reader per propagation, _stage_reader, chooses how the stages are
+read, from the interpolation, the step and the number of rows b
+propagated; every cubic read gives the gather's values bit for bit.  A
+cubic schedule stepped r times per sample interval, with h / spacing
+exactly 1 / r, puts every stage at one of the 2r phases p / 2r of its
+interval.  At r = 1, 2 or 4, or at 8 or 16 on one row, each phase is one
+4-tap sum over contiguous slices of the control rows, with weights from one
+table per propagation whose one-sided rows serve the end intervals and the
+end point.  On two or more rows at r = 8 or 16 the 2r sums per block cost
+more than a gather, so the stages are gathered, but every block of steps
+over intervals 1..N - 3 reads the same weights on stencils shifted by its
+first interval: the reader builds them once, from the first such block of
+each length, and they are dropped with it.  Every other cubic step, and
+every linear read, gathers a 4-sample stencil per stage, with stencils and
+weights computed per block.
 """
 from __future__ import annotations
 
@@ -75,8 +76,8 @@ DEFAULT_STEP_DIVISOR = 8192
 _STEP_CHUNK = 256
 _BLOCK_CELLS = 16 * _STEP_CHUNK   # rows x steps built at once; 16 or more rows get one chunk per block
 _ROW_BLOCK = 64               # batch rows propagated at once
-# steps per sample interval at which cubic stages are read by phase; from 8
-# on the gather of _stage_values is faster, but for a single row
+# steps per sample interval at which _stage_reader reads cubic stages by
+# phase, on any rows and on a single row
 _PHASE_STEPS = (1, 2, 4)
 _PHASE_STEPS_ONE_ROW = (1, 2, 4, 8, 16)
 
@@ -181,57 +182,10 @@ def _gather(v: np.ndarray, stencils: np.ndarray, w2: np.ndarray) -> np.ndarray:
                      w2).view(complex)
 
 
-def _exact_steps(sched: PulseSchedule, h: float, n: int) -> int:
-    """r if a cubic schedule is stepped r times per sample interval, r in
-    _PHASE_STEPS_ONE_ROW, with h / spacing exactly 1 / r, else 0: every
-    stage then sits at a position x0 = q / 2r of its stencil, q = 0..6r,
-    exactly."""
-    r, rest = divmod(n, sched.n_intervals)
-    if (sched.interpolation != INTERP_CUBIC or rest or r not in _PHASE_STEPS_ONE_ROW
-            or 0.5 * h / sched.spacing != 0.5 / r):
-        return 0
-    return r
-
-
-def _phase_table(sched: PulseSchedule, h: float, n: int, rows: int) -> list | None:
-    """The stage weights of a cubic schedule stepped at _exact_steps r, with
-    r in _PHASE_STEPS unless `rows` is 1: row q of the (6r + 1, 4) table
-    holds the weights _stage_values computes at x0 = q / 2r.  None for every
-    other schedule and step."""
-    r = _exact_steps(sched, h, n)
-    if not r or (rows > 1 and r not in _PHASE_STEPS):
-        return None
-    return _lagrange_weights(np.arange(6 * r + 1) / (2 * r)).T.tolist()
-
-
-def _gathered_stages(v: np.ndarray, sched: PulseSchedule, h: float, r: int,
-                     repeats: dict, done: int, kc: int) -> np.ndarray:
-    """The (b, 2 kc + 1) step ends then midpoints of steps done..done + kc - 1
-    by gather, bit for bit those of _stage_values.
-
-    With r, the _exact_steps of the propagation (0 for none), a block of
-    whole intervals i0..i1 - 1 (i0 = done / r, i1 = (done + kc) / r) with
-    1 <= i0 and i1 <= N - 2 reads every stage on its centred stencil, at the
-    same positions within its intervals as any other such block of kc steps:
-    the same weights on stencils shifted by i0.  The first such block keeps
-    its stencils, less its i0, and its weights in repeats[kc], a dict the
-    propagation owns, and the others gather with them."""
-    i0 = done // r if r else 0
-    repeat = i0 >= 1 and (done + kc) // r <= sched.n_intervals - 2
-    if not (repeat and kc in repeats):
-        ends = 2 * (done + np.arange(kc + 1))
-        half_steps = np.concatenate([ends, ends[:-1] + 1])
-        if not repeat:
-            return _stage_values(v, sched, h, half_steps)
-        stencils, w2 = _cubic_stencils(sched, h, half_steps)
-        repeats[kc] = stencils - i0, w2
-    stencils, w2 = repeats[kc]
-    return _gather(v, stencils + i0, w2)
-
-
 def _phase_stages(v: np.ndarray, table: list, done: int, kc: int) -> np.ndarray:
     """The cubic stage values of steps done..done + kc - 1, both whole
-    multiples of r, read by phase with the weights of _phase_table: the
+    multiples of r, read by phase with the (6r + 1, 4) weight table of
+    _stage_reader, whose row q holds the weights at x0 = q / 2r: the
     (b, 2 kc + 1) step ends then midpoints of _stage_values, bit for bit.
 
     Half-step phase p of interval i reads samples j..j + 3,
@@ -269,6 +223,52 @@ def _taps(vf: np.ndarray, j: int, w: list, out: np.ndarray) -> None:
     for tap, wk in taps[1:]:
         acc += tap * wk
     np.add(acc.view(complex), 0.0, out=out)
+
+
+def _stage_reader(sched: PulseSchedule, h: float, n: int, rows: int):
+    """The stage read of one propagation of `rows` systems on `sched`, n
+    steps of h, by the rule of the module docstring: read(v, done, kc)
+    gives the stage values (v0, vm, v1), each (b, kc), of steps
+    done..done + kc - 1 from the complex control rows v, as _rk4_steps
+    takes them.  The repeated gather blocks live in the reader, keyed by
+    kc, and so no longer than the propagation."""
+    if sched.interpolation == INTERP_PCONST:
+        def read(v, done, kc):
+            mid = (done + np.arange(kc) + 0.5) * h
+            x = v[:, np.clip((mid / sched.spacing).astype(int), 0, v.shape[1] - 2)]
+            return x, x, x
+        return read
+    # exact: every stage sits at a position x0 = q / 2r of its stencil,
+    # q = 0..6r, exactly
+    r, rest = divmod(n, sched.n_intervals)
+    exact = (sched.interpolation == INTERP_CUBIC and not rest
+             and r in _PHASE_STEPS_ONE_ROW and 0.5 * h / sched.spacing == 0.5 / r)
+    table = (_lagrange_weights(np.arange(6 * r + 1) / (2 * r)).T.tolist()
+             if exact and (rows == 1 or r in _PHASE_STEPS) else None)
+    repeats = {}
+
+    def half_steps(done, kc):
+        # step ends, then midpoints: unit-stride rows for _rk4_steps
+        ends = 2 * (done + np.arange(kc + 1))
+        return np.concatenate([ends, ends[:-1] + 1])
+
+    def read(v, done, kc):
+        if table is not None:
+            x = _phase_stages(v, table, done, kc)
+        elif exact and done >= r and (done + kc) // r <= sched.n_intervals - 2:
+            # whole intervals i0..i1 - 1, every stage on its centred
+            # stencil: the weights of any other such block of kc steps, on
+            # stencils shifted by i0
+            i0 = done // r
+            if kc not in repeats:
+                stencils, w2 = _cubic_stencils(sched, h, half_steps(done, kc))
+                repeats[kc] = stencils - i0, w2
+            stencils, w2 = repeats[kc]
+            x = _gather(v, stencils + i0, w2)
+        else:
+            x = _stage_values(v, sched, h, half_steps(done, kc))
+        return x[:, :kc], x[:, kc + 1:], x[:, 1:kc + 1]
+    return read
 
 
 def _rk4_steps(v0, vm, v1, dr, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -371,7 +371,10 @@ def _propagate_rows(scheds: list[PulseSchedule], delta_r, h: float, n: int,
     `record` (of row 0), which also picks each chunk's product: prefix if
     recording, else tree.  Rows, their control rows included, are taken
     _ROW_BLOCK at a time, so the working set does not grow with b."""
-    dr = np.asarray(delta_r, dtype=float).reshape(-1, 1)
+    dr = np.asarray(delta_r, dtype=float)
+    if dr.ndim > 1:
+        raise InvalidPropagationInput("delta_r needs one value or a flat list of them")
+    dr = dr.reshape(-1, 1)
     b = max(len(scheds), dr.shape[0])
     if {len(scheds), dr.shape[0]} - {1, b}:
         raise InvalidPropagationInput(
@@ -382,15 +385,7 @@ def _propagate_rows(scheds: list[PulseSchedule], delta_r, h: float, n: int,
     if record:
         states[0] = start
     pair = quat.row_pair(start)
-    table = _phase_table(scheds[0], h, n, b)
-    # the repeated gather blocks live as long as this propagation, no longer
-    r, repeats = _exact_steps(scheds[0], h, n), {}
-
-    def read(v, done, kc):
-        if table is not None:
-            return _phase_stages(v, table, done, kc)
-        return _gathered_stages(v, scheds[0], h, r, repeats, done, kc)
-
+    read = _stage_reader(scheds[0], h, n, b)
     finals, drifts = np.empty((b, 4)), np.empty(b)
     # controls past ~1e154 overflow |v|^2, and steps past ~1e102 overflow
     # h^3; either shows as a non-finite multiplier norm, so a drift or a
@@ -400,8 +395,7 @@ def _propagate_rows(scheds: list[PulseSchedule], delta_r, h: float, n: int,
             rows = slice(lo, lo + _ROW_BLOCK)
             qa, qb, drifts[rows] = _propagate_block(
                 _control_rows(scheds[rows] if len(scheds) > 1 else scheds),
-                dr[rows] if dr.shape[0] > 1 else dr, scheds[0], read, h, n, pair,
-                states)
+                dr[rows] if dr.shape[0] > 1 else dr, read, h, n, pair, states)
             finals[rows] = quat.pair_rows(qa, qb)
     if not (np.isfinite(drifts).all() and np.isfinite(finals).all()
             and (states is None or np.isfinite(states).all())):
@@ -410,13 +404,11 @@ def _propagate_rows(scheds: list[PulseSchedule], delta_r, h: float, n: int,
     return finals, drifts, states
 
 
-def _propagate_block(v, dr, sched: PulseSchedule, read, h: float, n: int, start,
-                     states):
+def _propagate_block(v, dr, read, h: float, n: int, start, states):
     """One block of at most _ROW_BLOCK rows from the start pair; returns the
     final pairs and the drifts, and fills `states` with row 0's states
-    unless it is None.  Cubic and linear stages come from `read(v, done,
-    kc)`, the propagation's stage read: by phase with its _phase_table, else
-    by _gathered_stages.
+    unless it is None.  The stages come from the propagation's
+    _stage_reader `read`.
 
     Each step block builds the step multipliers of k whole chunks (the
     most with b k _STEP_CHUNK <= _BLOCK_CELLS, at least one; a final
@@ -434,16 +426,7 @@ def _propagate_block(v, dr, sched: PulseSchedule, read, h: float, n: int, start,
     while done < n:
         c = min(_STEP_CHUNK, n - done)
         k = max(1, min(per_block, (n - done) // _STEP_CHUNK))
-        if sched.interpolation == INTERP_PCONST:
-            mid = (done + np.arange(k * c) + 0.5) * h
-            seg = np.clip((mid / sched.spacing).astype(int), 0, v.shape[1] - 2)
-            x = v[:, seg]
-            ma, mb = _rk4_steps(x, x, x, dr, h)
-        else:
-            # step ends, then midpoints: unit-stride rows for _rk4_steps
-            kc = k * c
-            x = read(v, done, kc)
-            ma, mb = _rk4_steps(x[:, :kc], x[:, kc + 1:], x[:, 1:kc + 1], dr, h)
+        ma, mb = _rk4_steps(*read(v, done, k * c), dr, h)
         # sqrt is monotone and |x - 1| falls, then rises, so a row's largest
         # ||m| - 1| is at its largest or smallest squared norm
         sq = _norm2(ma, mb)
@@ -465,7 +448,11 @@ def _propagate_block(v, dr, sched: PulseSchedule, read, h: float, n: int, start,
 def propagate(sched: PulseSchedule, delta_r: float = 0.0,
               h: float | None = None, start: UnitQuaternion = quat.ONE,
               ) -> PropagationResult:
-    """Integrate one schedule from `start` (default: the identity)."""
+    """Integrate one schedule from `start` (default: the identity) at one
+    detuning."""
+    if np.ndim(delta_r):
+        raise InvalidPropagationInput(
+            "propagate takes one delta_r; propagate_final_batch takes several")
     n, h = _resolve_steps(sched, h)
     finals, drift, states = _propagate_rows(
         [sched], delta_r, h, n, start.as_array(), record=True)

@@ -16,8 +16,10 @@ byte.  unwarped_schedule samples a plan in virtual time, without the clock.
 chunked_rows is the pair kernel one 256-step chunk at a time, as it was
 before steps were built in blocks of whole chunks, reading the stages in
 time order, with np.linalg.norm on (w, x, y, z) rows for the drift audit
-and the state normalization.  Linear and pconst stage values are computed
-here; cubic ones by one _stage_values call per chunk.  Propagation of all
+and the state normalization.  Every stage value is computed here; cubic
+ones by one gather per chunk, through verbatim copies of the propagator's
+_lagrange_weights, _cubic_stencils and _gather, so that a changed weight
+in the package does not change the reference too.  Propagation of all
 three interpolations must match it bit for bit.
 
 row_kernel is the propagation kernel as it was on real (w, x, y, z) rows,
@@ -35,8 +37,7 @@ import numpy as np
 from flatgate import quat
 from flatgate.flat import lift_controls, unwrap_phase
 from flatgate.planner import DEFAULT_SAMPLES, plan_controls, smoothstep
-from flatgate.propagator import (
-    _STEP_CHUNK, _prefix_product, _rk4_steps, _stage_values, _tree_product)
+from flatgate.propagator import _STEP_CHUNK, _prefix_product, _rk4_steps, _tree_product
 from flatgate.quat import pair_rows, pmul, row_pair
 from flatgate.schedule import INTERP_CUBIC, INTERP_PCONST, PulseSchedule
 
@@ -146,7 +147,7 @@ def chunked_rows(v, sched, delta_r, h, n, start, record):
             ma, mb = _rk4_steps(x, x, x, dr, h)
         else:
             if sched.interpolation == INTERP_CUBIC:
-                x = _stage_values(v, sched, h, 2 * done + np.arange(2 * c + 1))
+                x = _gather(v, *_cubic_stencils(sched, h, 2 * done + np.arange(2 * c + 1)))
             else:
                 x = _linear_stages(v, sched, h, done, c)
             ma, mb = _rk4_steps(x[:, 0:-1:2], x[:, 1::2], x[:, 2::2], dr, h)
@@ -160,6 +161,36 @@ def chunked_rows(v, sched, delta_r, h, n, start, record):
         qa, qb = row_pair(qs[:, -1])
         done += c
     return pair_rows(qa, qb), drift, states
+
+
+def _lagrange_weights(x0: np.ndarray) -> np.ndarray:
+    """Weights (4, ...) of the Lagrange cubic through nodes 0, 1, 2, 3 at
+    the positions x0."""
+    x1, x2, x3 = x0 - 1.0, x0 - 2.0, x0 - 3.0
+    return np.stack((x1 * x2 * x3 / -6.0, x0 * x2 * x3 / 2.0,
+                     x0 * x1 * x3 / -2.0, x0 * x1 * x2 / 6.0))
+
+
+def _cubic_stencils(sched: PulseSchedule, h: float,
+                    half_steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The cubic reads at the stage times i h/2 of _stage_values: the (4, L)
+    samples j..j + 3 of each, j = clip(i - 1, 0, N - 3) for the interval i
+    containing it, and the (4, 2L) Lagrange weights there, each twice, for
+    the real and the imaginary part; the weights at integer and
+    half-integer positions are exact."""
+    # h / spacing is exactly 1 at the default step, so stage endpoints
+    # land on samples and midpoints halfway between
+    pos = np.minimum(half_steps * (0.5 * h / sched.spacing), sched.n_intervals)
+    last = sched.n_intervals - 1
+    j = np.clip(np.clip(np.floor(pos).astype(int), 0, last) - 1, 0, last - 2)
+    return j + np.arange(4)[:, None], np.repeat(_lagrange_weights(pos - j), 2, axis=1)
+
+
+def _gather(v: np.ndarray, stencils: np.ndarray, w2: np.ndarray) -> np.ndarray:
+    """The sums over k of v[:, stencils[k]] times the weights w2[k] of
+    _cubic_stencils: one real contraction over interleaved parts."""
+    return np.einsum("bkl,kl->bl", np.take(v, stencils, axis=1).view(float),
+                     w2).view(complex)
 
 
 def _linear_stages(v, sched, h, done, c):

@@ -1,3 +1,4 @@
+import collections
 import math
 import tracemalloc
 import warnings
@@ -5,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from flatgate import quat
+from flatgate import propagator, quat
 from flatgate.errors import FlatGateError, InvalidPropagationInput, StepTooLarge
 from flatgate.planner import synthesize
 from flatgate.propagator import (
@@ -14,12 +15,9 @@ from flatgate.propagator import (
     DEFAULT_STEP_DIVISOR,
     _STEP_CHUNK,
     _control_rows,
-    _exact_steps,
-    _gathered_stages,
-    _phase_stages,
-    _phase_table,
     _prefix_product,
     _rk4_steps,
+    _stage_reader,
     _stage_values,
     _tree_product,
     detuning_sweep,
@@ -211,9 +209,72 @@ def test_single_schedule_blocks_match_the_chunked_kernel_bit_for_bit(interpolati
         assert np.array_equal(finals, ref_f) and np.array_equal(drifts, ref_d)
 
 
+def count_reads(monkeypatch) -> collections.Counter:
+    """Counts, by name, the calls into the propagator's stage reads from now
+    on; a cubic _stage_values call makes one _gather call of its own."""
+    calls = collections.Counter()
+    for name in ("_phase_stages", "_gather", "_stage_values"):
+        def counted(*args, _read=getattr(propagator, name), _name=name):
+            calls[_name] += 1
+            return _read(*args)
+        monkeypatch.setattr(propagator, name, counted)
+    return calls
+
+
+def read_kind(calls) -> str:
+    """Which stage read the counted calls of one propagation ran."""
+    if calls["_phase_stages"]:
+        return "phase" if calls["_gather"] + calls["_stage_values"] == 0 else "mixed"
+    if calls["_gather"] > calls["_stage_values"]:
+        return "repeated gather"
+    return "per block" if calls["_stage_values"] else "none"
+
+
+def split_stages(x, kc):
+    """(v0, vm, v1) of the (b, 2 kc + 1) step ends then midpoints x."""
+    return x[:, :kc], x[:, kc + 1:], x[:, 1:kc + 1]
+
+
+@pytest.mark.parametrize("interpolation", [INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST])
+@pytest.mark.parametrize("steps_per_interval", [1, 2, 4, 8, 16, 32, 3, 2.5])
+def test_stage_reader_selects_the_read_by_interpolation_step_and_rows(
+        interpolation, steps_per_interval, monkeypatch):
+    # pconst reads segment values.  A cubic schedule at exactly r steps per
+    # interval reads by phase at r = 1, 2 and 4 on any rows and at 8 and 16
+    # on one row, and at 8 and 16 on more rows gathers with the repeated
+    # blocks; every other cubic step and every linear read gathers per
+    # block.  rows counts the propagated rows, so one control row at 2, 31
+    # or 64 detunings reads as that many rows.  N = 300 puts repeated
+    # blocks in every batch at 8 and 16.
+    rng = np.random.default_rng(59)
+    big_n = 300
+    scheds = [PulseSchedule(1.0, *rng.standard_normal((2, big_n + 1)), target=ONE,
+                            interpolation=interpolation) for _ in range(64)]
+    n = round(steps_per_interval * big_n)
+    cubic, r = interpolation == INTERP_CUBIC, steps_per_interval
+    calls = count_reads(monkeypatch)
+    for rows in (1, 2, 31, 64):
+        expected = ("none" if interpolation == INTERP_PCONST
+                    else "phase" if cubic and (r in (1, 2, 4) or rows == 1 and r in (8, 16))
+                    else "repeated gather" if cubic and r in (8, 16)
+                    else "per block")
+        runs = [lambda: propagate_final_batch(scheds[:rows], h=1.0 / n),
+                lambda: propagate_final_batch(scheds[:1], delta_r=np.linspace(-1.0, 1.0, rows),
+                                              h=1.0 / n)]
+        if rows == 1:
+            runs.append(lambda: propagate(scheds[0], delta_r=0.3, h=1.0 / n))
+        for run in runs:
+            calls.clear()
+            run()
+            assert read_kind(calls) == expected
+            if expected == "per block":
+                assert calls["_gather"] == (calls["_stage_values"] if cubic else 0)
+
+
 @pytest.mark.parametrize("steps_per_interval", [1, 2, 4, 3, 2.5, 8, 16])
 @pytest.mark.parametrize("n_intervals", [3, 5, 300])
-def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_interval):
+def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_interval,
+                                                     monkeypatch):
     # 1, 2 and 4 steps per sample interval read the stages by phase, 8 and
     # 16 only on a single row, the others gather them; small N puts the
     # first and last intervals and the end point in every block.  tobytes,
@@ -228,14 +289,18 @@ def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_inte
                                 interpolation=INTERP_CUBIC))
     n = round(steps_per_interval * big_n)
     h = big_t / n
-    assert (_phase_table(scheds[0], h, n, 2) is not None) == (steps_per_interval in (1, 2, 4))
-    table = _phase_table(scheds[0], h, n, 1)
-    assert (table is not None) == (steps_per_interval in (1, 2, 4, 8, 16))
     v, one = _control_rows(scheds), ONE.as_array()
-    if table is not None:
-        ends = 2 * np.arange(n + 1)
-        gathered = _stage_values(v, scheds[0], h, np.concatenate([ends, ends[:-1] + 1]))
-        assert _phase_stages(v, table, 0, n).tobytes() == gathered.tobytes()
+    ends = 2 * np.arange(n + 1)
+    gathered = split_stages(
+        _stage_values(v, scheds[0], h, np.concatenate([ends, ends[:-1] + 1])), n)
+    calls = count_reads(monkeypatch)
+    for rows, phase in ((2, steps_per_interval in (1, 2, 4)),
+                        (1, steps_per_interval in (1, 2, 4, 8, 16))):
+        calls.clear()
+        stages = _stage_reader(scheds[0], h, n, rows)(v, 0, n)
+        assert (calls["_phase_stages"] == 1) == phase
+        for x, ref in zip(stages, gathered):
+            assert x.tobytes() == ref.tobytes()
     drs = rng.uniform(-1.0, 1.0, 150)
     for rows in (slice(86, None), slice(None)):          # 64 and 150 rows
         for dr in (0.0, drs[rows]):
@@ -253,7 +318,7 @@ def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_inte
 @pytest.mark.parametrize("steps_per_interval", [8, 16, 32, 3])
 @pytest.mark.parametrize("n_intervals", [49, 50, 65, 66, 300])
 def test_repeated_gather_blocks_match_the_chunked_kernel_byte_for_byte(
-        n_intervals, steps_per_interval):
+        n_intervals, steps_per_interval, monkeypatch):
     # batches at 8 and 16 steps per interval gather each block of intervals
     # 1..N - 3 with one set of stencils and weights, built once per
     # propagation; 32 and 3 gather every block afresh.  A block of 256
@@ -267,19 +332,20 @@ def test_repeated_gather_blocks_match_the_chunked_kernel_byte_for_byte(
                             interpolation=INTERP_CUBIC) for _ in range(64)]
     n = steps_per_interval * big_n
     h = big_t / n
-    assert _phase_table(scheds[0], h, n, 2) is None
-    r = _exact_steps(scheds[0], h, n)
-    assert r == (steps_per_interval if steps_per_interval in (8, 16) else 0)
     v, one = _control_rows(scheds), ONE.as_array()
-    repeats = {}
-    for done in range(0, n, _STEP_CHUNK):
-        kc = min(_STEP_CHUNK, n - done)
-        ends = 2 * (done + np.arange(kc + 1))
-        gathered = _stage_values(v, scheds[0], h, np.concatenate([ends, ends[:-1] + 1]))
-        assert _gathered_stages(v, scheds[0], h, r, repeats, done, kc).tobytes() \
-            == gathered.tobytes()
+    chunks = [(done, min(_STEP_CHUNK, n - done)) for done in range(0, n, _STEP_CHUNK)]
+    gathered = [split_stages(_stage_values(v, scheds[0], h, np.concatenate(
+        [2 * (done + np.arange(kc + 1)), 2 * (done + np.arange(kc)) + 1])), kc)
+        for done, kc in chunks]
+    calls = count_reads(monkeypatch)
+    read = _stage_reader(scheds[0], h, n, 2)
+    for (done, kc), refs in zip(chunks, gathered):
+        for x, ref in zip(read(v, done, kc), refs):
+            assert x.tobytes() == ref.tobytes()
+    assert calls["_phase_stages"] == 0
     # the second chunk, ending at interval 512 / r, is the first that can repeat
-    assert bool(repeats) == (bool(r) and 2 * _STEP_CHUNK // r <= big_n - 2)
+    assert (calls["_gather"] > calls["_stage_values"]) == (
+        steps_per_interval in (8, 16) and 2 * _STEP_CHUNK // steps_per_interval <= big_n - 2)
     drs = rng.uniform(-1.0, 1.0, 64)
     for rows in (slice(59, None), slice(33, None), slice(None)):    # 5, 31 and 64 rows
         for dr in (0.0, drs[rows]):
@@ -617,6 +683,30 @@ def test_detuning_sweep_rejects_empty_list():
     sched = synthesize(E3, 1.0, 128, 1)
     with pytest.raises(ValueError):
         detuning_sweep(sched, [], E3)
+
+
+def test_detuning_sweep_refuses_a_2d_detuning_list():
+    # it once read the four values as four rows and paired them with two rows
+    sched = synthesize(E3, 1.0, 128, 1)
+    with pytest.raises(InvalidPropagationInput, match="delta_r"):
+        detuning_sweep(sched, [[0.0, 0.5], [1.0, -1.0]], E3)
+
+
+def test_batch_propagation_refuses_a_2d_detuning_array():
+    # it once flattened the array into one detuning per row
+    sched = synthesize(E3, 1.0, 128, 1)
+    for scheds in ([sched], [sched] * 4):
+        with pytest.raises(InvalidPropagationInput, match="delta_r"):
+            propagate_final_batch(scheds, delta_r=[[0.0, 0.5], [1.0, -1.0]])
+
+
+def test_propagate_refuses_more_than_one_detuning():
+    # it once ran the first value and ignored the others
+    sched = synthesize(E3, 1.0, 128, 1)
+    for dr in ([0.5, 0.0], [0.5], np.zeros((1, 1))):
+        with pytest.raises(InvalidPropagationInput, match="delta_r"):
+            propagate(sched, delta_r=dr)
+    assert propagate(sched, delta_r=np.float64(0.5)).final == propagate(sched, delta_r=0.5).final
 
 
 def test_detuned_propagation_matches_exact_exponential():
