@@ -45,19 +45,17 @@ step, cubic schedules step at their spacing and the others take N
 ceil(DEFAULT_STEP_DIVISOR / N) steps, whole steps per sample interval.
 
 One reader per propagation, _stage_reader, chooses how the stages are
-read, from the interpolation, the step and the number of rows b
-propagated; every cubic read gives the gather's values bit for bit.  A
-cubic schedule stepped r times per sample interval, with h / spacing
-exactly 1 / r, puts every stage at one of the 2r phases p / 2r of its
-interval.  At r = 1, 2 or 4, or at 8 or 16 on one row, each phase is one
-4-tap sum over contiguous slices of the control rows, with weights from one
-table per propagation whose one-sided rows serve the end intervals and the
-end point.  On two or more rows at r = 8 or 16 the 2r sums per block cost
-more than a gather, so the stages are gathered, but every block of steps
-over intervals 1..N - 3 reads the same weights on stencils shifted by its
-first interval: the reader builds them once, from the first such block of
-each length, and they are dropped with it.  Every other cubic step, and
-every linear read, gathers a 4-sample stencil per stage, with stencils and
+read, from the interpolation and the step alone; every cubic read gives
+the gather's values bit for bit.  A cubic schedule stepped r times per
+sample interval, with h / spacing exactly 1 / r, puts every stage at one
+of the 2r phases p / 2r of its interval.  At r = 1, 2 or 4 each phase is
+one 4-tap sum over contiguous slices of the control rows, with weights
+from one table per propagation whose one-sided rows serve the end
+intervals and the end point.  At r = 8 or 16 the stages are gathered, but
+every block of steps over intervals 1..N - 3 reads the same weights on
+stencils shifted by its first interval, built once per propagation from
+the first such block of each length.  Every other cubic step, and every
+linear read, gathers a 4-sample stencil per stage, with stencils and
 weights computed per block.
 """
 from __future__ import annotations
@@ -76,10 +74,7 @@ DEFAULT_STEP_DIVISOR = 8192
 _STEP_CHUNK = 256
 _BLOCK_CELLS = 16 * _STEP_CHUNK   # rows x steps built at once; 16 or more rows get one chunk per block
 _ROW_BLOCK = 64               # batch rows propagated at once
-# steps per sample interval at which _stage_reader reads cubic stages by
-# phase, on any rows and on a single row
-_PHASE_STEPS = (1, 2, 4)
-_PHASE_STEPS_ONE_ROW = (1, 2, 4, 8, 16)
+_EXACT_STEPS = (1, 2, 4, 8, 16)   # steps per sample interval read at exact phases
 
 
 @dataclass(frozen=True)
@@ -109,18 +104,40 @@ def fidelity(p: UnitQuaternion, q: UnitQuaternion) -> float:
     return p.w * q.w + p.x * q.x + p.y * q.y + p.z * q.z
 
 
+def _detunings(delta_r, one: bool = False) -> np.ndarray:
+    """delta_r as a flat float vector: one real number or, unless `one`, a
+    non-empty flat list of them, all finite; anything else, a complex value
+    included (never cut to its real part), raises InvalidPropagationInput."""
+    try:
+        if np.iscomplexobj(delta_r):
+            raise TypeError
+        dr = np.asarray(delta_r, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidPropagationInput("delta_r must be real") from None
+    if dr.ndim > (0 if one else 1):
+        raise InvalidPropagationInput(
+            "delta_r needs one value" + ("" if one else " or a flat list of them"))
+    if dr.size == 0:
+        raise InvalidPropagationInput("empty detuning list")
+    if not np.isfinite(dr).all():
+        raise InvalidPropagationInput("delta_r must be finite")
+    return dr.reshape(-1)
+
+
 def _resolve_steps(sched: PulseSchedule, h: float | None) -> tuple[int, float]:
     big_t = sched.duration
     if h is None:
         h = sched.spacing / (1 if sched.interpolation == INTERP_CUBIC
                              else math.ceil(DEFAULT_STEP_DIVISOR / sched.n_intervals))
+    elif not isinstance(h, (int, float, np.integer, np.floating)):
+        raise InvalidPropagationInput(f"step must be a real number, not {type(h).__name__}")
     if h <= 0.0:
         raise InvalidPropagationInput("step must be positive")
-    if np.isnan(h):
-        raise InvalidPropagationInput("step must be finite")
     if h > sched.spacing * (1.0 + 1e-12):
         raise StepTooLarge(
             f"step {h!r} exceeds the sample spacing {sched.spacing!r}")
+    if math.isnan(h):
+        raise InvalidPropagationInput("step must be finite")
     if big_t / h > MAX_SAMPLES:
         raise InvalidPropagationInput(f"step {h!r} needs more than {MAX_SAMPLES} steps")
     n = max(1, round(big_t / h))
@@ -225,13 +242,13 @@ def _taps(vf: np.ndarray, j: int, w: list, out: np.ndarray) -> None:
     np.add(acc.view(complex), 0.0, out=out)
 
 
-def _stage_reader(sched: PulseSchedule, h: float, n: int, rows: int):
-    """The stage read of one propagation of `rows` systems on `sched`, n
-    steps of h, by the rule of the module docstring: read(v, done, kc)
-    gives the stage values (v0, vm, v1), each (b, kc), of steps
-    done..done + kc - 1 from the complex control rows v, as _rk4_steps
-    takes them.  The repeated gather blocks live in the reader, keyed by
-    kc, and so no longer than the propagation."""
+def _stage_reader(sched: PulseSchedule, h: float, n: int):
+    """The stage read of one propagation on `sched`, n steps of h, by the
+    rule of the module docstring: read(v, done, kc) gives the stage values
+    (v0, vm, v1), each (b, kc), of steps done..done + kc - 1 from the
+    complex control rows v, as _rk4_steps takes them.  The repeated gather
+    blocks live in the reader, keyed by kc, and so no longer than the
+    propagation."""
     if sched.interpolation == INTERP_PCONST:
         def read(v, done, kc):
             mid = (done + np.arange(kc) + 0.5) * h
@@ -242,9 +259,9 @@ def _stage_reader(sched: PulseSchedule, h: float, n: int, rows: int):
     # q = 0..6r, exactly
     r, rest = divmod(n, sched.n_intervals)
     exact = (sched.interpolation == INTERP_CUBIC and not rest
-             and r in _PHASE_STEPS_ONE_ROW and 0.5 * h / sched.spacing == 0.5 / r)
+             and r in _EXACT_STEPS and 0.5 * h / sched.spacing == 0.5 / r)
     table = (_lagrange_weights(np.arange(6 * r + 1) / (2 * r)).T.tolist()
-             if exact and (rows == 1 or r in _PHASE_STEPS) else None)
+             if exact and r <= 4 else None)
     repeats = {}
 
     def half_steps(done, kc):
@@ -362,30 +379,24 @@ def _tree_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return a, b
 
 
-def _propagate_rows(scheds: list[PulseSchedule], delta_r, h: float, n: int,
+def _propagate_rows(scheds: list[PulseSchedule], dr: np.ndarray, h: float, n: int,
                     start: np.ndarray, record: bool):
     """Propagate b systems from the one start row (w, x, y, z) in lockstep
     on the grid and interpolation of scheds[0], for the schedules `scheds`
-    (b, or one for all rows) and the detunings `delta_r` (one, or one per
-    row); returns (finals (b, 4), drifts (b,), states), states only if
-    `record` (of row 0), which also picks each chunk's product: prefix if
+    (b, or one for all rows) and the detunings `dr` of _detunings (one, or
+    one per row); returns (finals (b, 4), drifts (b,), states), states only
+    if `record` (of row 0), which also picks each chunk's product: prefix if
     recording, else tree.  Rows, their control rows included, are taken
     _ROW_BLOCK at a time, so the working set does not grow with b."""
-    dr = np.asarray(delta_r, dtype=float)
-    if dr.ndim > 1:
-        raise InvalidPropagationInput("delta_r needs one value or a flat list of them")
-    dr = dr.reshape(-1, 1)
-    b = max(len(scheds), dr.shape[0])
-    if {len(scheds), dr.shape[0]} - {1, b}:
-        raise InvalidPropagationInput(
-            "delta_r needs one value or one per control row")
-    if not np.all(np.isfinite(dr)):
-        raise InvalidPropagationInput("delta_r must be finite")
+    dr = dr[:, None]
+    b = max(len(scheds), len(dr))
+    if {len(scheds), len(dr)} - {1, b}:
+        raise InvalidPropagationInput("delta_r needs one value or one per control row")
     states = np.empty((n + 1, 4)) if record else None
     if record:
         states[0] = start
     pair = quat.row_pair(start)
-    read = _stage_reader(scheds[0], h, n, b)
+    read = _stage_reader(scheds[0], h, n)
     finals, drifts = np.empty((b, 4)), np.empty(b)
     # controls past ~1e154 overflow |v|^2, and steps past ~1e102 overflow
     # h^3; either shows as a non-finite multiplier norm, so a drift or a
@@ -450,12 +461,9 @@ def propagate(sched: PulseSchedule, delta_r: float = 0.0,
               ) -> PropagationResult:
     """Integrate one schedule from `start` (default: the identity) at one
     detuning."""
-    if np.ndim(delta_r):
-        raise InvalidPropagationInput(
-            "propagate takes one delta_r; propagate_final_batch takes several")
     n, h = _resolve_steps(sched, h)
     finals, drift, states = _propagate_rows(
-        [sched], delta_r, h, n, start.as_array(), record=True)
+        [sched], _detunings(delta_r, one=True), h, n, start.as_array(), record=True)
     t = np.arange(n + 1) * h
     return PropagationResult(quat.as_unit(finals[0]), t, states, float(drift[0]))
 
@@ -470,24 +478,18 @@ def propagate_final_batch(scheds: list[PulseSchedule], delta_r=0.0,
     """
     if len(scheds) == 0:
         raise InvalidPropagationInput("empty batch")
-    first = scheds[0]
-    grid = (first.duration, first.n_intervals, first.interpolation)
-    for s in scheds[1:]:
-        if (s.duration, s.n_intervals, s.interpolation) != grid:
-            raise InvalidPropagationInput(
-                "batch schedules must share grid and interpolation")
-    n, h = _resolve_steps(first, h)
-    finals, drifts, _ = _propagate_rows(scheds, delta_r, h, n, quat.ONE.as_array(),
-                                        record=False)
+    if len({(s.duration, s.n_intervals, s.interpolation) for s in scheds}) > 1:
+        raise InvalidPropagationInput("batch schedules must share grid and interpolation")
+    n, h = _resolve_steps(scheds[0], h)
+    finals, drifts, _ = _propagate_rows(scheds, _detunings(delta_r), h, n,
+                                        quat.ONE.as_array(), record=False)
     return finals, drifts
 
 
 def detuning_sweep(sched: PulseSchedule, delta_r_list, target: UnitQuaternion,
                    h: float | None = None) -> DetuningSweep:
     """Terminal fidelity against `target` for each detuning offset."""
-    dr = np.atleast_1d(np.asarray(delta_r_list, dtype=float))
-    if dr.size == 0:
-        raise InvalidPropagationInput("empty detuning list")
+    dr = _detunings(delta_r_list)
     finals, _ = propagate_final_batch([sched], dr, h)
     return DetuningSweep(dr, finals @ target.as_array())
 
@@ -500,13 +502,12 @@ def propagate_piecewise_exact(sched: PulseSchedule,
     if sched.interpolation != INTERP_PCONST:
         raise InvalidPropagationInput(
             "exact propagation needs a piecewise-constant schedule")
-    if not math.isfinite(delta_r):
-        raise InvalidPropagationInput("delta_r must be finite")
+    dr = float(_detunings(delta_r, one=True)[0])
     q = quat.ONE
     dt = sched.spacing
     # products of Python floats overflow to inf without a numpy warning
     for u1, u2 in zip(sched.u1[:-1].tolist(), sched.u2[:-1].tolist()):
-        v = ImagQuaternion(u1 * dt, u2 * dt, float(delta_r) * dt)
+        v = ImagQuaternion(u1 * dt, u2 * dt, dr * dt)
         if not math.isfinite(v.norm()):
             raise InvalidPropagationInput("generator times dt is not finite")
         q = quat.mul(quat.exp_pure(v), q)

@@ -441,6 +441,18 @@ def test_su2_overflow_or_non_finite_exits_1_without_warnings(tmp_path, capsys, e
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec, message", [
+    (["--quat", "1,0,0"], "--quat needs w,x,y,z"),
+    (["--su2", "0,0,1,0,-1,0,0"], "--su2 needs 8 reals"),
+], ids=["quat-3", "su2-7"])
+def test_a_gate_of_the_wrong_length_exits_1(tmp_path, capsys, spec, message):
+    out = tmp_path / "plan.csv"
+    code, _, err = run_strict(["plan", *spec, "--out", str(out)], capsys)
+    assert code == 1 and message in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_plan_refuses_an_output_that_is_its_own_sidecar(tmp_path, capsys):
     out = tmp_path / "z.json"
     code, _, err = run_strict(["plan", "--gate", "Z", "--out", str(out)], capsys)
@@ -474,6 +486,43 @@ def test_simulate_refuses_a_bad_time_column(tmp_path, capsys, t, message):
     assert code == 1 and message in err
     assert err.count("\n") == 1
     assert not traj.exists()
+
+
+@pytest.mark.parametrize("file, edit, message", [
+    ("csv", lambda text: text.replace("t,u1,u2", "t,u,v", 1), "expected header t,u1,u2"),
+    ("json", lambda text: json.dumps({**json.loads(text), "format_version": 2}),
+     "unsupported format_version"),
+], ids=["header", "format-version-2"])
+def test_simulate_refuses_a_foreign_header_or_format_version(tmp_path, capsys, file, edit,
+                                                             message):
+    path = tmp_path / "s.csv"
+    write_schedule(synthesize(E3, 2.0, 64, 1), str(path))
+    edited = path.with_suffix("." + file)
+    edited.write_text(edit(edited.read_text()))
+    traj = tmp_path / "traj.csv"
+    code, _, err = run_strict(["simulate", str(path), "--out", str(traj)], capsys)
+    assert code == 1 and message in err
+    assert err.count("\n") == 1
+    assert not traj.exists()
+
+
+def test_selftest_passes_every_suite(capsys):
+    code, stdout, _ = run_strict(["selftest"], capsys)
+    assert code == 0 and "6/6 suites passed" in stdout
+    assert stdout.count("  PASS  ") == 6
+
+
+def test_selftest_reports_a_suite_that_raises(capsys, monkeypatch):
+    from flatgate import selftest
+
+    def broken():
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(selftest, "_suite_zyz_exactness", broken)
+    code, stdout, _ = run_strict(["selftest"], capsys)
+    assert code == 1 and "5/6 suites passed" in stdout
+    line, = [l for l in stdout.splitlines() if l.startswith("zyz-exactness")]
+    assert "FAIL  raised RuntimeError: boom" in line
 
 
 def test_control_overflow_exits_1_without_warnings_or_files(tmp_path, capsys):

@@ -240,12 +240,14 @@ def split_stages(x, kc):
 def test_stage_reader_selects_the_read_by_interpolation_step_and_rows(
         interpolation, steps_per_interval, monkeypatch):
     # pconst reads segment values.  A cubic schedule at exactly r steps per
-    # interval reads by phase at r = 1, 2 and 4 on any rows and at 8 and 16
-    # on one row, and at 8 and 16 on more rows gathers with the repeated
-    # blocks; every other cubic step and every linear read gathers per
-    # block.  rows counts the propagated rows, so one control row at 2, 31
-    # or 64 detunings reads as that many rows.  N = 300 puts repeated
-    # blocks in every batch at 8 and 16.
+    # interval reads by phase at r = 1, 2 and 4, and at 8 and 16 gathers
+    # with the repeated blocks, on any rows; every other cubic step and
+    # every linear read gathers per block.  rows counts the propagated
+    # rows, so one control row at 2, 31 or 64 detunings reads as that many
+    # rows.  N = 300 puts repeated blocks in every batch at 8 and 16 but
+    # one: a single row takes 16 chunks per block, so at r = 8 its first
+    # block starts at interval 0 and its second reaches the end, and no
+    # block lies inside intervals 1..N - 3 to repeat.
     rng = np.random.default_rng(59)
     big_n = 300
     scheds = [PulseSchedule(1.0, *rng.standard_normal((2, big_n + 1)), target=ONE,
@@ -255,8 +257,8 @@ def test_stage_reader_selects_the_read_by_interpolation_step_and_rows(
     calls = count_reads(monkeypatch)
     for rows in (1, 2, 31, 64):
         expected = ("none" if interpolation == INTERP_PCONST
-                    else "phase" if cubic and (r in (1, 2, 4) or rows == 1 and r in (8, 16))
-                    else "repeated gather" if cubic and r in (8, 16)
+                    else "phase" if cubic and r in (1, 2, 4)
+                    else "repeated gather" if cubic and r in (8, 16) and (rows, r) != (1, 8)
                     else "per block")
         runs = [lambda: propagate_final_batch(scheds[:rows], h=1.0 / n),
                 lambda: propagate_final_batch(scheds[:1], delta_r=np.linspace(-1.0, 1.0, rows),
@@ -275,10 +277,10 @@ def test_stage_reader_selects_the_read_by_interpolation_step_and_rows(
 @pytest.mark.parametrize("n_intervals", [3, 5, 300])
 def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_interval,
                                                      monkeypatch):
-    # 1, 2 and 4 steps per sample interval read the stages by phase, 8 and
-    # 16 only on a single row, the others gather them; small N puts the
-    # first and last intervals and the end point in every block.  tobytes,
-    # as array_equal takes -0 for +0.
+    # 1, 2 and 4 steps per sample interval read the stages by phase, on
+    # all 150 control rows, on 2 and on the last alone, the others gather
+    # them; small N puts the first and last intervals and the end point in
+    # every block.  tobytes, as array_equal takes -0 for +0.
     rng = np.random.default_rng(56)
     big_t, big_n = 1.3, n_intervals
     scheds = [PulseSchedule(big_t, *rng.standard_normal((2, big_n + 1)), target=ONE,
@@ -294,13 +296,12 @@ def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_inte
     gathered = split_stages(
         _stage_values(v, scheds[0], h, np.concatenate([ends, ends[:-1] + 1])), n)
     calls = count_reads(monkeypatch)
-    for rows, phase in ((2, steps_per_interval in (1, 2, 4)),
-                        (1, steps_per_interval in (1, 2, 4, 8, 16))):
+    for rows in (slice(None), slice(148, None), slice(149, None)):     # 150, 2 and 1
         calls.clear()
-        stages = _stage_reader(scheds[0], h, n, rows)(v, 0, n)
-        assert (calls["_phase_stages"] == 1) == phase
+        stages = _stage_reader(scheds[0], h, n)(v[rows], 0, n)
+        assert (calls["_phase_stages"] == 1) == (steps_per_interval in (1, 2, 4))
         for x, ref in zip(stages, gathered):
-            assert x.tobytes() == ref.tobytes()
+            assert x.tobytes() == ref[rows].tobytes()
     drs = rng.uniform(-1.0, 1.0, 150)
     for rows in (slice(86, None), slice(None)):          # 64 and 150 rows
         for dr in (0.0, drs[rows]):
@@ -338,7 +339,7 @@ def test_repeated_gather_blocks_match_the_chunked_kernel_byte_for_byte(
         [2 * (done + np.arange(kc + 1)), 2 * (done + np.arange(kc)) + 1])), kc)
         for done, kc in chunks]
     calls = count_reads(monkeypatch)
-    read = _stage_reader(scheds[0], h, n, 2)
+    read = _stage_reader(scheds[0], h, n)
     for (done, kc), refs in zip(chunks, gathered):
         for x, ref in zip(read(v, done, kc), refs):
             assert x.tobytes() == ref.tobytes()
@@ -462,6 +463,32 @@ def test_non_finite_detuning_and_step_rejected():
         propagate(sched, h=math.nan)
     with pytest.raises(StepTooLarge):
         propagate_final_batch([sched], h=math.inf)
+
+
+@pytest.mark.parametrize("bad", ["x", 1j, np.array([1 + 1j, 2.0]), [[0.0], [1.0, 2.0]],
+                                 [[0.0, 0.5], [1.0, -1.0]]],
+                         ids=["string", "complex", "complex-array", "ragged", "2d"])
+def test_a_detuning_or_step_that_is_no_real_number_raises_a_typed_error(bad):
+    # a complex detuning array once lost its imaginary part behind a
+    # ComplexWarning and returned finals; the others raised numpy's
+    # ValueError or a TypeError
+    sched = synthesize(E3, 1.0, 128, 1)
+    exact = zyz_schedule(euler_decompose(E3), 2.0)
+    calls = [lambda: propagate(sched, delta_r=bad),
+             lambda: propagate_final_batch([sched], delta_r=bad),
+             lambda: detuning_sweep(sched, bad, E3),
+             lambda: propagate_piecewise_exact(exact, delta_r=bad),
+             lambda: propagate(sched, h=bad),
+             lambda: propagate_final_batch([sched], h=bad),
+             lambda: detuning_sweep(sched, [0.0], E3, h=bad)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(InvalidPropagationInput):
+                call()
+        # exact propagation takes one detuning, as propagate does
+        with pytest.raises(InvalidPropagationInput, match="delta_r"):
+            propagate_piecewise_exact(exact, delta_r=[0.1])
 
 
 def test_tree_product_matches_last_prefix_row():

@@ -142,6 +142,72 @@ def test_any_sidecar_value_exits_with_a_code(tmp_path, key):
     simulate_edited()
 
 
+# hostile and valid command-line values: non-finite, zero, negative and
+# extreme durations; sample counts from too few to one past MAX_SAMPLES; warp
+# orders past the bound; sweep sizes past MAX_SWEEP_STEPS; and steps, at most
+# a few hundred per run, from none to past the sample spacing
+arg_durations = st.sampled_from(["nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "0.5", "1.5",
+                                 "2"])
+arg_sizes = st.sampled_from(["0", "63", "64", "512", str(2 ** 22 + 1)])
+arg_steps = st.sampled_from(["0", "1", "41", "4097"])
+arg_h = st.sampled_from(["nan", "inf", "-inf", "0", "-0.01", "1e-300", "1e300", "0.01",
+                         "0.0078125", "x"])
+arg_detunings = st.sampled_from(["nan", "inf", "-1e308", "1e300", "-1", "0", "0.5", "1"])
+arg_gates = st.sampled_from([
+    ["--gate", "X"], ["--gate", "H"], ["--gate", "minus-one"], ["--quat", "0.5,0.5,0.5,0.5"],
+    [], ["--gate", "Z", "--quat", "0,0,0,1"],
+    ["--quat", "0,0,0,1"], ["--quat", "1,0,0,0"], ["--quat", "1,0,0"], ["--quat", "nan,0,0,1"],
+    ["--quat", "0,1e300,0,1e300"], ["--quat", "a,b,c,d"], ["--quat", ""],
+    ["--su2", "0,0,1,0,-1,0,0,0"], ["--su2", "0,0,1,0,-1,0,0"],
+    ["--su2", "1e300,0,0,0,0,0,1e300,0"], ["--su2", "inf,0,0,0,0,0,1,0"]])
+
+
+def option(flag, values, absent=2):
+    """`flag` with one of `values`, or, one time in `absent`, no argument."""
+    return st.tuples(st.integers(1, absent), values).map(
+        lambda drawn: [f"{flag}={drawn[1]}"] if drawn[0] > 1 else [])
+
+
+def cli_argv(schedule, out):
+    """argv for plan, compare, sweep or simulate (on the file `schedule`),
+    writing to `out`; sweep's required options may be missing."""
+    common = (arg_gates, option("--T", arg_durations))
+    sized = (option("--N", arg_sizes), option("--k", st.integers(0, 9).map(str)))
+    return st.one_of(
+        st.tuples(st.just(["plan", "--out", out]), *common, *sized),
+        st.tuples(st.just(["compare"]), *common),
+        st.tuples(st.just(["sweep", "--out", out]), *common, *sized,
+                  option("--delta-r-min", arg_detunings, 10),
+                  option("--delta-r-max", arg_detunings, 10),
+                  option("--steps", arg_steps, 10), option("--h", arg_h)),
+        st.tuples(st.just(["simulate", schedule]), option("--delta-r", arg_detunings),
+                  option("--h", arg_h), option("--out", st.just(out))),
+    ).map(lambda parts: [arg for part in parts for arg in part])
+
+
+def test_any_argv_exits_with_a_code(tmp_path):
+    # cli.main returns 0, 1 or 2, or argparse exits 2; no other exception
+    # and no warning escapes
+    schedule, out = str(tmp_path / "z.csv"), str(tmp_path / "out.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["plan", "--gate", "Z", "--T", "2", "--N", "64", "--out", schedule]) == 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(argv=cli_argv(schedule, out))
+    def run_argv(argv):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 1, 2)
+
+    run_argv()
+
+
 def written_csv(block):
     """The bytes cli._write_csv writes for the columns of `block`, and the
     per-value oracle's."""
