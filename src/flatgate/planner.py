@@ -313,6 +313,7 @@ def smoothstep(t, big_t: float, k: int = 1):
     flatness (degree 2k + 1), up to MAX_WARP_ORDER.
     """
     check_duration(big_t)
+    _check_count(k, "warp order")
     if k < 1:
         raise ValueError("warp order must be at least 1")
     if k > MAX_WARP_ORDER:
@@ -342,8 +343,16 @@ def plan_controls(qbar: UnitQuaternion) -> Plan:
     return Plan(qbar, dec, cubics, check_alpha_monotone(cubics), check_winding(cubics))
 
 
+def _check_count(value, name: str) -> None:
+    """Refuse a count that is not an integer, Python's or numpy's: a float,
+    even a whole one, or a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
+
+
 def _sample_grid(big_t: float, n: int) -> np.ndarray:
     check_duration(big_t)
+    _check_count(n, "sample interval count")
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} sample intervals")
     if n > MAX_SAMPLES:
@@ -351,7 +360,8 @@ def _sample_grid(big_t: float, n: int) -> np.ndarray:
     return np.linspace(0.0, big_t, n + 1)
 
 
-@functools.lru_cache(maxsize=CLOCK_CACHE_SIZE)
+# typed, so that 512.0 or True never finds the clock of 512 or 1 unchecked
+@functools.lru_cache(maxsize=CLOCK_CACHE_SIZE, typed=True)
 def _cached_clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     s, sd = smoothstep(_sample_grid(big_t, n), big_t, k)
     s.flags.writeable = sd.flags.writeable = False

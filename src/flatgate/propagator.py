@@ -24,9 +24,13 @@ b x 256 above, 16,384 for 64 rows), and each chunk of the block is
 multiplied as its own row, so a single schedule costs a few dozen array
 calls per block instead of per chunk, while the association, and so every
 bit of the result, stays that of chunk-by-chunk propagation.  Batches are
-propagated 64 rows at a time, control rows included, so memory does not
-grow with the batch.  Desk-scale sweeps and thousand-target verification
-runs stay fast without any compiled extension.  The quaternion norm is
+propagated 64 rows at a time, and each row block reads its controls
+through a window of sample columns, copied from the schedules' u1 and u2
+for the most whole step blocks that read 512 sample intervals (at least
+one block), so memory grows neither with the batch nor with N: a window
+of 64 rows holds at most ~0.5 MB, where whole rows of 2^18 intervals hold
+268 MB.  Desk-scale sweeps and thousand-target verification runs stay
+fast without any compiled extension.  The quaternion norm is
 multiplicative, so |m q| = |m| for unit q: normalizing each reported state
 equals renormalizing after every step, and the drift audit is exactly
 max_j ||m_j| - 1|, taken at each row's largest and smallest |m_j|^2.
@@ -74,6 +78,7 @@ DEFAULT_STEP_DIVISOR = 8192
 _STEP_CHUNK = 256
 _BLOCK_CELLS = 16 * _STEP_CHUNK   # rows x steps built at once; 16 or more rows get one chunk per block
 _ROW_BLOCK = 64               # batch rows propagated at once
+_WINDOW_SAMPLES = 2 * _STEP_CHUNK  # control samples a window holds, unless one step block reads more
 _EXACT_STEPS = (1, 2, 4, 8, 16)   # steps per sample interval read at exact phases
 
 
@@ -104,10 +109,25 @@ def fidelity(p: UnitQuaternion, q: UnitQuaternion) -> float:
     return p.w * q.w + p.x * q.x + p.y * q.y + p.z * q.z
 
 
+def _holds_bool(x) -> bool:
+    """Whether x is a bool, Python's or numpy's, or a list, tuple or array
+    holding one (deeper nesting is refused as more than one dimension)."""
+    if isinstance(x, np.ndarray):
+        if x.dtype != object:
+            return x.dtype == bool
+        x = x.flat
+    elif not isinstance(x, (list, tuple)):
+        return isinstance(x, (bool, np.bool_))
+    return any(isinstance(e, (bool, np.bool_)) for e in x)
+
+
 def _detunings(delta_r, one: bool = False) -> np.ndarray:
     """delta_r as a flat float vector: one real number or, unless `one`, a
     non-empty flat list of them, all finite; anything else, a complex value
-    included (never cut to its real part), raises InvalidPropagationInput."""
+    (never cut to its real part) or a bool (never read as 0 or 1) included,
+    raises InvalidPropagationInput."""
+    if _holds_bool(delta_r):
+        raise InvalidPropagationInput("delta_r must be a real number, not a bool")
     try:
         if np.iscomplexobj(delta_r):
             raise TypeError
@@ -129,7 +149,7 @@ def _resolve_steps(sched: PulseSchedule, h: float | None) -> tuple[int, float]:
     if h is None:
         h = sched.spacing / (1 if sched.interpolation == INTERP_CUBIC
                              else math.ceil(DEFAULT_STEP_DIVISOR / sched.n_intervals))
-    elif not isinstance(h, (int, float, np.integer, np.floating)):
+    elif isinstance(h, bool) or not isinstance(h, (int, float, np.integer, np.floating)):
         raise InvalidPropagationInput(f"step must be a real number, not {type(h).__name__}")
     if h <= 0.0:
         raise InvalidPropagationInput("step must be positive")
@@ -144,13 +164,25 @@ def _resolve_steps(sched: PulseSchedule, h: float | None) -> tuple[int, float]:
     return n, big_t / n
 
 
-def _control_rows(scheds: list[PulseSchedule]) -> np.ndarray:
-    """The complex amplitudes v = u1 + i u2 of the schedules as (b, N + 1)
-    rows, written in place with no real stacks beside them."""
-    v = np.empty((len(scheds), scheds[0].u1.shape[0]), dtype=complex)
-    for row, s in zip(v, scheds):
-        row.real, row.imag = s.u1, s.u2
+def _control_rows(scheds: list[PulseSchedule], cols: slice = slice(None)) -> np.ndarray:
+    """The complex amplitudes v = u1 + i u2 of the schedules at the sample
+    columns `cols` (all N + 1 by default) as (b, len) rows, written in place
+    with no real stacks beside them."""
+    v = np.empty((len(scheds), scheds[0].u1[cols].shape[0]), dtype=complex)
+    vr, vi = v.real, v.imag
+    for i, s in enumerate(scheds):
+        vr[i], vi[i] = s.u1[cols], s.u2[cols]
     return v
+
+
+def _window(sched: PulseSchedule, h: float, done: int, end: int) -> slice:
+    """The sample columns that any stage read of steps done..end - 1 takes:
+    the stencils j..j + 3, j = clip(i - 1, 0, N - 3), of the intervals i
+    from the one holding the time done h to the one holding end h, widened
+    by one interval at each end for the rounding of a read's positions."""
+    x, big_n = h / sched.spacing, sched.n_intervals
+    return slice(max(0, min(math.floor(done * x) - 2, big_n - 3)),
+                 min(math.floor(end * x) + 4, big_n + 1))
 
 
 def _lagrange_weights(x0: np.ndarray) -> np.ndarray:
@@ -161,19 +193,22 @@ def _lagrange_weights(x0: np.ndarray) -> np.ndarray:
                      x0 * x1 * x3 / -2.0, x0 * x1 * x2 / 6.0))
 
 
-def _stage_values(v: np.ndarray, sched: PulseSchedule, h: float,
+def _stage_values(v: np.ndarray, first: int, sched: PulseSchedule, h: float,
                   half_steps: np.ndarray) -> np.ndarray:
-    """The complex sample rows `v` (b, N + 1) read at the RK4 stage times
-    i h/2, i in `half_steps`, clamped to T, on the interpolant `sched`
-    declares, as (b, len(half_steps)); all rows are gathered from one index
-    computation.  Linear reads the line through samples i, i + 1 of the
-    interval containing a stage; cubic the Lagrange cubic of _cubic_stencils.
-    The weights are real and act on the real and imaginary parts alike."""
+    """The complex sample rows `v`, whose column 0 is sample `first`, read
+    at the RK4 stage times i h/2, i in `half_steps`, clamped to T, on the
+    interpolant `sched` declares, as (b, len(half_steps)); all rows are
+    gathered from one index computation.  Linear reads the line through
+    samples i, i + 1 of the interval containing a stage; cubic the Lagrange
+    cubic of _cubic_stencils.  The weights are real and act on the real and
+    imaginary parts alike."""
     if sched.interpolation == INTERP_CUBIC:
-        return _gather(v, *_cubic_stencils(sched, h, half_steps))
+        stencils, w2 = _cubic_stencils(sched, h, half_steps)
+        return _gather(v, stencils - first, w2)
     pos = np.minimum(half_steps * (0.5 * h), sched.duration) / sched.spacing
     idx = np.clip(np.floor(pos).astype(int), 0, sched.n_intervals - 1)
     frac = pos - idx
+    idx -= first
     return v[:, idx] * (1.0 - frac) + v[:, idx + 1] * frac
 
 
@@ -199,10 +234,12 @@ def _gather(v: np.ndarray, stencils: np.ndarray, w2: np.ndarray) -> np.ndarray:
                      w2).view(complex)
 
 
-def _phase_stages(v: np.ndarray, table: list, done: int, kc: int) -> np.ndarray:
+def _phase_stages(v: np.ndarray, first: int, table: list, big_n: int,
+                  done: int, kc: int) -> np.ndarray:
     """The cubic stage values of steps done..done + kc - 1, both whole
-    multiples of r, read by phase with the (6r + 1, 4) weight table of
-    _stage_reader, whose row q holds the weights at x0 = q / 2r: the
+    multiples of r, on big_n sample intervals, read by phase from the rows
+    `v`, whose column 0 is sample `first`, with the (6r + 1, 4) weight table
+    of _stage_reader, whose row q holds the weights at x0 = q / 2r: the
     (b, 2 kc + 1) step ends then midpoints of _stage_values, bit for bit.
 
     Half-step phase p of interval i reads samples j..j + 3,
@@ -212,7 +249,7 @@ def _phase_stages(v: np.ndarray, table: list, done: int, kc: int) -> np.ndarray:
     over contiguous slices of the control rows."""
     two_r = (len(table) - 1) // 3
     r = two_r // 2
-    b, last = v.shape[0], v.shape[1] - 2
+    b, last = v.shape[0], big_n - 1
     m, i0 = kc // r, done // r
     x = np.empty((b, 2 * kc + 1), dtype=complex)
     ends, mids = x[:, :kc].reshape(b, m, r), x[:, kc + 1:].reshape(b, m, r)
@@ -221,11 +258,11 @@ def _phase_stages(v: np.ndarray, table: list, done: int, kc: int) -> np.ndarray:
     for lo, hi in zip(cuts, cuts[1:]):
         j = min(max(lo - 1, 0), last - 2)
         for p in range(two_r):
-            _taps(vf, j, table[two_r * (lo - j) + p],
+            _taps(vf, j - first, table[two_r * (lo - j) + p],
                   (mids if p % 2 else ends)[:, lo - i0:hi - i0, p // 2])
     i = min(i0 + m, last)
     j = min(max(i - 1, 0), last - 2)
-    _taps(vf, j, table[two_r * (i0 + m - j)], x[:, kc:kc + 1])
+    _taps(vf, j - first, table[two_r * (i0 + m - j)], x[:, kc:kc + 1])
     return x
 
 
@@ -244,20 +281,22 @@ def _taps(vf: np.ndarray, j: int, w: list, out: np.ndarray) -> None:
 
 def _stage_reader(sched: PulseSchedule, h: float, n: int):
     """The stage read of one propagation on `sched`, n steps of h, by the
-    rule of the module docstring: read(v, done, kc) gives the stage values
-    (v0, vm, v1), each (b, kc), of steps done..done + kc - 1 from the
-    complex control rows v, as _rk4_steps takes them.  The repeated gather
+    rule of the module docstring: read(v, first, done, kc) gives the stage
+    values (v0, vm, v1), each (b, kc), of steps done..done + kc - 1 from the
+    complex control rows v, whose column 0 is sample `first` (a _window of
+    the steps or more), as _rk4_steps takes them.  The repeated gather
     blocks live in the reader, keyed by kc, and so no longer than the
     propagation."""
+    big_n = sched.n_intervals
     if sched.interpolation == INTERP_PCONST:
-        def read(v, done, kc):
+        def read(v, first, done, kc):
             mid = (done + np.arange(kc) + 0.5) * h
-            x = v[:, np.clip((mid / sched.spacing).astype(int), 0, v.shape[1] - 2)]
+            x = v[:, np.clip((mid / sched.spacing).astype(int), 0, big_n - 1) - first]
             return x, x, x
         return read
     # exact: every stage sits at a position x0 = q / 2r of its stencil,
     # q = 0..6r, exactly
-    r, rest = divmod(n, sched.n_intervals)
+    r, rest = divmod(n, big_n)
     exact = (sched.interpolation == INTERP_CUBIC and not rest
              and r in _EXACT_STEPS and 0.5 * h / sched.spacing == 0.5 / r)
     table = (_lagrange_weights(np.arange(6 * r + 1) / (2 * r)).T.tolist()
@@ -269,10 +308,10 @@ def _stage_reader(sched: PulseSchedule, h: float, n: int):
         ends = 2 * (done + np.arange(kc + 1))
         return np.concatenate([ends, ends[:-1] + 1])
 
-    def read(v, done, kc):
+    def read(v, first, done, kc):
         if table is not None:
-            x = _phase_stages(v, table, done, kc)
-        elif exact and done >= r and (done + kc) // r <= sched.n_intervals - 2:
+            x = _phase_stages(v, first, table, big_n, done, kc)
+        elif exact and done >= r and (done + kc) // r <= big_n - 2:
             # whole intervals i0..i1 - 1, every stage on its centred
             # stencil: the weights of any other such block of kc steps, on
             # stencils shifted by i0
@@ -281,9 +320,9 @@ def _stage_reader(sched: PulseSchedule, h: float, n: int):
                 stencils, w2 = _cubic_stencils(sched, h, half_steps(done, kc))
                 repeats[kc] = stencils - i0, w2
             stencils, w2 = repeats[kc]
-            x = _gather(v, stencils + i0, w2)
+            x = _gather(v, stencils + (i0 - first), w2)
         else:
-            x = _stage_values(v, sched, h, half_steps(done, kc))
+            x = _stage_values(v, first, sched, h, half_steps(done, kc))
         return x[:, :kc], x[:, kc + 1:], x[:, 1:kc + 1]
     return read
 
@@ -386,8 +425,9 @@ def _propagate_rows(scheds: list[PulseSchedule], dr: np.ndarray, h: float, n: in
     (b, or one for all rows) and the detunings `dr` of _detunings (one, or
     one per row); returns (finals (b, 4), drifts (b,), states), states only
     if `record` (of row 0), which also picks each chunk's product: prefix if
-    recording, else tree.  Rows, their control rows included, are taken
-    _ROW_BLOCK at a time, so the working set does not grow with b."""
+    recording, else tree.  Rows are taken _ROW_BLOCK at a time, and each
+    block reads its control rows one window of sample columns at a time,
+    so the working set grows neither with b nor with N."""
     dr = dr[:, None]
     b = max(len(scheds), len(dr))
     if {len(scheds), len(dr)} - {1, b}:
@@ -405,7 +445,7 @@ def _propagate_rows(scheds: list[PulseSchedule], dr: np.ndarray, h: float, n: in
         for lo in range(0, b, _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
             qa, qb, drifts[rows] = _propagate_block(
-                _control_rows(scheds[rows] if len(scheds) > 1 else scheds),
+                scheds[rows] if len(scheds) > 1 else scheds,
                 dr[rows] if dr.shape[0] > 1 else dr, read, h, n, pair, states)
             finals[rows] = quat.pair_rows(qa, qb)
     if not (np.isfinite(drifts).all() and np.isfinite(finals).all()
@@ -415,7 +455,7 @@ def _propagate_rows(scheds: list[PulseSchedule], dr: np.ndarray, h: float, n: in
     return finals, drifts, states
 
 
-def _propagate_block(v, dr, read, h: float, n: int, start, states):
+def _propagate_block(scheds, dr, read, h: float, n: int, start, states):
     """One block of at most _ROW_BLOCK rows from the start pair; returns the
     final pairs and the drifts, and fills `states` with row 0's states
     unless it is None.  The stages come from the propagation's
@@ -427,17 +467,26 @@ def _propagate_block(v, dr, read, h: float, n: int, start, states):
     _rk4_steps call, multiplies each chunk as one of b k rows, then folds
     the chunk products into the running state in order, normalizing after
     each chunk: the same products, in the same association, as one chunk
-    at a time."""
+    at a time.  The stages are read from control rows of the _window
+    columns of the most whole step blocks that read _WINDOW_SAMPLES sample
+    intervals, at least one block: the same samples, so the same bits, as
+    from whole rows, at one row slice per window."""
     record = states is not None
-    b = max(v.shape[0], dr.shape[0])
+    b = max(len(scheds), dr.shape[0])
     qa, qb = np.full(b, start[0]), np.full(b, start[1])
     drift = np.zeros(b)
     per_block = max(1, _BLOCK_CELLS // (b * _STEP_CHUNK))
-    done = 0
+    steps = per_block * _STEP_CHUNK
+    span = max(1, int(_WINDOW_SAMPLES * scheds[0].spacing / h) // steps) * steps
+    done = end = 0
     while done < n:
         c = min(_STEP_CHUNK, n - done)
         k = max(1, min(per_block, (n - done) // _STEP_CHUNK))
-        ma, mb = _rk4_steps(*read(v, done, k * c), dr, h)
+        if done + k * c > end:
+            end = min(n, done + span)
+            cols = _window(scheds[0], h, done, end)
+            v = _control_rows(scheds, cols)
+        ma, mb = _rk4_steps(*read(v, cols.start, done, k * c), dr, h)
         # sqrt is monotone and |x - 1| falls, then rises, so a row's largest
         # ||m| - 1| is at its largest or smallest squared norm
         sq = _norm2(ma, mb)

@@ -606,6 +606,33 @@ def test_synthesize_validates_arguments():
             synthesize(E3, 1.0, 8192, k)
 
 
+def test_a_sample_count_or_warp_order_that_is_no_integer_is_refused():
+    # floats leaked numpy's untyped TypeError, and k = True planned as k = 1;
+    # 512 and 1 are planned first, so a cached clock cannot let 512.0 or
+    # True through
+    expect = synthesize(E3, 1.0, 512, 1)
+    plan = plan_controls(E3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: synthesize(E3, 1.0, 512.0),
+                     lambda: synthesize(E3, 1.0, 512, 1.5),
+                     lambda: synthesize(E3, 1.0, 512, 1.0),
+                     lambda: synthesize(E3, 1.0, 512, True),
+                     lambda: synthesize(E3, 1.0, True),
+                     lambda: sample_plan(plan, 1.0, np.float64(512)),
+                     lambda: sample_plan(plan, 1.0, 512, np.True_),
+                     lambda: planner._sample_grid(1.0, 512.0),
+                     lambda: smoothstep(0.5, 1.0, 2.0),
+                     lambda: smoothstep(0.5, 1.0, True)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call()
+    # numpy integers plan as Python's do
+    for n, k in ((np.int64(512), 1), (512, np.int32(1)), (np.uint16(512), np.int8(1))):
+        got = synthesize(E3, 1.0, n, k)
+        assert got.u1.tobytes() == expect.u1.tobytes()
+        assert got.u2.tobytes() == expect.u2.tobytes()
+
+
 def test_unwarped_schedule_shares_the_s_profile():
     sched = unwarped_schedule(E3, 256)
     u1, u2, _ = plan_controls(E3).controls(np.linspace(0, 1, 257))

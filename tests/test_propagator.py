@@ -147,7 +147,7 @@ def test_cubic_stencil_reproduces_cubic_controls():
     for r in (1, 2, 16):
         h = sched.spacing / r
         count = 2 * n * r + 1
-        v = _stage_values(_control_rows([sched]), sched, h, np.arange(count))[0]
+        v = _stage_values(_control_rows([sched]), 0, sched, h, np.arange(count))[0]
         tau = np.minimum(np.arange(count) * (0.5 * h), big_t)
         assert np.max(np.abs(v.real - p1(tau))) <= 1e-14
         assert np.max(np.abs(v.imag - p2(tau))) <= 1e-14
@@ -158,7 +158,7 @@ def test_cubic_stage_points_at_the_spacing():
     n = 12
     u1, u2 = rng.standard_normal((2, n + 1))
     sched = PulseSchedule(0.9, u1, u2, target=ONE, interpolation=INTERP_CUBIC)
-    x = _stage_values(_control_rows([sched]), sched, sched.spacing,
+    x = _stage_values(_control_rows([sched]), 0, sched, sched.spacing,
                       np.arange(2 * n + 1))[0]
     for u, v in ((u1, x.real), (u2, x.imag)):
         assert np.array_equal(v[::2], u)           # stage endpoints: the samples
@@ -294,11 +294,11 @@ def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_inte
     v, one = _control_rows(scheds), ONE.as_array()
     ends = 2 * np.arange(n + 1)
     gathered = split_stages(
-        _stage_values(v, scheds[0], h, np.concatenate([ends, ends[:-1] + 1])), n)
+        _stage_values(v, 0, scheds[0], h, np.concatenate([ends, ends[:-1] + 1])), n)
     calls = count_reads(monkeypatch)
     for rows in (slice(None), slice(148, None), slice(149, None)):     # 150, 2 and 1
         calls.clear()
-        stages = _stage_reader(scheds[0], h, n)(v[rows], 0, n)
+        stages = _stage_reader(scheds[0], h, n)(v[rows], 0, 0, n)
         assert (calls["_phase_stages"] == 1) == (steps_per_interval in (1, 2, 4))
         for x, ref in zip(stages, gathered):
             assert x.tobytes() == ref[rows].tobytes()
@@ -335,13 +335,13 @@ def test_repeated_gather_blocks_match_the_chunked_kernel_byte_for_byte(
     h = big_t / n
     v, one = _control_rows(scheds), ONE.as_array()
     chunks = [(done, min(_STEP_CHUNK, n - done)) for done in range(0, n, _STEP_CHUNK)]
-    gathered = [split_stages(_stage_values(v, scheds[0], h, np.concatenate(
+    gathered = [split_stages(_stage_values(v, 0, scheds[0], h, np.concatenate(
         [2 * (done + np.arange(kc + 1)), 2 * (done + np.arange(kc)) + 1])), kc)
         for done, kc in chunks]
     calls = count_reads(monkeypatch)
     read = _stage_reader(scheds[0], h, n)
     for (done, kc), refs in zip(chunks, gathered):
-        for x, ref in zip(read(v, done, kc), refs):
+        for x, ref in zip(read(v, 0, done, kc), refs):
             assert x.tobytes() == ref.tobytes()
     assert calls["_phase_stages"] == 0
     # the second chunk, ending at interval 512 / r, is the first that can repeat
@@ -353,6 +353,73 @@ def test_repeated_gather_blocks_match_the_chunked_kernel_byte_for_byte(
             finals, drifts = propagate_final_batch(scheds[rows], delta_r=dr, h=h)
             ref_f, ref_d, _ = chunked_rows(v[rows], scheds[0], dr, h, n, one, record=False)
             assert finals.tobytes() == ref_f.tobytes() and drifts.tobytes() == ref_d.tobytes()
+
+
+@pytest.mark.parametrize("window", [1, None], ids=["block", "default"])
+@pytest.mark.parametrize("interpolation, steps_per_interval", [
+    (INTERP_CUBIC, 1), (INTERP_CUBIC, 2), (INTERP_CUBIC, 3), (INTERP_CUBIC, 8),
+    (INTERP_CUBIC, 16), (INTERP_LINEAR, 3), (INTERP_PCONST, 2)])
+def test_control_windows_match_the_chunked_kernel_byte_for_byte(
+        interpolation, steps_per_interval, window, monkeypatch):
+    # the control rows are copied one window of sample columns at a time:
+    # one window per step block ("block") or the most whole blocks within
+    # _WINDOW_SAMPLES intervals; consecutive windows overlap by the stencils
+    # their edge cuts.  At least 4500 steps, never a multiple of 256, give
+    # one row two or more 4096-step blocks and 5 rows six or more 768-step
+    # ones, and at least 600 intervals more than one default window
+    rng = np.random.default_rng(60)
+    big_n = max(-(-4500 // steps_per_interval), 600)
+    big_t = 1.7
+    scheds = [PulseSchedule(big_t, *rng.standard_normal((2, big_n + 1)), target=ONE,
+                            interpolation=interpolation) for _ in range(70)]
+    n = steps_per_interval * big_n
+    h = big_t / n
+    v, one = _control_rows(scheds), ONE.as_array()
+    if window is not None:
+        monkeypatch.setattr(propagator, "_WINDOW_SAMPLES", window)
+    windows = []
+
+    def control_rows(rows, cols=slice(None)):
+        windows.append((cols.start, cols.stop))
+        return _control_rows(rows, cols)
+    monkeypatch.setattr(propagator, "_control_rows", control_rows)
+    drs = rng.uniform(-1.0, 1.0, 70)
+    for count, detuned in ((5, False), (31, True), (64, False), (70, True)):
+        rows = slice(70 - count, None)
+        dr = drs[rows] if detuned else 0.0
+        windows.clear()
+        finals, drifts = propagate_final_batch(scheds[rows], delta_r=dr, h=h)
+        ref_f, ref_d, _ = chunked_rows(v[rows], scheds[0], dr, h, n, one, record=False)
+        assert finals.tobytes() == ref_f.tobytes() and drifts.tobytes() == ref_d.tobytes()
+        # each window after the first of a row block starts inside the last
+        assert len(windows) >= 2 and windows[-1][1] == big_n + 1
+        for (lo0, hi0), (lo1, _) in zip(windows, windows[1:]):
+            assert lo1 == 0 or lo0 < lo1 < hi0
+    for i, dr in ((0, 0.0), (69, 0.4)):
+        windows.clear()
+        res = propagate(scheds[i], delta_r=dr, h=h)
+        ref_f, ref_d, ref_s = chunked_rows(v[i:i + 1], scheds[i], dr, h, n, one, record=True)
+        assert res.states.tobytes() == ref_s.tobytes()
+        assert res.final == quat.as_unit(ref_f[0])
+        assert np.float64(res.max_norm_drift).tobytes() == ref_d.tobytes()
+        assert len(windows) >= 2
+
+
+def test_batch_memory_does_not_grow_with_the_sample_count():
+    # the control rows are read through a window of sample columns per few
+    # step blocks, never copied whole: 64 rows of 2**16 intervals once took
+    # a 67 MB copy
+    rng = np.random.default_rng(61)
+    peaks = []
+    for big_n in (2 ** 12, 2 ** 16):
+        sched = synthesize(quat.as_unit(quat.random_unit(rng)), 1.0, big_n, 1)
+        tracemalloc.start()
+        try:
+            propagate_final_batch([sched] * 64)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0]
 
 
 def test_batch_memory_does_not_grow_with_the_batch():
@@ -466,12 +533,15 @@ def test_non_finite_detuning_and_step_rejected():
 
 
 @pytest.mark.parametrize("bad", ["x", 1j, np.array([1 + 1j, 2.0]), [[0.0], [1.0, 2.0]],
-                                 [[0.0, 0.5], [1.0, -1.0]]],
-                         ids=["string", "complex", "complex-array", "ragged", "2d"])
+                                 [[0.0, 0.5], [1.0, -1.0]], True, False, np.True_,
+                                 [0.5, True], (np.False_,), np.array([True, False])],
+                         ids=["string", "complex", "complex-array", "ragged", "2d", "true",
+                              "false", "numpy-bool", "bool-in-list", "numpy-bool-in-tuple",
+                              "bool-array"])
 def test_a_detuning_or_step_that_is_no_real_number_raises_a_typed_error(bad):
     # a complex detuning array once lost its imaginary part behind a
-    # ComplexWarning and returned finals; the others raised numpy's
-    # ValueError or a TypeError
+    # ComplexWarning and returned finals, and a bool ran as 1.0 or 0.0; the
+    # others raised numpy's ValueError or a TypeError
     sched = synthesize(E3, 1.0, 128, 1)
     exact = zyz_schedule(euler_decompose(E3), 2.0)
     calls = [lambda: propagate(sched, delta_r=bad),
