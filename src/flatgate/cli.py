@@ -270,8 +270,7 @@ def write_schedule(sched: PulseSchedule, path: str) -> Path:
     side = p.with_suffix(".json")
     if side == p:
         raise OSError(f"{path}: a schedule path cannot be its own .json sidecar")
-    _write_csv(p, "t,u1,u2", (sched.t, sched.u1, sched.u2))
-    manifest = {
+    text = json.dumps({        # first, so that a failure writes neither file
         "format_version": FORMAT_VERSION,
         "target": [sched.target.w, sched.target.x, sched.target.y, sched.target.z],
         "T": sched.duration,
@@ -280,8 +279,9 @@ def write_schedule(sched: PulseSchedule, path: str) -> Path:
         "eta_bar": sched.eta_bar,
         "min_abs_z": sched.min_abs_z,
         "interpolation": sched.interpolation,
-    }
-    side.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    }, indent=2, sort_keys=True) + "\n"
+    _write_csv(p, "t,u1,u2", (sched.t, sched.u1, sched.u2))
+    side.write_text(text)
     return side
 
 

@@ -56,7 +56,7 @@ import numpy as np
 from .errors import IdentityTarget, MonotonicityViolation, SingularFlatCurve, WindingNonzero
 from .flat import SINGULAR_Z_TOL, LiftSamplePath
 from .quat import UnitQuaternion
-from .schedule import INTERP_CUBIC, MAX_SAMPLES, PulseSchedule, check_duration
+from .schedule import INTERP_CUBIC, MAX_SAMPLES, PulseSchedule, check_duration, take_number
 
 # min|z| over s is about dist(target, 1) / sqrt(2), so every target beyond
 # this distance clears the SINGULAR_Z_TOL guard of Plan.controls.
@@ -312,13 +312,13 @@ def smoothstep(t, big_t: float, k: int = 1):
     k = 1 is the cubic 3(t/T)^2 - 2(t/T)^3; higher k raises the endpoint
     flatness (degree 2k + 1), up to MAX_WARP_ORDER.
     """
-    check_duration(big_t)
-    _check_count(k, "warp order")
+    big_t = check_duration(big_t)
+    k = take_number(k, "warp order", int)
     if k < 1:
         raise ValueError("warp order must be at least 1")
     if k > MAX_WARP_ORDER:
         raise ValueError(f"warp order must be at most {MAX_WARP_ORDER}")
-    u = np.asarray(t, dtype=float) / big_t
+    u = np.asarray(take_number(t, "t", ndim=1)) / big_t
     if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
         raise ValueError("t must lie in [0, T]")
     ck = math.factorial(2 * k + 1) // (math.factorial(k) ** 2)
@@ -343,16 +343,9 @@ def plan_controls(qbar: UnitQuaternion) -> Plan:
     return Plan(qbar, dec, cubics, check_alpha_monotone(cubics), check_winding(cubics))
 
 
-def _check_count(value, name: str) -> None:
-    """Refuse a count that is not an integer, Python's or numpy's: a float,
-    even a whole one, or a bool."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, not {type(value).__name__}")
-
-
 def _sample_grid(big_t: float, n: int) -> np.ndarray:
-    check_duration(big_t)
-    _check_count(n, "sample interval count")
+    big_t = check_duration(big_t)
+    n = take_number(n, "sample interval count", int)
     if n < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} sample intervals")
     if n > MAX_SAMPLES:
@@ -360,8 +353,7 @@ def _sample_grid(big_t: float, n: int) -> np.ndarray:
     return np.linspace(0.0, big_t, n + 1)
 
 
-# typed, so that 512.0 or True never finds the clock of 512 or 1 unchecked
-@functools.lru_cache(maxsize=CLOCK_CACHE_SIZE, typed=True)
+@functools.lru_cache(maxsize=CLOCK_CACHE_SIZE)
 def _cached_clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     s, sd = smoothstep(_sample_grid(big_t, n), big_t, k)
     s.flags.writeable = sd.flags.writeable = False
@@ -369,8 +361,10 @@ def _cached_clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s(t), ds/dt) on n uniform intervals of [0, T]; shared read-only
-    arrays for n <= CLOCK_CACHE_MAX_N, fresh ones above."""
+    """(s(t), ds/dt) on n uniform intervals of [0, T] (T, n and k taken before the cache
+    sees them): shared read-only arrays for n <= CLOCK_CACHE_MAX_N, fresh ones above."""
+    big_t, n = check_duration(big_t), take_number(n, "sample interval count", int)
+    k = take_number(k, "warp order", int)
     if n > CLOCK_CACHE_MAX_N:
         return smoothstep(_sample_grid(big_t, n), big_t, k)
     return _cached_clock(big_t, n, k)
@@ -408,6 +402,7 @@ def rotate_controls(sched: PulseSchedule, eta: float) -> PulseSchedule:
     sin(eta) u1 + cos(eta) u2) steers 1 -> the target with its (q1, q2)
     components rotated by eta.
     """
+    eta = take_number(eta, "eta")
     ce, se = math.cos(eta), math.sin(eta)
     u1 = ce * sched.u1 - se * sched.u2
     u2 = se * sched.u1 + ce * sched.u2

@@ -72,7 +72,7 @@ import numpy as np
 from .errors import InvalidPropagationInput, StepTooLarge
 from . import quat
 from .quat import ImagQuaternion, UnitQuaternion
-from .schedule import INTERP_CUBIC, INTERP_PCONST, MAX_SAMPLES, PulseSchedule
+from .schedule import INTERP_CUBIC, INTERP_PCONST, MAX_SAMPLES, PulseSchedule, take_number
 
 DEFAULT_STEP_DIVISOR = 8192
 _STEP_CHUNK = 256
@@ -109,39 +109,15 @@ def fidelity(p: UnitQuaternion, q: UnitQuaternion) -> float:
     return p.w * q.w + p.x * q.x + p.y * q.y + p.z * q.z
 
 
-def _holds_bool(x) -> bool:
-    """Whether x is a bool, Python's or numpy's, or a list, tuple or array
-    holding one (deeper nesting is refused as more than one dimension)."""
-    if isinstance(x, np.ndarray):
-        if x.dtype != object:
-            return x.dtype == bool
-        x = x.flat
-    elif not isinstance(x, (list, tuple)):
-        return isinstance(x, (bool, np.bool_))
-    return any(isinstance(e, (bool, np.bool_)) for e in x)
-
-
 def _detunings(delta_r, one: bool = False) -> np.ndarray:
-    """delta_r as a flat float vector: one real number or, unless `one`, a
-    non-empty flat list of them, all finite; anything else, a complex value
-    (never cut to its real part) or a bool (never read as 0 or 1) included,
-    raises InvalidPropagationInput."""
-    if _holds_bool(delta_r):
-        raise InvalidPropagationInput("delta_r must be a real number, not a bool")
-    try:
-        if np.iscomplexobj(delta_r):
-            raise TypeError
-        dr = np.asarray(delta_r, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise InvalidPropagationInput("delta_r must be real") from None
-    if dr.ndim > (0 if one else 1):
-        raise InvalidPropagationInput(
-            "delta_r needs one value" + ("" if one else " or a flat list of them"))
+    """delta_r (one value if `one`) as a non-empty finite float vector."""
+    dr = np.reshape(take_number(delta_r, "delta_r", ndim=0 if one else 1,
+                                error=InvalidPropagationInput), -1)
     if dr.size == 0:
         raise InvalidPropagationInput("empty detuning list")
     if not np.isfinite(dr).all():
         raise InvalidPropagationInput("delta_r must be finite")
-    return dr.reshape(-1)
+    return dr
 
 
 def _resolve_steps(sched: PulseSchedule, h: float | None) -> tuple[int, float]:
@@ -149,8 +125,8 @@ def _resolve_steps(sched: PulseSchedule, h: float | None) -> tuple[int, float]:
     if h is None:
         h = sched.spacing / (1 if sched.interpolation == INTERP_CUBIC
                              else math.ceil(DEFAULT_STEP_DIVISOR / sched.n_intervals))
-    elif isinstance(h, bool) or not isinstance(h, (int, float, np.integer, np.floating)):
-        raise InvalidPropagationInput(f"step must be a real number, not {type(h).__name__}")
+    else:
+        h = take_number(h, "step", error=InvalidPropagationInput)
     if h <= 0.0:
         raise InvalidPropagationInput("step must be positive")
     if h > sched.spacing * (1.0 + 1e-12):
@@ -509,7 +485,7 @@ def propagate(sched: PulseSchedule, delta_r: float = 0.0,
               h: float | None = None, start: UnitQuaternion = quat.ONE,
               ) -> PropagationResult:
     """Integrate one schedule from `start` (default: the identity) at one
-    detuning."""
+    detuning; an explicit step h runs n = round(T/h) steps of T/n, the grid t holds."""
     n, h = _resolve_steps(sched, h)
     finals, drift, states = _propagate_rows(
         [sched], _detunings(delta_r, one=True), h, n, start.as_array(), record=True)
@@ -522,8 +498,8 @@ def propagate_final_batch(scheds: list[PulseSchedule], delta_r=0.0,
     """Terminal states for many schedules sharing one time grid, at one
     detuning or one per row (one schedule at b detunings gives b rows).
 
-    Returns (finals (b, 4), max_norm_drift (b,)).  Used for bulk
-    verification where per-step trajectories are not needed.
+    Returns (finals (b, 4), max_norm_drift (b,)), for bulk verification
+    without trajectories; an explicit step h is rounded as in propagate.
     """
     if len(scheds) == 0:
         raise InvalidPropagationInput("empty batch")
@@ -537,7 +513,7 @@ def propagate_final_batch(scheds: list[PulseSchedule], delta_r=0.0,
 
 def detuning_sweep(sched: PulseSchedule, delta_r_list, target: UnitQuaternion,
                    h: float | None = None) -> DetuningSweep:
-    """Terminal fidelity against `target` for each detuning offset."""
+    """Terminal fidelity against `target` per detuning; h rounds as in propagate."""
     dr = _detunings(delta_r_list)
     finals, _ = propagate_final_batch([sched], dr, h)
     return DetuningSweep(dr, finals @ target.as_array())

@@ -1,5 +1,5 @@
-"""Sampled control schedules: the exchange format between planner,
-baseline, propagator, and CLI.
+"""Sampled control schedules, the exchange format between planner, baseline,
+propagator, and CLI, and take_number, the one rule that reads their numbers.
 
 A schedule holds its duration T and N + 1 samples (u1, u2) on the uniform
 grid t_i = i*T/N, which T and N alone define, plus the metadata needed to
@@ -37,11 +37,39 @@ MAX_SAMPLES = 2 ** 22
 MIN_DURATION = 1e-300
 
 
-def check_duration(big_t: float) -> None:
-    """Refuse a duration that is not a finite number of at least
-    MIN_DURATION (NaN too), before any arithmetic on it."""
+def take_number(value, name: str, kind: type = float, ndim: int = 0,
+                error: type[Exception] = ValueError):
+    """The one intake rule, before any comparison, hashing or conversion: a real
+    (kind float: an int or a float, Python's or numpy's, not a bool; with ndim=1
+    also a flat list, tuple or 1-d array of them) is read as a float or a new
+    float array, a count (kind int) as an int, a 0-d array as its value; else `error`."""
+    if type(value) is kind:
+        return value
+    if isinstance(value, np.ndarray):
+        if value.ndim == 0:
+            value = value[()]
+        elif kind is float and value.ndim <= ndim and value.dtype.kind in "iuf":
+            return np.array(value, dtype=float)
+    if isinstance(value, (list, tuple, np.ndarray)):
+        # element by element, as np.asarray([0.5, True]) is silently a float array
+        if ndim and kind is float and getattr(value, "ndim", 1) == 1:
+            return np.array([take_number(v, name, error=error) for v in value], dtype=float)
+    elif (isinstance(value, (int, np.integer) if kind is int else (int, float, np.integer, np.floating))
+          and not isinstance(value, bool)):
+        try:
+            return kind(value)
+        except OverflowError:
+            raise error(f"{name} must be within the float range") from None
+    rule = "an integer" if kind is int else "a real number" + (" or a flat list of them" if ndim else "")
+    raise error(f"{name} must be {rule}, not {type(value).__name__}")
+
+
+def check_duration(big_t: float) -> float:
+    """T read by take_number, and refused unless finite and >= MIN_DURATION."""
+    big_t = take_number(big_t, "duration")
     if not MIN_DURATION <= big_t < math.inf:
         raise ValueError(f"duration must be positive and finite, at least {MIN_DURATION!r}")
+    return big_t
 
 
 @dataclass(frozen=True)
@@ -57,11 +85,10 @@ class PulseSchedule:
     min_abs_z: float | None = None
 
     def __post_init__(self):
-        check_duration(self.duration)
-        # copies, so that the caller's arrays cannot change a frozen schedule
-        u1 = np.array(self.u1, dtype=float)
-        u2 = np.array(self.u2, dtype=float)
-        if u1.ndim != 1 or u1.shape != u2.shape or u1.shape[0] < 2:
+        duration = check_duration(self.duration)
+        # new arrays, so that the caller's cannot change a frozen schedule
+        u1, u2 = take_number(self.u1, "u1", ndim=1), take_number(self.u2, "u2", ndim=1)
+        if not (type(u1) is type(u2) is np.ndarray and u1.shape == u2.shape and u1.shape[0] > 1):
             raise ValueError("u1, u2 must be 1-d arrays of equal length, at least two samples")
         if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
             raise ValueError("u1, u2 must be finite")
@@ -69,10 +96,15 @@ class PulseSchedule:
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
         if self.interpolation == INTERP_CUBIC and u1.shape[0] < 4:
             raise ValueError("cubic schedule needs at least four samples")
-        object.__setattr__(self, "duration", float(self.duration))
+        object.__setattr__(self, "duration", duration)
         for name, a in (("u1", u1), ("u2", u2)):
-            a.flags.writeable = False
+            a.setflags(write=False)
             object.__setattr__(self, name, a)
+        # the sidecar's metadata as the Python int and floats that JSON can write
+        for name, kind in (("warp_order", int), ("eta_bar", float), ("min_abs_z", float)):
+            value = getattr(self, name)
+            if value is not None and type(value) is not kind:
+                object.__setattr__(self, name, take_number(value, name, kind))
 
     @property
     def n_intervals(self) -> int:

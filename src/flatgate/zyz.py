@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import quat
 from .quat import ImagQuaternion, UnitQuaternion
 from .schedule import INTERP_PCONST, PulseSchedule, check_duration
@@ -66,9 +64,8 @@ def zyz_schedule(angles: EulerE1E2E1, big_t: float) -> PulseSchedule:
     """Three equal thirds of [0, T]: pulse areas a (on e1), b (on e2),
     c (on e1), at constant amplitudes 3*angle/T.  Zero angles give zero
     segments."""
-    check_duration(big_t)
+    big_t = check_duration(big_t)
     amp = 3.0 / big_t
-    u1 = np.array([amp * angles.a, 0.0, amp * angles.c, amp * angles.c])
-    u2 = np.array([0.0, amp * angles.b, 0.0, 0.0])
-    return PulseSchedule(big_t, u1, u2, target=angles.reconstruct(),
+    return PulseSchedule(big_t, [amp * angles.a, 0.0, amp * angles.c, amp * angles.c],
+                         [0.0, amp * angles.b, 0.0, 0.0], target=angles.reconstruct(),
                          interpolation=INTERP_PCONST)

@@ -74,6 +74,29 @@ def test_schedule_round_trip_preserves_propagation(tmp_path, capsys):
         assert np.array_equal(fa, fb)
 
 
+def test_a_numpy_integer_warp_order_writes_a_readable_file_pair(tmp_path):
+    # the schedule kept numpy's int64, which json cannot write: the CSV was
+    # written, then the sidecar raised TypeError
+    path = str(tmp_path / "s.csv")
+    sched = synthesize(E3, 1.0, 512, np.int64(2))
+    assert type(sched.warp_order) is int
+    write_schedule(sched, path)
+    back = read_schedule(path)
+    assert back.warp_order == 2 and back.u1.tobytes() == sched.u1.tobytes()
+    for bad in (True, np.True_, 2.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match="warp_order must be an integer"):
+            PulseSchedule(1.0, sched.u1, sched.u2, target=E3, interpolation="cubic",
+                          warp_order=bad)
+
+
+def test_a_sidecar_that_cannot_be_written_writes_neither_file(tmp_path):
+    sched = synthesize(E3, 1.0, 64, 1)
+    object.__setattr__(sched, "eta_bar", object())      # past the intake
+    with pytest.raises(TypeError):
+        write_schedule(sched, str(tmp_path / "s.csv"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bulk_writer_matches_per_value_formatting(tmp_path, capsys):
     path = tmp_path / "traj.csv"
     # three write blocks, the last partial

@@ -32,6 +32,8 @@ def test_flat_point_examples():
     assert np.array_equal(flat_point(ONE).as_array(), [1, 0, 0])
     # q = e2: conj(e2) e1 e2 = -e1
     assert np.max(np.abs(flat_point(E2).as_array() - [-1, 0, 0])) <= 1e-15
+    with pytest.raises(ValueError, match="must be unit"):
+        FlatPoint(ImagQuaternion(0.5, 0.0, 0.0))
 
 
 def test_left_subgroup_invariance():
@@ -251,6 +253,10 @@ def test_lift_path_validation():
     yd = np.zeros((m, 4))
     yd[:, 0] = -np.sin(s)
     yd[:, 2] = np.cos(s)
+    with pytest.raises(ValueError, match="shapes"):
+        LiftSamplePath(s, y[:-1], yd, -y)          # one sample short
+    with pytest.raises(ValueError, match="strictly increasing"):
+        LiftSamplePath(s[::-1], y, yd, -y)         # decreasing grid
     with pytest.raises(ValueError):
         LiftSamplePath(s ** 2, y, yd, -y)          # non-uniform grid
     with pytest.raises(ValueError):

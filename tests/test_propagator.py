@@ -121,6 +121,13 @@ def test_default_step_takes_whole_steps_per_sample_interval(interpolation):
         assert len(t) == steps + 1 and t[-1] == 2.0
 
 
+@pytest.mark.parametrize("u1, u2", [(np.zeros(4), np.zeros(5)), (np.zeros(1), np.zeros(1)),
+                                    (0.0, 0.0)], ids=["unequal", "one-sample", "scalars"])
+def test_schedule_controls_are_equal_rows_of_two_samples_or_more(u1, u2):
+    with pytest.raises(ValueError, match="1-d arrays of equal length"):
+        PulseSchedule(1.0, u1, u2, target=ONE, interpolation=INTERP_LINEAR)
+
+
 def test_cubic_schedule_needs_four_samples():
     u = np.zeros(3)
     with pytest.raises(ValueError, match="four samples"):

@@ -1,5 +1,6 @@
-"""Property tests of the planner over the whole target sphere, and of the
-CLI's CSV writer over every float64."""
+"""Property tests of the planner over the whole target sphere, of every
+numeric intake of the library, and of the CLI's CSV writer over every
+float64."""
 import contextlib
 import decimal
 import io
@@ -17,11 +18,15 @@ from hypothesis.extra.numpy import arrays
 from oracles import per_value_csv
 
 from flatgate import cli
-from flatgate.errors import IdentityTarget
+from flatgate.errors import IdentityTarget, InvalidPropagationInput
 from flatgate.planner import (DEFAULT_SAMPLES, IDENTITY_TOL, MAX_WARP_ORDER, WINDING_TOL,
-                              plan_controls, sample_plan)
-from flatgate.propagator import propagate, propagate_final_batch
-from flatgate.quat import UnitQuaternion
+                              plan_controls, rotate_controls, sample_plan, smoothstep,
+                              synthesize)
+from flatgate.propagator import (detuning_sweep, propagate, propagate_final_batch,
+                                 propagate_piecewise_exact)
+from flatgate.quat import E3, UnitQuaternion
+from flatgate.schedule import INTERP_CUBIC, PulseSchedule
+from flatgate.zyz import euler_decompose, zyz_schedule
 
 component = st.floats(-1.0, 1.0, allow_nan=False)
 targets = st.tuples(component, component, component, component) \
@@ -140,6 +145,112 @@ def test_any_sidecar_value_exits_with_a_code(tmp_path, key):
                 assert cli.main(["simulate", str(path)]) in (0, 1, 2)
 
     simulate_edited()
+
+
+# values that no numeric parameter takes: Python and numpy bools, complex
+# scalars and arrays, numeric and other strings, bytes, None, an object,
+# ragged and nested lists, and a bool inside a list, tuple or object array
+not_numbers = st.sampled_from([
+    True, False, np.True_, np.False_, np.array(True), np.array([True, False]),
+    1j, 2 + 0j, np.complex128(0.5), np.array([1 + 2j, 0, 0, 0]), np.array(1 + 0j),
+    "512", "0.5", "1", "", "x", b"1", b"x", None, object(),
+    [[0.0], [1.0, 2.0]], [[0.0, 0.5], [1.0, -1.0]], [[0.5]], [0.5, [1.0]],
+    [0.5, True], (np.False_, 0.25), np.array([0.5, True], dtype=object),
+    np.array(["0.5", "1"]), ["0.5", "1.0"]])
+
+
+def numeric_parameters():
+    """(name, call on one value, documented error, None allowed) for each
+    numeric parameter of the public planner, schedule and propagator; every
+    other argument is valid."""
+    plan = plan_controls(E3)
+    sched = sample_plan(plan, 1.0, 64, 1)
+    held = zyz_schedule(euler_decompose(E3), 2.0)
+    u = np.zeros(4)
+    pulse = dict(target=E3, interpolation=INTERP_CUBIC)
+    bad = InvalidPropagationInput
+    return [
+        ("synthesize T", lambda v: synthesize(E3, v), ValueError, False),
+        ("synthesize n", lambda v: synthesize(E3, 1.0, v), ValueError, False),
+        ("synthesize k", lambda v: synthesize(E3, 1.0, 64, v), ValueError, False),
+        ("sample_plan T", lambda v: sample_plan(plan, v), ValueError, False),
+        ("sample_plan n", lambda v: sample_plan(plan, 1.0, v), ValueError, False),
+        ("sample_plan k", lambda v: sample_plan(plan, 1.0, 64, v), ValueError, False),
+        ("smoothstep t", lambda v: smoothstep(v, 1.0), ValueError, False),
+        ("smoothstep T", lambda v: smoothstep(0.5, v), ValueError, False),
+        ("smoothstep k", lambda v: smoothstep(0.5, 1.0, v), ValueError, False),
+        ("PulseSchedule duration", lambda v: PulseSchedule(v, u, u, **pulse), ValueError, False),
+        ("PulseSchedule u1", lambda v: PulseSchedule(1.0, v, u, **pulse), ValueError, False),
+        ("PulseSchedule u2", lambda v: PulseSchedule(1.0, u, v, **pulse), ValueError, False),
+        ("PulseSchedule warp_order",
+         lambda v: PulseSchedule(1.0, u, u, **pulse, warp_order=v), ValueError, True),
+        ("PulseSchedule eta_bar",
+         lambda v: PulseSchedule(1.0, u, u, **pulse, eta_bar=v), ValueError, True),
+        ("PulseSchedule min_abs_z",
+         lambda v: PulseSchedule(1.0, u, u, **pulse, min_abs_z=v), ValueError, True),
+        ("zyz_schedule T", lambda v: zyz_schedule(euler_decompose(E3), v), ValueError, False),
+        ("rotate_controls eta", lambda v: rotate_controls(sched, v), ValueError, False),
+        ("propagate delta_r", lambda v: propagate(sched, delta_r=v), bad, False),
+        ("propagate h", lambda v: propagate(sched, h=v), bad, True),
+        ("propagate_final_batch delta_r",
+         lambda v: propagate_final_batch([sched], delta_r=v), bad, False),
+        ("propagate_final_batch h", lambda v: propagate_final_batch([sched], h=v), bad, True),
+        ("detuning_sweep delta_r_list", lambda v: detuning_sweep(sched, v, E3), bad, False),
+        ("detuning_sweep h", lambda v: detuning_sweep(sched, [0.0], E3, h=v), bad, True),
+        ("propagate_piecewise_exact delta_r",
+         lambda v: propagate_piecewise_exact(held, delta_r=v), bad, False),
+    ]
+
+
+NUMERIC_PARAMETERS = numeric_parameters()
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(param=st.sampled_from(NUMERIC_PARAMETERS), value=not_numbers)
+def test_a_value_that_is_no_number_raises_the_documented_error(param, value):
+    # each raised TypeError, warned, or gave a result on some of these
+    # (T = True planned T = 1, delta_r = "0.5" ran at 0.5, a complex control
+    # lost its imaginary part behind a ComplexWarning, n = "512" failed in
+    # a comparison and k = [1] in hashing)
+    name, call, error, none_allowed = param
+    assume(not (value is None and none_allowed))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as info:
+            call(value)
+    assert not isinstance(info.value, TypeError), name
+
+
+# Python and numpy ints and floats of every width, as scalars and 0-d arrays
+def widths(v):
+    kinds = [np.float16, np.float32, np.float64, np.longdouble] if isinstance(v, float) else [
+        kind for kind in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16,
+                          np.uint32, np.uint64) if np.iinfo(kind).max >= v]
+    return [v, np.array(v)] + [kind(v) for kind in kinds]
+
+
+def test_every_accepted_number_gives_the_bits_of_its_python_value():
+    # a float16, float32 or longdouble duration once built a sample grid of
+    # that width, and a 0-d duration failed in the clock cache
+    def plan_bits(big_t, n, k):
+        s = synthesize(E3, big_t, n, k)
+        return (s.u1.tobytes(), s.u2.tobytes(), s.duration, type(s.duration), s.warp_order,
+                type(s.warp_order))
+
+    for want, cases in (
+            (plan_bits(1.5, 1000, 2), [(t, 1000, 2) for t in widths(1.5)]
+             + [(1.5, n, 2) for n in widths(1000)] + [(1.5, 1000, k) for k in widths(2)]),
+            (plan_bits(2.0, 1000, 2), [(t, 1000, 2) for t in widths(2)])):
+        for args in cases:
+            assert plan_bits(*args) == want, args
+    sched = synthesize(E3, 2.0, 512, 2)
+    finals = propagate_final_batch([sched], delta_r=[0.25, -0.5], h=1 / 1024)
+    for dr, h in ([([0.25, -0.5], h) for h in widths(1 / 1024)]
+                  + [(dr, 1 / 1024) for dr in ((0.25, np.float32(-0.5)),
+                                               np.array([0.25, -0.5], np.float32),
+                                               np.array([0.25, -0.5], dtype=object))]):
+        got = propagate_final_batch([sched], delta_r=dr, h=h)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in finals], (dr, h)
 
 
 # hostile and valid command-line values: non-finite, zero, negative and

@@ -42,6 +42,11 @@ def test_conj_examples():
     assert np.array_equal(qarr(conj(ONE)), [1.0, 0.0, 0.0, 0.0])
 
 
+def test_negation_keeps_the_type():
+    for q in (Quaternion(1.0, -2.0, 0.5, 0.0), E3):
+        assert type(-q) is type(q) and np.array_equal(qarr(-q), -qarr(q))
+
+
 def test_unit_times_conjugate_is_one():
     rng = np.random.default_rng(1)
     for _ in range(100):
@@ -125,6 +130,8 @@ def test_su2_homomorphism():
 
 
 def test_su2_rejects_bad_matrices():
+    with pytest.raises(ValueError, match="2x2"):
+        SU2Matrix(np.eye(3))
     with pytest.raises(NotSpecialUnitary):
         SU2Matrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
     with pytest.raises(NotSpecialUnitary):
