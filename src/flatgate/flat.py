@@ -21,6 +21,7 @@ import numpy as np
 from .errors import GridTooCoarse, NotTangent, SectionSingularity, SingularFlatCurve
 from . import quat
 from .quat import ImagQuaternion, Quaternion, UnitQuaternion
+from .schedule import take_number
 
 FLAT_UNIT_TOL = 1e-9
 TANGENT_TOL = 1e-9
@@ -125,7 +126,8 @@ class LiftSamplePath:
     """Sampled lift Y(s) with analytic first and second derivatives.
 
     s is a uniform, strictly increasing grid in [0, 1]; rows of y are unit
-    quaternions and yd must be tangent (Re(yd y*) = 0 within 1e-9).
+    quaternions and yd must be tangent (Re(yd y*) = 0 within 1e-9).  Every
+    value is read by take_number and must be finite, else ValueError.
     Derivatives come in closed form from the caller; this module never
     differentiates numerically.
     """
@@ -136,13 +138,15 @@ class LiftSamplePath:
     ydd: np.ndarray
 
     def __post_init__(self):
-        s = np.asarray(self.s, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        yd = np.asarray(self.yd, dtype=float)
-        ydd = np.asarray(self.ydd, dtype=float)
-        m = s.shape[0]
+        # new arrays, so that the caller's cannot change a frozen path
+        s, y, yd, ydd = (np.asarray(take_number(getattr(self, name), name, ndim=ndim))
+                         for name, ndim in (("s", 1), ("y", 2), ("yd", 2), ("ydd", 2)))
+        m = s.shape[0] if s.ndim == 1 else 0
         if m < 2 or y.shape != (m, 4) or yd.shape != (m, 4) or ydd.shape != (m, 4):
             raise ValueError("inconsistent path shapes")
+        # a NaN passes every comparison below
+        if not all(np.isfinite(a).all() for a in (s, y, yd, ydd)):
+            raise ValueError("path values must be finite")
         ds = np.diff(s)
         if np.any(ds <= 0.0):
             raise ValueError("grid must be strictly increasing")
@@ -155,7 +159,6 @@ class LiftSamplePath:
         if np.max(np.abs(radial)) > TANGENT_TOL:
             raise NotTangent("yd is not tangent to the unit sphere")
         for name, a in (("s", s), ("y", y), ("yd", yd), ("ydd", ydd)):
-            a = a.copy()
             a.flags.writeable = False
             object.__setattr__(self, name, a)
 
@@ -192,6 +195,7 @@ def invert_lift(path: LiftSamplePath, branch: int) -> LiftInversion:
     phase-rate correction and u2 = (-1)**branch * |z|.  Requires z != 0
     everywhere on the grid.
     """
+    branch = take_number(branch, "branch", int)
     if branch not in (0, 1, 2, 3):
         raise ValueError(f"branch must be in 0..3, got {branch!r}")
     yc = quat.qconj_arr(path.y)

@@ -256,14 +256,24 @@ class Plan:
         """Controls (u1, u2) at virtual times s, rotated back by eta_bar onto
         the original target, and min |z| over s: u2 = |z| and u1 = w1 +
         theta'/2 = ((q alpha'' - alpha' q') / |z|^2 - beta' cos(2 alpha)) / 2.
-        Raises SingularFlatCurve for min |z| <= SINGULAR_Z_TOL."""
+        s is read by take_number and must lie in [0, 1] within 1e-9, the
+        error a smoothstep clock may carry (MAX_WARP_ORDER), else ValueError;
+        raises SingularFlatCurve for min |z| <= SINGULAR_Z_TOL."""
+        s = np.asarray(take_number(s, "s", ndim=1))
+        # a NaN fails both comparisons
+        if not (np.all(s >= -1e-9) and np.all(s <= 1.0 + 1e-9)):
+            raise ValueError("s must be finite and lie in [0, 1]")
+        return self._controls(s)
+
+    def _controls(self, s: np.ndarray):
+        """controls(s) on a float array s already in [0, 1], as sample_plan's
+        clock is, without a copy of it."""
         # The cubics are evaluated as CubicPair.alpha ... ddbeta do,
         # with the factors s * 3.0 and s * 6.0 made once for alpha and beta;
         # del frees each array after its last use (up to MAX_SAMPLES + 1
         # points), and alpha'' q is formed while s * 6.0 is alive, so that
         # no more arrays are alive at once than with one evaluation each.
         (a0, a1, a2, a3), (b0, b1, b2, b3) = self.cubics.ca, self.cubics.cb
-        s = np.asarray(s, dtype=float)
         s3 = s * 3.0
         da = a1 + s * (2.0 * a2 + s3 * a3)      # alpha'
         db = b1 + s * (2.0 * b2 + s3 * b3)      # beta'
@@ -376,7 +386,7 @@ def sample_plan(plan: Plan, big_t: float, n: int = DEFAULT_SAMPLES,
     through the order-k clock warp, giving controls of class C^(k-1) that
     vanish exactly at both ends."""
     s, sd = _clock(big_t, n, k)
-    u1, u2, min_abs_z = plan.controls(s)
+    u1, u2, min_abs_z = plan._controls(s)
     del s
     u1 *= sd
     u2 *= sd

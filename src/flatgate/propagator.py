@@ -40,12 +40,13 @@ interpolation: "cubic" and "linear" evaluate every RK4 stage on the
 interpolant, "pconst" holds one value per step (taken from the segment
 containing the step midpoint), so steps aligned with segment boundaries
 integrate each constant segment exactly up to the RK4 truncation of the
-exponential.  The cubic read is the local 4-point Lagrange cubic on
-samples i-1..i+2 (one-sided 0..3 and N-3..N on the end intervals; Keys,
-IEEE Trans. ASSP 29(6), 1981), whose O(spacing^4) floor lets a cubic
-schedule step at its own spacing: each stage endpoint is then a sample and
-each midpoint (-1, 9, 9, -1)/16 of its neighbours.  Without an explicit
-step, cubic schedules step at their spacing and the others take N
+exponential; propagate_piecewise_exact takes one step per segment with the
+exponential itself (quat.pexp) as its multiplier.  The cubic read is the
+local 4-point Lagrange cubic on samples i-1..i+2 (one-sided 0..3 and N-3..N
+on the end intervals; Keys, IEEE Trans. ASSP 29(6), 1981), whose O(spacing^4)
+floor lets a cubic schedule step at its own spacing: each stage endpoint is
+then a sample and each midpoint (-1, 9, 9, -1)/16 of its neighbours.  Without
+an explicit step, cubic schedules step at their spacing and the others take N
 ceil(DEFAULT_STEP_DIVISOR / N) steps, whole steps per sample interval.
 
 One reader per propagation, _stage_reader, chooses how the stages are
@@ -71,7 +72,7 @@ import numpy as np
 
 from .errors import InvalidPropagationInput, StepTooLarge
 from . import quat
-from .quat import ImagQuaternion, UnitQuaternion
+from .quat import UnitQuaternion
 from .schedule import INTERP_CUBIC, INTERP_PCONST, MAX_SAMPLES, PulseSchedule, take_number
 
 DEFAULT_STEP_DIVISOR = 8192
@@ -358,6 +359,12 @@ def _rk4_steps(v0, vm, v1, dr, h: float) -> tuple[np.ndarray, np.ndarray]:
     return ma, mb
 
 
+def _exp_steps(v0, vm, v1, dr, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """_rk4_steps for controls held over each step (the pconst read, v0 = vm
+    = v1), exact: the exponentials exp(h (i dr, vm)) of quat.pexp."""
+    return quat.pexp(1j * (h * dr), h * vm)
+
+
 def _norm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared norms of pairs, summed as w^2 + x^2 + y^2 + z^2
     (np.linalg.norm's order on the rows) at a fraction of its cost."""
@@ -395,15 +402,16 @@ def _tree_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _propagate_rows(scheds: list[PulseSchedule], dr: np.ndarray, h: float, n: int,
-                    start: np.ndarray, record: bool):
+                    start: np.ndarray, record: bool, make_steps=_rk4_steps):
     """Propagate b systems from the one start row (w, x, y, z) in lockstep
     on the grid and interpolation of scheds[0], for the schedules `scheds`
     (b, or one for all rows) and the detunings `dr` of _detunings (one, or
     one per row); returns (finals (b, 4), drifts (b,), states), states only
     if `record` (of row 0), which also picks each chunk's product: prefix if
-    recording, else tree.  Rows are taken _ROW_BLOCK at a time, and each
-    block reads its control rows one window of sample columns at a time,
-    so the working set grows neither with b nor with N."""
+    recording, else tree.  The steps are _rk4_steps, or `make_steps` given
+    in their place.  Rows are taken _ROW_BLOCK at a time, and each block
+    reads its control rows one window of sample columns at a time, so the
+    working set grows neither with b nor with N."""
     dr = dr[:, None]
     b = max(len(scheds), len(dr))
     if {len(scheds), len(dr)} - {1, b}:
@@ -422,7 +430,7 @@ def _propagate_rows(scheds: list[PulseSchedule], dr: np.ndarray, h: float, n: in
             rows = slice(lo, lo + _ROW_BLOCK)
             qa, qb, drifts[rows] = _propagate_block(
                 scheds[rows] if len(scheds) > 1 else scheds,
-                dr[rows] if dr.shape[0] > 1 else dr, read, h, n, pair, states)
+                dr[rows] if dr.shape[0] > 1 else dr, read, make_steps, h, n, pair, states)
             finals[rows] = quat.pair_rows(qa, qb)
     if not (np.isfinite(drifts).all() and np.isfinite(finals).all()
             and (states is None or np.isfinite(states).all())):
@@ -431,16 +439,16 @@ def _propagate_rows(scheds: list[PulseSchedule], dr: np.ndarray, h: float, n: in
     return finals, drifts, states
 
 
-def _propagate_block(scheds, dr, read, h: float, n: int, start, states):
+def _propagate_block(scheds, dr, read, make_steps, h: float, n: int, start, states):
     """One block of at most _ROW_BLOCK rows from the start pair; returns the
     final pairs and the drifts, and fills `states` with row 0's states
     unless it is None.  The stages come from the propagation's
-    _stage_reader `read`.
+    _stage_reader `read`, and the step multipliers from `make_steps`.
 
     Each step block builds the step multipliers of k whole chunks (the
     most with b k _STEP_CHUNK <= _BLOCK_CELLS, at least one; a final
     partial chunk is a block of its own) with one stage read and one
-    _rk4_steps call, multiplies each chunk as one of b k rows, then folds
+    `make_steps` call, multiplies each chunk as one of b k rows, then folds
     the chunk products into the running state in order, normalizing after
     each chunk: the same products, in the same association, as one chunk
     at a time.  The stages are read from control rows of the _window
@@ -462,7 +470,7 @@ def _propagate_block(scheds, dr, read, h: float, n: int, start, states):
             end = min(n, done + span)
             cols = _window(scheds[0], h, done, end)
             v = _control_rows(scheds, cols)
-        ma, mb = _rk4_steps(*read(v, cols.start, done, k * c), dr, h)
+        ma, mb = make_steps(*read(v, cols.start, done, k * c), dr, h)
         # sqrt is monotone and |x - 1| falls, then rises, so a row's largest
         # ||m| - 1| is at its largest or smallest squared norm
         sq = _norm2(ma, mb)
@@ -522,21 +530,24 @@ def detuning_sweep(sched: PulseSchedule, delta_r_list, target: UnitQuaternion,
 def propagate_piecewise_exact(sched: PulseSchedule,
                               delta_r: float = 0.0) -> UnitQuaternion:
     """Exact propagation of a piecewise-constant schedule from the identity:
-    the ordered product of one exponential per interval.  A non-finite
-    delta_r or generator times dt raises InvalidPropagationInput."""
+    the ordered product of one exponential per interval, as N steps of the
+    spacing on the batched kernel with _exp_steps.  A non-finite delta_r or
+    generator times dt raises InvalidPropagationInput."""
     if sched.interpolation != INTERP_PCONST:
         raise InvalidPropagationInput(
             "exact propagation needs a piecewise-constant schedule")
-    dr = float(_detunings(delta_r, one=True)[0])
-    q = quat.ONE
-    dt = sched.spacing
-    # products of Python floats overflow to inf without a numpy warning
-    for u1, u2 in zip(sched.u1[:-1].tolist(), sched.u2[:-1].tolist()):
-        v = ImagQuaternion(u1 * dt, u2 * dt, dr * dt)
-        if not math.isfinite(v.norm()):
-            raise InvalidPropagationInput("generator times dt is not finite")
-        q = quat.mul(quat.exp_pure(v), q)
-    return q
+    dr, dt = _detunings(delta_r, one=True), sched.spacing
+    u1, u2 = sched.u1[:-1], sched.u2[:-1]
+    # the largest |u1| and |u2| bound every generator; only past that bound
+    # is each segment's taken (Python floats overflow to inf without a warning)
+    top = [float(max(u.max(), -u.min())) * dt for u in (u1, u2)]
+    if not math.isfinite(math.hypot(*top, float(dr[0]) * dt)):
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.hypot(np.hypot(u1 * dt, u2 * dt), dr[0] * dt)).all():
+                raise InvalidPropagationInput("generator times dt is not finite")
+    finals, _, _ = _propagate_rows([sched], dr, dt, sched.n_intervals, quat.ONE.as_array(),
+                                   record=False, make_steps=_exp_steps)
+    return quat.as_unit(finals[0])
 
 
 def ode_residual(states: np.ndarray, u1: np.ndarray, u2: np.ndarray,

@@ -9,8 +9,10 @@ The array kernels read a quaternion as the complex pair
 (A, B) = (w + i z, x + i y), q = A + B e1, with e3 as the imaginary unit;
 then to_su2 gives U = [[conj(A), -i conj(B)], [-i B, A]], unit pairs are
 SU(2), and the complex amplitude u1 + i u2 of a drive is the B part of its
-generator u1 e1 + u2 e2 + delta_r e3.  pmul is the one array Hamilton
-product; qmul_arr applies it to (w, x, y, z) rows.
+generator u1 e1 + u2 e2 + delta_r e3.  pmul is the one Hamilton product
+and pexp the one exponential, of a pure generator given as its pair
+(i delta_r, v); qmul_arr applies pmul to (w, x, y, z) rows, and the scalar
+mul and exp_pure are pmul and pexp on one row.
 
 Sign convention for conjugation rotations: rotate_vector(q, v) = q* v q,
 so rotate_vector(exp_pure((pi/4) e3), e1) = -e2 (a rotation by -pi/2
@@ -26,7 +28,7 @@ import numpy as np
 from .errors import NotSpecialUnitary
 
 UNIT_RENORM_TOL = 1e-6    # larger deviations are rejected, not hidden
-SMALL_ANGLE = 1e-8        # series switch in exp_pure
+SMALL_ANGLE = 1e-8        # series switch in pexp
 SU2_TOL = 1e-9
 
 
@@ -113,14 +115,14 @@ IM_E1 = ImagQuaternion(1.0, 0.0, 0.0)
 
 
 def mul(a: Quaternion, b: Quaternion) -> Quaternion:
-    """Hamilton product a*b. Unit inputs give a unit result."""
-    w = a.w * b.w - a.x * b.x - a.y * b.y - a.z * b.z
-    x = a.w * b.x + a.x * b.w + a.y * b.z - a.z * b.y
-    y = a.w * b.y - a.x * b.z + a.y * b.w + a.z * b.x
-    z = a.w * b.z + a.x * b.y - a.y * b.x + a.z * b.w
+    """Hamilton product a*b, pmul on one row.  Unit inputs give a unit
+    result; an overflowing product has inf components, without a warning."""
+    with np.errstate(all="ignore"):
+        (pa,), (pb,) = pmul(np.array([complex(a.w, a.z)]), np.array([complex(a.x, a.y)]),
+                            np.array([complex(b.w, b.z)]), np.array([complex(b.x, b.y)]))
     if isinstance(a, UnitQuaternion) and isinstance(b, UnitQuaternion):
-        return UnitQuaternion(w, x, y, z)
-    return Quaternion(w, x, y, z)
+        return UnitQuaternion(pa.real, pb.real, pb.imag, pa.imag)
+    return Quaternion(pa.real, pb.real, pb.imag, pa.imag)
 
 
 def conj(q: Quaternion) -> Quaternion:
@@ -129,17 +131,11 @@ def conj(q: Quaternion) -> Quaternion:
 
 
 def exp_pure(v: ImagQuaternion) -> UnitQuaternion:
-    """exp(v) = cos|v| + (v/|v|) sin|v| for pure imaginary v.
-
-    Below |v| = 1e-8 the factor sin|v|/|v| is replaced by its series
-    1 - |v|^2/6 to avoid 0/0; the switch is far below the series error.
-    """
-    phi = v.norm()
-    if phi < SMALL_ANGLE:
-        s = 1.0 - phi * phi / 6.0
-        return UnitQuaternion(math.cos(phi), v.x * s, v.y * s, v.z * s)
-    s = math.sin(phi) / phi
-    return UnitQuaternion(math.cos(phi), v.x * s, v.y * s, v.z * s)
+    """exp(v) = cos|v| + (v/|v|) sin|v| for pure imaginary v, pexp on one
+    row; a non-finite v raises ValueError, as its result is not unit."""
+    with np.errstate(all="ignore"):
+        (a,), (b,) = pexp(np.array([complex(0.0, v.z)]), np.array([complex(v.x, v.y)]))
+    return UnitQuaternion(a.real, b.real, b.imag, a.imag)
 
 
 def rotate_vector(q: UnitQuaternion, v: ImagQuaternion) -> ImagQuaternion:
@@ -199,6 +195,17 @@ def pmul(a1: np.ndarray, b1: np.ndarray, a2: np.ndarray,
     factors; each temporary is therefore the left factor, so every result
     is the same bits at any array size."""
     return a1 * a2 - b2.conj() * b1, a1 * b2 + a2.conj() * b1
+
+
+def pexp(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """exp of the pure generators (a, b) = (i z, x + i y): (cos phi + a s, b s)
+    with phi = |(x, y, z)| and s = sin(phi)/phi, or its series 1 - phi^2/6
+    below SMALL_ANGLE, far below the series error, to avoid 0/0.  Callers set
+    numpy's error state: phi^2 overflows past ~1e154, and phi = inf gives NaN."""
+    phi = np.hypot(np.abs(b), a.imag)
+    s = 1.0 - phi * phi / 6.0
+    np.divide(np.sin(phi), phi, out=s, where=phi >= SMALL_ANGLE)
+    return np.cos(phi) + a * s, b * s
 
 
 def row_pair(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

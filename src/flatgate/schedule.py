@@ -41,8 +41,9 @@ def take_number(value, name: str, kind: type = float, ndim: int = 0,
                 error: type[Exception] = ValueError):
     """The one intake rule, before any comparison, hashing or conversion: a real
     (kind float: an int or a float, Python's or numpy's, not a bool; with ndim=1
-    also a flat list, tuple or 1-d array of them) is read as a float or a new
-    float array, a count (kind int) as an int, a 0-d array as its value; else `error`."""
+    also a flat list, tuple or 1-d array of them, with ndim=2 also a list, tuple
+    or 2-d array of such rows, of one length) is read as a float or a new float
+    array, a count (kind int) as an int, a 0-d array as its value; else `error`."""
     if type(value) is kind:
         return value
     if isinstance(value, np.ndarray):
@@ -52,8 +53,12 @@ def take_number(value, name: str, kind: type = float, ndim: int = 0,
             return np.array(value, dtype=float)
     if isinstance(value, (list, tuple, np.ndarray)):
         # element by element, as np.asarray([0.5, True]) is silently a float array
-        if ndim and kind is float and getattr(value, "ndim", 1) == 1:
-            return np.array([take_number(v, name, error=error) for v in value], dtype=float)
+        if ndim and kind is float and getattr(value, "ndim", 1) <= ndim:
+            rows = [take_number(v, name, ndim=ndim - 1, error=error) for v in value]
+            try:
+                return np.array(rows, dtype=float)
+            except ValueError:      # rows of unequal length
+                raise error(f"{name} must not be ragged") from None
     elif (isinstance(value, (int, np.integer) if kind is int else (int, float, np.integer, np.floating))
           and not isinstance(value, bool)):
         try:

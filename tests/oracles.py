@@ -27,6 +27,12 @@ before steps and states became complex pairs: its own Hamilton product,
 two real stage reads and the real closed-form step.  Public outputs must
 match it to rounding.
 
+piecewise_exact is exact propagation of a piecewise-constant schedule as
+it was before it ran on the batched kernel: one scalar exponential per
+segment (math.hypot, sin and cos), multiplied into the state one segment at
+a time by the 16-term Hamilton product and renormalized as UnitQuaternion
+does.  The kernel's tree association must stay within 1e-13 of it.
+
 per_value_csv is the CSV text of one format(v, ".17g") call per value,
 which the CLI's block writer must match byte for byte.
 """
@@ -38,7 +44,7 @@ from flatgate import quat
 from flatgate.flat import lift_controls, unwrap_phase
 from flatgate.planner import DEFAULT_SAMPLES, plan_controls, smoothstep
 from flatgate.propagator import _STEP_CHUNK, _prefix_product, _rk4_steps, _tree_product
-from flatgate.quat import pair_rows, pmul, row_pair
+from flatgate.quat import UnitQuaternion, pair_rows, pmul, row_pair
 from flatgate.schedule import INTERP_CUBIC, INTERP_PCONST, PulseSchedule
 
 Z_GRID = 2048                    # the s grid of the phase oracles
@@ -301,3 +307,20 @@ def per_value_csv(header, columns):
     """The CSV lines, as bytes, of one format(v, ".17g") call per value."""
     rows = (",".join(format(float(v), ".17g") for v in r) for r in zip(*columns))
     return [f"{line}\n".encode() for line in (header, *rows)]
+
+
+def piecewise_exact(sched, delta_r=0.0):
+    """The ordered product of one exponential per interval of a "pconst"
+    schedule, from the identity, one segment at a time."""
+    q = UnitQuaternion(1.0, 0.0, 0.0, 0.0)
+    dt = sched.spacing
+    for u1, u2 in zip(sched.u1[:-1].tolist(), sched.u2[:-1].tolist()):
+        x, y, z = u1 * dt, u2 * dt, delta_r * dt
+        phi = math.hypot(x, y, z)
+        s = 1.0 - phi * phi / 6.0 if phi < 1e-8 else math.sin(phi) / phi
+        e = UnitQuaternion(math.cos(phi), x * s, y * s, z * s)
+        q = UnitQuaternion(e.w * q.w - e.x * q.x - e.y * q.y - e.z * q.z,
+                           e.w * q.x + e.x * q.w + e.y * q.z - e.z * q.y,
+                           e.w * q.y - e.x * q.z + e.y * q.w + e.z * q.x,
+                           e.w * q.z + e.x * q.y - e.y * q.x + e.z * q.w)
+    return q

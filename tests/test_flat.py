@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -236,6 +237,10 @@ def test_branch_states_stay_in_the_lift_orbit():
 def test_invert_rejects_bad_branch():
     with pytest.raises(ValueError):
         invert_lift(_rotation_lift(2), 4)
+    # True once ran as branch 1
+    for branch in (True, False, np.True_, 1.0, "1"):
+        with pytest.raises(ValueError, match="integer"):
+            invert_lift(_rotation_lift(2), branch)
 
 
 def test_invert_rejects_stationary_curve():
@@ -263,3 +268,22 @@ def test_lift_path_validation():
         LiftSamplePath(s, 1.01 * y, yd, -y)        # non-unit samples
     with pytest.raises(NotTangent):
         LiftSamplePath(s, y, y, -y)                # radial derivative
+    # each passed every check (a NaN fails no comparison), or was cast to
+    # float, a complex one behind a ComplexWarning
+    for bad in (np.nan, np.inf, -np.inf):
+        for i in range(4):
+            args = [s.copy(), y.copy(), yd.copy(), -y]
+            args[i][m // 2] = bad
+            with pytest.raises(ValueError, match="finite"):
+                LiftSamplePath(*args)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i in range(4):
+            for cast in (lambda a: a + 0j, lambda a: a.astype(str), lambda a: a != 0,
+                         lambda a: a.tolist()[:-1] + [a[-1] != 0]):
+                args = [s, y, yd, -y]
+                args[i] = cast(args[i])
+                with pytest.raises(ValueError, match="real number"):
+                    LiftSamplePath(*args)
+    with pytest.raises(ValueError, match="ragged"):
+        LiftSamplePath(s, y.tolist()[:-1] + [[1.0, 0.0, 0.0]], yd, -y)

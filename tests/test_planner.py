@@ -396,6 +396,19 @@ def test_closed_form_controls_match_lift_controls_on_warped_grids():
         assert np.max(np.abs(u2 - r2)) <= 1e-14 * scale
 
 
+def test_controls_refuse_s_that_is_not_finite_or_outside_the_unit_interval():
+    # each once gave NaN controls, or extrapolated the cubics past s = 1
+    plan = plan_controls(E3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in ([math.nan], [0.5, math.inf], -math.inf, [2.0], 1.0 + 1e-8, [0.0, -1e-8]):
+            with pytest.raises(ValueError, match=r"finite and lie in \[0, 1\]"):
+                plan.controls(s)
+        # an order-8 clock lands within 1e-9 of the ends, as smoothstep keeps it
+        u1, u2, _ = plan.controls([-1e-10, 0.5, 1.0 + 1e-10])
+        assert np.isfinite(u1).all() and np.isfinite(u2).all()
+
+
 def test_sampled_min_abs_z_matches_the_oracle():
     # the schedule's min |z| is the minimum over its own sampled s, which
     # include both ends; the 513 warped samples read at most 1e-4 above the

@@ -33,7 +33,7 @@ from flatgate.quat import (
 from flatgate.schedule import (
     INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST, MAX_SAMPLES, PulseSchedule)
 from flatgate.zyz import euler_decompose, zyz_schedule
-from oracles import chunked_rows, row_kernel, unwarped_schedule
+from oracles import chunked_rows, piecewise_exact, row_kernel, unwarped_schedule
 
 PI = math.pi
 
@@ -427,6 +427,20 @@ def test_batch_memory_does_not_grow_with_the_sample_count():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.25 * peaks[0]
+    # exact propagation runs on the same kernel: its loop of one Python
+    # exponential per segment once held every segment's controls as floats.
+    # One row at 2**12 is a single step block, whose peak lacks the previous
+    # block that every later block overlaps, so the comparison starts at 2**14
+    peaks = []
+    for big_n in (2 ** 14, 2 ** 18):
+        sched = pconst(1.0, *rng.normal(size=(2, big_n + 1)))
+        tracemalloc.start()
+        try:
+            propagate_piecewise_exact(sched)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_batch_memory_does_not_grow_with_the_batch():
@@ -833,6 +847,26 @@ def test_detuned_three_segment_propagation_matches_exact_with_chunk_remainder():
     exact = propagate_piecewise_exact(sched, delta_r=0.25)
     assert res.states.shape == (1000, 4)
     assert np.max(np.abs(res.final.as_array() - exact.as_array())) <= 1e-13
+
+
+@pytest.mark.parametrize("big_n", [3, 64, 4096])
+def test_piecewise_exact_matches_the_segment_loop(big_n):
+    # the kernel multiplies the segment exponentials as a tree of chunk
+    # products, the loop one segment at a time
+    rng = np.random.default_rng(big_n)
+    sched = pconst(2.0, *rng.normal(scale=3.0, size=(2, big_n + 1)))
+    for dr in (0.0, 0.7, -2.5):
+        got = propagate_piecewise_exact(sched, delta_r=dr).as_array()
+        assert np.max(np.abs(got - piecewise_exact(sched, dr).as_array())) <= 1e-13
+
+
+def test_piecewise_exact_matches_the_segment_loop_on_zyz_schedules():
+    rng = np.random.default_rng(71)
+    for _ in range(25):
+        sched = zyz_schedule(euler_decompose(quat.as_unit(quat.random_unit(rng))), 2.0)
+        for dr in (0.0, 0.3):
+            got = propagate_piecewise_exact(sched, delta_r=dr).as_array()
+            assert np.max(np.abs(got - piecewise_exact(sched, dr).as_array())) <= 1e-13
 
 
 def test_piecewise_exact_requires_pconst():

@@ -176,6 +176,7 @@ def numeric_parameters():
         ("sample_plan T", lambda v: sample_plan(plan, v), ValueError, False),
         ("sample_plan n", lambda v: sample_plan(plan, 1.0, v), ValueError, False),
         ("sample_plan k", lambda v: sample_plan(plan, 1.0, 64, v), ValueError, False),
+        ("Plan.controls s", lambda v: plan.controls(v), ValueError, False),
         ("smoothstep t", lambda v: smoothstep(v, 1.0), ValueError, False),
         ("smoothstep T", lambda v: smoothstep(0.5, v), ValueError, False),
         ("smoothstep k", lambda v: smoothstep(0.5, 1.0, v), ValueError, False),

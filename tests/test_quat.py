@@ -212,3 +212,34 @@ def test_pairs_are_rows_and_pair_products_do_not_depend_on_array_size():
     for i in (0, 777, 19999):
         one = quat.pmul(pa[i:i + 1], pb[i:i + 1], *quat.row_pair(b[i:i + 1]))
         assert one[0][0] == prod[0][i] and one[1][0] == prod[1][i]
+
+
+def test_scalar_product_and_exponential_are_the_one_row_kernels():
+    # the scalar product had its own 16 terms, which rounded differently
+    # from the pair product on 1,822 of these 2,000 products
+    rng = np.random.default_rng(10)
+    a, b = quat.random_unit(rng, 2000), quat.random_unit(rng, 2000)
+    for i in range(2000):
+        row = quat.qmul_arr(a[i:i + 1], b[i:i + 1])[0]
+        assert qarr(mul(Quaternion(*a[i]), Quaternion(*b[i]))).tobytes() == row.tobytes()
+        # unit inputs give the unit quaternion of the same row
+        ua, ub = quat.as_unit(a[i]), quat.as_unit(b[i])
+        row = quat.qmul_arr(qarr(ua)[None], qarr(ub)[None])[0]
+        assert qarr(mul(ua, ub)).tobytes() == qarr(quat.as_unit(row)).tobytes()
+    # generators across the small-angle switch and beyond one turn
+    v = rng.normal(size=(2000, 3)) * 10.0 ** rng.uniform(-12, 2, size=(2000, 1))
+    for x, y, z in v.tolist():
+        pa, pb = quat.pexp(np.array([complex(0.0, z)]), np.array([complex(x, y)]))
+        row = quat.pair_rows(pa, pb)[0]
+        assert qarr(exp_pure(ImagQuaternion(x, y, z))).tobytes() == qarr(quat.as_unit(row)).tobytes()
+
+
+def test_scalar_product_and_exponential_keep_their_contracts():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        big = Quaternion(1e200, 1e200, 0.0, 0.0)
+        assert np.isinf(qarr(mul(big, big))).any()
+        assert type(mul(E1, E2)) is UnitQuaternion and type(mul(big, E1)) is Quaternion
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                exp_pure(ImagQuaternion(0.0, bad, 0.0))
