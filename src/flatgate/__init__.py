@@ -58,7 +58,6 @@ from .propagator import (
     PropagationResult,
     detuning_sweep,
     fidelity,
-    ode_residual,
     propagate,
     propagate_piecewise_exact,
 )

@@ -44,4 +44,4 @@ class StepTooLarge(FlatGateError):
 class InvalidPropagationInput(FlatGateError, ValueError):
     """Propagator input is out of its domain: an empty batch or detuning
     list, mismatched grids, a bad step, a non-finite detuning or controls
-    so large that the RK4 steps overflow."""
+    so large that the steps overflow."""

@@ -329,7 +329,8 @@ def smoothstep(t, big_t: float, k: int = 1):
     if k > MAX_WARP_ORDER:
         raise ValueError(f"warp order must be at most {MAX_WARP_ORDER}")
     u = np.asarray(take_number(t, "t", ndim=1)) / big_t
-    if np.any(u < -1e-12) or np.any(u > 1.0 + 1e-12):
+    # a NaN fails both comparisons
+    if not (np.all(u >= -1e-12) and np.all(u <= 1.0 + 1e-12)):
         raise ValueError("t must lie in [0, T]")
     ck = math.factorial(2 * k + 1) // (math.factorial(k) ** 2)
     s = np.zeros_like(u)

@@ -1,7 +1,8 @@
 """Numerical propagation of dq/dt = (u1 e1 + u2 e2 + delta_r e3) q.
 
-Classical fourth-order Runge-Kutta. Because the dynamics is linear in q
-and left-multiplies it by a pure quaternion, one RK4 step is left
+Classical fourth-order Runge-Kutta, and the exact exponential for held
+("pconst") controls. Because the dynamics is linear in q and
+left-multiplies it by a pure quaternion, one RK4 step is left
 multiplication by a single quaternion m. Every stage generator
 a = (0, u1, u2, delta_r) is pure, so a^2 = -|a|^2, and m is a closed-form
 polynomial in the stage values with no Hamilton product at all; for a
@@ -13,8 +14,8 @@ and every product is a few complex array operations.  Rows (w, x, y, z)
 are formed only for recorded states and finals.  When every detuning of a
 block of rows is zero, as on resonance, the steps are built without the
 dr terms; they would add exact zeros.  Controls large enough to overflow a
-step (|u| beyond ~1e154) raise InvalidPropagationInput rather than
-propagate NaN.
+step (|u| beyond ~1e154 for RK4, h |u| beyond the float range for a held
+step) raise InvalidPropagationInput rather than propagate NaN.
 Steps are multiplied in chunks of 256: a recorded run applies each chunk
 as one log-depth prefix product, a terminal-only run as one pairwise tree
 product (c - 1 pair products for c steps).  The steps of several whole
@@ -37,24 +38,27 @@ max_j ||m_j| - 1|, taken at each row's largest and smallest |m_j|^2.
 
 Controls between samples are read according to the schedule's declared
 interpolation: "cubic" and "linear" evaluate every RK4 stage on the
-interpolant, "pconst" holds one value per step (taken from the segment
-containing the step midpoint), so steps aligned with segment boundaries
-integrate each constant segment exactly up to the RK4 truncation of the
-exponential; propagate_piecewise_exact takes one step per segment with the
-exponential itself (quat.pexp) as its multiplier.  The cubic read is the
-local 4-point Lagrange cubic on samples i-1..i+2 (one-sided 0..3 and N-3..N
-on the end intervals; Keys, IEEE Trans. ASSP 29(6), 1981), whose O(spacing^4)
-floor lets a cubic schedule step at its own spacing: each stage endpoint is
-then a sample and each midpoint (-1, 9, 9, -1)/16 of its neighbours.  Without
-an explicit step, cubic schedules step at their spacing and the others take N
+interpolant; "pconst" holds one value per step (taken from the segment
+containing the step midpoint), and its step multiplier is the exponential
+exp(h (i delta_r, v)) itself (quat.pexp), not RK4's polynomial, so steps
+aligned with segment boundaries propagate each held segment exactly, to
+rounding, at any step; propagate_piecewise_exact takes one step per
+segment.  The cubic read is the local 4-point Lagrange cubic on samples
+i-1..i+2 (one-sided 0..3 and N-3..N on the end intervals; Keys, IEEE
+Trans. ASSP 29(6), 1981), whose O(spacing^4) floor lets a cubic schedule
+step at its own spacing: each stage endpoint is then a sample and each
+midpoint (-1, 9, 9, -1)/16 of its neighbours.  Without an explicit step,
+cubic schedules step at their spacing and the others take N
 ceil(DEFAULT_STEP_DIVISOR / N) steps, whole steps per sample interval.
 
-One reader per propagation, _stage_reader, chooses how the stages are
-read, from the interpolation and the step alone; every cubic read gives
-the gather's values bit for bit.  A cubic schedule stepped r times per
-sample interval, with h / spacing exactly 1 / r, puts every stage at one
-of the 2r phases p / 2r of its interval.  At r = 1, 2 or 4 each phase is
-one 4-tap sum over contiguous slices of the control rows, with weights
+One step rule per propagation, _step_maker, is chosen from the
+interpolation alone: the exponential for pconst, RK4 for the others.  For
+these, one reader per propagation, _stage_reader, chooses how the stages
+are read, from the interpolation and the step alone; every cubic read
+gives the gather's values bit for bit.  A cubic schedule stepped r times
+per sample interval, with h / spacing exactly 1 / r, puts every stage at
+one of the 2r phases p / 2r of its interval.  At r = 1, 2 or 4 each phase
+is one 4-tap sum over contiguous slices of the control rows, with weights
 from one table per propagation whose one-sided rows serve the end
 intervals and the end point.  At r = 8 or 16 the stages are gathered, but
 every block of steps over intervals 1..N - 3 reads the same weights on
@@ -256,21 +260,35 @@ def _taps(vf: np.ndarray, j: int, w: list, out: np.ndarray) -> None:
     np.add(acc.view(complex), 0.0, out=out)
 
 
-def _stage_reader(sched: PulseSchedule, h: float, n: int):
-    """The stage read of one propagation on `sched`, n steps of h, by the
-    rule of the module docstring: read(v, first, done, kc) gives the stage
-    values (v0, vm, v1), each (b, kc), of steps done..done + kc - 1 from the
+def _step_maker(sched: PulseSchedule, h: float, n: int):
+    """The step rule of one propagation on `sched`, n steps of h, chosen
+    from the interpolation alone: steps(v, first, done, kc, dr) gives the
+    multipliers (MA, MB), each (b, kc), of steps done..done + kc - 1 from the
     complex control rows v, whose column 0 is sample `first` (a _window of
-    the steps or more), as _rk4_steps takes them.  The repeated gather
-    blocks live in the reader, keyed by kc, and so no longer than the
-    propagation."""
-    big_n = sched.n_intervals
+    the steps or more), at the (b, 1) or (1, 1) detunings dr.  A pconst step
+    holds the segment containing its midpoint and is its exponential
+    (quat.pexp); every other step is _rk4_steps on the _stage_reader."""
     if sched.interpolation == INTERP_PCONST:
-        def read(v, first, done, kc):
+        big_n = sched.n_intervals
+
+        def steps(v, first, done, kc, dr):
             mid = (done + np.arange(kc) + 0.5) * h
             x = v[:, np.clip((mid / sched.spacing).astype(int), 0, big_n - 1) - first]
-            return x, x, x
-        return read
+            return quat.pexp(1j * (h * dr), h * x)
+        return steps
+    read = _stage_reader(sched, h, n)
+    return lambda v, first, done, kc, dr: _rk4_steps(*read(v, first, done, kc), dr, h)
+
+
+def _stage_reader(sched: PulseSchedule, h: float, n: int):
+    """The stage read of one cubic or linear propagation on `sched`, n steps
+    of h, by the rule of the module docstring: read(v, first, done, kc)
+    gives the stage values (v0, vm, v1), each (b, kc), of steps
+    done..done + kc - 1 from the complex control rows v, whose column 0 is
+    sample `first` (a _window of the steps or more), as _rk4_steps takes
+    them.  The repeated gather blocks live in the reader, keyed by kc, and
+    so no longer than the propagation."""
+    big_n = sched.n_intervals
     # exact: every stage sits at a position x0 = q / 2r of its stencil,
     # q = 0..6r, exactly
     r, rest = divmod(n, big_n)
@@ -359,12 +377,6 @@ def _rk4_steps(v0, vm, v1, dr, h: float) -> tuple[np.ndarray, np.ndarray]:
     return ma, mb
 
 
-def _exp_steps(v0, vm, v1, dr, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """_rk4_steps for controls held over each step (the pconst read, v0 = vm
-    = v1), exact: the exponentials exp(h (i dr, vm)) of quat.pexp."""
-    return quat.pexp(1j * (h * dr), h * vm)
-
-
 def _norm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared norms of pairs, summed as w^2 + x^2 + y^2 + z^2
     (np.linalg.norm's order on the rows) at a fraction of its cost."""
@@ -402,16 +414,15 @@ def _tree_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _propagate_rows(scheds: list[PulseSchedule], dr: np.ndarray, h: float, n: int,
-                    start: np.ndarray, record: bool, make_steps=_rk4_steps):
+                    start: np.ndarray, record: bool):
     """Propagate b systems from the one start row (w, x, y, z) in lockstep
     on the grid and interpolation of scheds[0], for the schedules `scheds`
     (b, or one for all rows) and the detunings `dr` of _detunings (one, or
     one per row); returns (finals (b, 4), drifts (b,), states), states only
     if `record` (of row 0), which also picks each chunk's product: prefix if
-    recording, else tree.  The steps are _rk4_steps, or `make_steps` given
-    in their place.  Rows are taken _ROW_BLOCK at a time, and each block
-    reads its control rows one window of sample columns at a time, so the
-    working set grows neither with b nor with N."""
+    recording, else tree.  Rows are taken _ROW_BLOCK at a time, and each
+    block reads its control rows one window of sample columns at a time, so
+    the working set grows neither with b nor with N."""
     dr = dr[:, None]
     b = max(len(scheds), len(dr))
     if {len(scheds), len(dr)} - {1, b}:
@@ -420,48 +431,49 @@ def _propagate_rows(scheds: list[PulseSchedule], dr: np.ndarray, h: float, n: in
     if record:
         states[0] = start
     pair = quat.row_pair(start)
-    read = _stage_reader(scheds[0], h, n)
+    steps = _step_maker(scheds[0], h, n)
     finals, drifts = np.empty((b, 4)), np.empty(b)
-    # controls past ~1e154 overflow |v|^2, and steps past ~1e102 overflow
-    # h^3; either shows as a non-finite multiplier norm, so a drift or a
-    # state that is not finite
+    # controls past ~1e154 overflow |v|^2, steps past ~1e102 overflow h^3,
+    # and a held step whose angle h |v| overflows is NaN after quat.pexp;
+    # each shows as a non-finite multiplier norm, so a drift or
+    # a state that is not finite
     with np.errstate(all="ignore"):
         for lo in range(0, b, _ROW_BLOCK):
             rows = slice(lo, lo + _ROW_BLOCK)
             qa, qb, drifts[rows] = _propagate_block(
                 scheds[rows] if len(scheds) > 1 else scheds,
-                dr[rows] if dr.shape[0] > 1 else dr, read, make_steps, h, n, pair, states)
+                dr[rows] if dr.shape[0] > 1 else dr, steps, h, n, pair, states)
             finals[rows] = quat.pair_rows(qa, qb)
     if not (np.isfinite(drifts).all() and np.isfinite(finals).all()
             and (states is None or np.isfinite(states).all())):
         raise InvalidPropagationInput(
-            "the RK4 steps overflow: the controls or the step are too large")
+            "the steps overflow: the controls or the step are too large")
     return finals, drifts, states
 
 
-def _propagate_block(scheds, dr, read, make_steps, h: float, n: int, start, states):
+def _propagate_block(scheds, dr, steps, h: float, n: int, start, states):
     """One block of at most _ROW_BLOCK rows from the start pair; returns the
     final pairs and the drifts, and fills `states` with row 0's states
-    unless it is None.  The stages come from the propagation's
-    _stage_reader `read`, and the step multipliers from `make_steps`.
+    unless it is None.  The step multipliers come from the propagation's
+    _step_maker `steps`.
 
     Each step block builds the step multipliers of k whole chunks (the
     most with b k _STEP_CHUNK <= _BLOCK_CELLS, at least one; a final
-    partial chunk is a block of its own) with one stage read and one
-    `make_steps` call, multiplies each chunk as one of b k rows, then folds
-    the chunk products into the running state in order, normalizing after
-    each chunk: the same products, in the same association, as one chunk
-    at a time.  The stages are read from control rows of the _window
-    columns of the most whole step blocks that read _WINDOW_SAMPLES sample
-    intervals, at least one block: the same samples, so the same bits, as
-    from whole rows, at one row slice per window."""
+    partial chunk is a block of its own) with one `steps` call, multiplies
+    each chunk as one of b k rows, then folds the chunk products into the
+    running state in order, normalizing after each chunk: the same
+    products, in the same association, as one chunk at a time.  The steps
+    read control rows of the _window columns of the most whole step blocks
+    that read _WINDOW_SAMPLES sample intervals, at least one block: the same
+    samples, so the same bits, as from whole rows, at one row slice per
+    window."""
     record = states is not None
     b = max(len(scheds), dr.shape[0])
     qa, qb = np.full(b, start[0]), np.full(b, start[1])
     drift = np.zeros(b)
     per_block = max(1, _BLOCK_CELLS // (b * _STEP_CHUNK))
-    steps = per_block * _STEP_CHUNK
-    span = max(1, int(_WINDOW_SAMPLES * scheds[0].spacing / h) // steps) * steps
+    block = per_block * _STEP_CHUNK
+    span = max(1, int(_WINDOW_SAMPLES * scheds[0].spacing / h) // block) * block
     done = end = 0
     while done < n:
         c = min(_STEP_CHUNK, n - done)
@@ -470,7 +482,7 @@ def _propagate_block(scheds, dr, read, make_steps, h: float, n: int, start, stat
             end = min(n, done + span)
             cols = _window(scheds[0], h, done, end)
             v = _control_rows(scheds, cols)
-        ma, mb = make_steps(*read(v, cols.start, done, k * c), dr, h)
+        ma, mb = steps(v, cols.start, done, k * c, dr)
         # sqrt is monotone and |x - 1| falls, then rises, so a row's largest
         # ||m| - 1| is at its largest or smallest squared norm
         sq = _norm2(ma, mb)
@@ -531,35 +543,11 @@ def propagate_piecewise_exact(sched: PulseSchedule,
                               delta_r: float = 0.0) -> UnitQuaternion:
     """Exact propagation of a piecewise-constant schedule from the identity:
     the ordered product of one exponential per interval, as N steps of the
-    spacing on the batched kernel with _exp_steps.  A non-finite delta_r or
-    generator times dt raises InvalidPropagationInput."""
+    spacing on the batched kernel.  A non-finite delta_r, or a segment whose
+    generator times dt overflows, raises InvalidPropagationInput."""
     if sched.interpolation != INTERP_PCONST:
         raise InvalidPropagationInput(
             "exact propagation needs a piecewise-constant schedule")
-    dr, dt = _detunings(delta_r, one=True), sched.spacing
-    u1, u2 = sched.u1[:-1], sched.u2[:-1]
-    # the largest |u1| and |u2| bound every generator; only past that bound
-    # is each segment's taken (Python floats overflow to inf without a warning)
-    top = [float(max(u.max(), -u.min())) * dt for u in (u1, u2)]
-    if not math.isfinite(math.hypot(*top, float(dr[0]) * dt)):
-        with np.errstate(over="ignore"):
-            if not np.isfinite(np.hypot(np.hypot(u1 * dt, u2 * dt), dr[0] * dt)).all():
-                raise InvalidPropagationInput("generator times dt is not finite")
-    finals, _, _ = _propagate_rows([sched], dr, dt, sched.n_intervals, quat.ONE.as_array(),
-                                   record=False, make_steps=_exp_steps)
+    finals, _, _ = _propagate_rows([sched], _detunings(delta_r, one=True), sched.spacing,
+                                   sched.n_intervals, quat.ONE.as_array(), record=False)
     return quat.as_unit(finals[0])
-
-
-def ode_residual(states: np.ndarray, u1: np.ndarray, u2: np.ndarray,
-                 dt: float, delta_r: float = 0.0) -> float:
-    """Max central-difference residual of the dynamics on a uniform grid.
-
-    For trajectories that truly solve the equation this is O(dt^2); a sign
-    error or mismatched control shows up as O(1).
-    """
-    states = np.asarray(states, dtype=float)
-    qd = (states[2:] - states[:-2]) / (2.0 * dt)
-    a = np.zeros((len(states) - 2, 4))
-    a[:, 1], a[:, 2], a[:, 3] = u1[1:-1], u2[1:-1], delta_r
-    rhs = quat.qmul_arr(a, states[1:-1])
-    return float(np.max(np.linalg.norm(qd - rhs, axis=1)))

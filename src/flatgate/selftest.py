@@ -76,10 +76,10 @@ def _suite_two_pulse_oracle():
                           target=quat.E3, interpolation=INTERP_PCONST)
     e_exact = np.linalg.norm(
         propagator.propagate_piecewise_exact(sched).as_array() - [0, 0, 0, 1])
-    e_rk4 = np.linalg.norm(
+    e_stepped = np.linalg.norm(
         propagator.propagate(sched, h=2.0 / 8192).final.as_array() - [0, 0, 0, 1])
-    return e_exact <= 1e-12 and e_rk4 <= 1e-9, \
-        f"exact {e_exact:.2e}, rk4 {e_rk4:.2e}"
+    return e_exact <= 1e-12 and e_stepped <= 1e-9, \
+        f"exact {e_exact:.2e}, stepped {e_stepped:.2e}"
 
 
 def _suite_zyz_exactness():

@@ -19,13 +19,15 @@ time order, with np.linalg.norm on (w, x, y, z) rows for the drift audit
 and the state normalization.  Every stage value is computed here; cubic
 ones by one gather per chunk, through verbatim copies of the propagator's
 _lagrange_weights, _cubic_stencils and _gather, so that a changed weight
-in the package does not change the reference too.  Propagation of all
+in the package does not change the reference too.  A held (pconst) step is
+the exponential of its segment's generator, quat.pexp.  Propagation of all
 three interpolations must match it bit for bit.
 
 row_kernel is the propagation kernel as it was on real (w, x, y, z) rows,
 before steps and states became complex pairs: its own Hamilton product,
-two real stage reads and the real closed-form step.  Public outputs must
-match it to rounding.
+two real stage reads, the real closed-form RK4 step and, for held
+segments, the real exponential (cos phi, sin(phi)/phi (x, y, z)).  Public
+outputs must match it to rounding.
 
 piecewise_exact is exact propagation of a piecewise-constant schedule as
 it was before it ran on the batched kernel: one scalar exponential per
@@ -35,6 +37,10 @@ does.  The kernel's tree association must stay within 1e-13 of it.
 
 per_value_csv is the CSV text of one format(v, ".17g") call per value,
 which the CLI's block writer must match byte for byte.
+
+ode_residual is the central-difference residual of the dynamics on a
+recorded trajectory, the check of a propagator or a lift inversion that
+needs no reference solution.
 """
 import math
 
@@ -149,8 +155,7 @@ def chunked_rows(v, sched, delta_r, h, n, start, record):
         if sched.interpolation == INTERP_PCONST:
             mid = (done + np.arange(c) + 0.5) * h
             seg = np.clip((mid / sched.spacing).astype(int), 0, v.shape[1] - 2)
-            x = v[:, seg]
-            ma, mb = _rk4_steps(x, x, x, dr, h)
+            ma, mb = quat.pexp(1j * (h * dr), h * v[:, seg])
         else:
             if sched.interpolation == INTERP_CUBIC:
                 x = _gather(v, *_cubic_stencils(sched, h, 2 * done + np.arange(2 * c + 1)))
@@ -262,6 +267,15 @@ def _row_steps(x0, xm, x1, y0, ym, y1, dr, h):
     return m
 
 
+def _row_exp(x, y, z):
+    """exp of the pure generators (0, x, y, z) as (..., 4) rows; np.sinc
+    takes sin(phi)/phi to 1 at phi = 0."""
+    x, y, z = np.broadcast_arrays(x, y, z)
+    phi = np.sqrt(x * x + y * y + z * z)
+    s = np.sinc(phi / np.pi)
+    return np.stack([np.cos(phi), s * x, s * y, s * z], axis=-1)
+
+
 def row_kernel(u1, u2, sched, delta_r, h, n, start, record):
     """(finals, drifts, states) of b systems from the start row, on real
     (w, x, y, z) rows, chunk by chunk."""
@@ -278,8 +292,7 @@ def row_kernel(u1, u2, sched, delta_r, h, n, start, record):
         if sched.interpolation == INTERP_PCONST:
             mid = (done + np.arange(c) + 0.5) * h
             seg = np.clip((mid / sched.spacing).astype(int), 0, u1.shape[1] - 2)
-            x, y = u1[:, seg], u2[:, seg]
-            m = _row_steps(x, x, x, y, y, y, dr, h)
+            m = _row_exp(h * u1[:, seg], h * u2[:, seg], h * dr)
         else:
             x, y = _row_stages((u1, u2), sched, h, done, c)
             m = _row_steps(x[:, 0:-1:2], x[:, 1::2], x[:, 2::2],
@@ -324,3 +337,17 @@ def piecewise_exact(sched, delta_r=0.0):
                            e.w * q.y - e.x * q.z + e.y * q.w + e.z * q.x,
                            e.w * q.z + e.x * q.y - e.y * q.x + e.z * q.w)
     return q
+
+
+def ode_residual(states, u1, u2, dt, delta_r=0.0):
+    """Max central-difference residual of the dynamics on a uniform grid.
+
+    For trajectories that truly solve the equation this is O(dt^2); a sign
+    error or mismatched control shows up as O(1).
+    """
+    states = np.asarray(states, dtype=float)
+    qd = (states[2:] - states[:-2]) / (2.0 * dt)
+    a = np.zeros((len(states) - 2, 4))
+    a[:, 1], a[:, 2], a[:, 3] = u1[1:-1], u2[1:-1], delta_r
+    rhs = quat.qmul_arr(a, states[1:-1])
+    return float(np.max(np.linalg.norm(qd - rhs, axis=1)))

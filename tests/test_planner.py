@@ -585,6 +585,9 @@ def test_smoothstep_rejects_bad_args():
         smoothstep(0.5, -1.0, 1)
     with pytest.raises(ValueError):
         smoothstep(2.0, 1.0, 1)
+    for t in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match="t must lie in"):
+            smoothstep(t, 1.0, 1)
 
 
 # ---------------------------------------------------------------- synthesize

@@ -22,7 +22,6 @@ from flatgate.propagator import (
     _tree_product,
     detuning_sweep,
     fidelity,
-    ode_residual,
     propagate,
     propagate_final_batch,
     propagate_piecewise_exact,
@@ -33,7 +32,7 @@ from flatgate.quat import (
 from flatgate.schedule import (
     INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST, MAX_SAMPLES, PulseSchedule)
 from flatgate.zyz import euler_decompose, zyz_schedule
-from oracles import chunked_rows, piecewise_exact, row_kernel, unwarped_schedule
+from oracles import chunked_rows, ode_residual, piecewise_exact, row_kernel, unwarped_schedule
 
 PI = math.pi
 
@@ -886,7 +885,7 @@ def test_piecewise_exact_refuses_non_finite_detuning(dr):
 def test_piecewise_exact_refuses_overflowing_generator(u1, dr):
     # T = 30 on N = 3 intervals: dt = 10, so 1e308 * dt overflows
     sched = pconst(30.0, [u1] * 4, [0.0] * 4)
-    with pytest.raises(InvalidPropagationInput, match="generator times dt is not finite"):
+    with pytest.raises(InvalidPropagationInput, match="the steps overflow"):
         propagate_piecewise_exact(sched, delta_r=dr)
 
 

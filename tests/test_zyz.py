@@ -5,10 +5,12 @@ import pytest
 
 from flatgate import quat
 from flatgate.cli import NAMED_GATES
-from flatgate.propagator import (fidelity, propagate, propagate_final_batch,
-                                 propagate_piecewise_exact)
+from flatgate.propagator import (detuning_sweep, fidelity, propagate,
+                                 propagate_final_batch, propagate_piecewise_exact)
 from flatgate.quat import E1, E3, ONE, UnitQuaternion
+from flatgate.schedule import INTERP_PCONST, PulseSchedule
 from flatgate.zyz import EulerE1E2E1, euler_decompose, zyz_schedule
+from oracles import piecewise_exact
 
 MINUS_ONE = UnitQuaternion(-1.0, 0.0, 0.0, 0.0)
 PI = math.pi
@@ -75,16 +77,29 @@ def test_exact_propagation_recovers_target():
         assert np.max(np.abs(final.as_array() - t.as_array())) <= 1e-12
 
 
-def test_rk4_converges_at_fourth_order_on_aligned_steps():
-    # step edges must align with the segment boundaries (thirds of T)
-    t = quat.as_unit(quat.random_unit(np.random.default_rng(32)))
-    sched = zyz_schedule(euler_decompose(t), 2.0)
-    finals = [propagate(sched, h=2.0 / (3 * n)).final.as_array()
-              for n in (256, 512, 1024)]
-    e1_ = np.linalg.norm(finals[0] - finals[1])
-    e2_ = np.linalg.norm(finals[1] - finals[2])
-    order = math.log2(e1_ / e2_)
-    assert 3.3 <= order <= 4.7
+def test_held_schedules_are_exact_at_every_aligned_step():
+    # a held step is the exponential of its segment's generator, so every
+    # step that divides the segments reaches the exact product: one step per
+    # segment, two, or the default step; RK4 on held values missed by ~1 at
+    # one step per segment.  70 detunings make two row blocks
+    rng = np.random.default_rng(32)
+    scheds = [zyz_schedule(euler_decompose(quat.as_unit(quat.random_unit(rng))), 2.0)
+              for _ in range(3)]
+    scheds.append(PulseSchedule(2.0, *rng.normal(scale=3.0, size=(2, 65)), target=ONE,
+                                interpolation=INTERP_PCONST))
+    drs = np.linspace(-1.0, 1.0, 70)
+    for sched in scheds:
+        exact = np.array([piecewise_exact(sched, dr).as_array() for dr in drs])
+        for h in (sched.spacing, sched.spacing / 2, None):
+            for dr in (0.0, 0.45):
+                res = propagate(sched, delta_r=dr, h=h)
+                one = piecewise_exact(sched, dr).as_array()
+                assert np.max(np.abs(res.final.as_array() - one)) <= 1e-13
+                assert np.max(np.abs(res.states[-1] - one)) <= 1e-13
+            finals, _ = propagate_final_batch([sched] * 70, delta_r=drs, h=h)
+            assert np.max(np.abs(finals - exact)) <= 1e-13
+            sweep = detuning_sweep(sched, drs, sched.target, h=h)
+            assert np.max(np.abs(sweep.fidelity - exact @ sched.target.as_array())) <= 1e-13
 
 
 def test_rk4_tracks_exact_propagation():
@@ -97,8 +112,8 @@ def test_rk4_tracks_exact_propagation():
 
 @pytest.mark.parametrize("gate", sorted(NAMED_GATES))
 def test_default_step_matches_exact_propagation(gate):
-    # the default step divides each third of T into whole steps, so RK4
-    # misses each constant segment by its truncation error alone
+    # the default step divides each third of T into whole steps, each the
+    # exponential of its held segment
     target = NAMED_GATES[gate]
     sched = zyz_schedule(euler_decompose(target), 2.0)
     exact = propagate_piecewise_exact(sched).as_array()
