@@ -57,15 +57,16 @@ these, one reader per propagation, _stage_reader, chooses how the stages
 are read, from the interpolation and the step alone; every cubic read
 gives the gather's values bit for bit.  A cubic schedule stepped r times
 per sample interval, with h / spacing exactly 1 / r, puts every stage at
-one of the 2r phases p / 2r of its interval.  At r = 1, 2 or 4 each phase
-is one 4-tap sum over contiguous slices of the control rows, with weights
-from one table per propagation whose one-sided rows serve the end
-intervals and the end point.  At r = 8 or 16 the stages are gathered, but
-every block of steps over intervals 1..N - 3 reads the same weights on
-stencils shifted by its first interval, built once per propagation from
-the first such block of each length.  Every other cubic step, and every
-linear read, gathers a 4-sample stencil per stage, with stencils and
-weights computed per block.
+one of the 2r phases p / 2r of its interval, and its weights are a row of
+one table per propagation, the Lagrange weights at x0 = q / 2r, whose
+one-sided rows serve the end intervals and the end point.  At r = 1, 2 or
+4 each phase is one 4-tap sum over contiguous slices of the control rows.
+At r = 8 or 16 the stages are gathered, with stencils and table rows found
+by integer arithmetic on the half-step index, and every block of steps
+over intervals 1..N - 3 reads the same weights on stencils shifted by its
+first interval, kept once per propagation from the first such block of
+each length.  Every other cubic step, and every linear read, gathers a
+4-sample stencil per stage, with stencils and weights computed per block.
 """
 from __future__ import annotations
 
@@ -286,22 +287,34 @@ def _stage_reader(sched: PulseSchedule, h: float, n: int):
     gives the stage values (v0, vm, v1), each (b, kc), of steps
     done..done + kc - 1 from the complex control rows v, whose column 0 is
     sample `first` (a _window of the steps or more), as _rk4_steps takes
-    them.  The repeated gather blocks live in the reader, keyed by kc, and
-    so no longer than the propagation."""
+    them.  The weight table and the repeated gather blocks live in the
+    reader, the blocks keyed by kc, and so no longer than the propagation:
+    at the exact ratios the Lagrange weights are evaluated once per
+    propagation."""
     big_n = sched.n_intervals
     # exact: every stage sits at a position x0 = q / 2r of its stencil,
     # q = 0..6r, exactly
     r, rest = divmod(n, big_n)
     exact = (sched.interpolation == INTERP_CUBIC and not rest
              and r in _EXACT_STEPS and 0.5 * h / sched.spacing == 0.5 / r)
-    table = (_lagrange_weights(np.arange(6 * r + 1) / (2 * r)).T.tolist()
-             if exact and r <= 4 else None)
+    weights = _lagrange_weights(np.arange(6 * r + 1) / (2 * r)) if exact else None
+    table = weights.T.tolist() if exact and r <= 4 else None
+    # at r = 8 and 16: the table's weights, each twice, for the real and
+    # the imaginary part
+    w2 = np.repeat(weights[:, :, None], 2, axis=2) if exact and r > 4 else None
     repeats = {}
 
     def half_steps(done, kc):
         # step ends, then midpoints: unit-stride rows for _rk4_steps
         ends = 2 * (done + np.arange(kc + 1))
         return np.concatenate([ends, ends[:-1] + 1])
+
+    def stencils(p):
+        # _cubic_stencils at the half steps p by integer arithmetic: the
+        # stage at p reads table row q = p - 2r j (np.take, as the indexing
+        # w2[:, q] is ~15 times slower)
+        j = np.clip(np.minimum(p // (2 * r), big_n - 1) - 1, 0, big_n - 3)
+        return j + np.arange(4)[:, None], np.take(w2, p - 2 * r * j, axis=1).reshape(4, -1)
 
     def read(v, first, done, kc):
         if table is not None:
@@ -312,10 +325,13 @@ def _stage_reader(sched: PulseSchedule, h: float, n: int):
             # stencils shifted by i0
             i0 = done // r
             if kc not in repeats:
-                stencils, w2 = _cubic_stencils(sched, h, half_steps(done, kc))
-                repeats[kc] = stencils - i0, w2
-            stencils, w2 = repeats[kc]
-            x = _gather(v, stencils + (i0 - first), w2)
+                at, w = stencils(half_steps(done, kc))
+                repeats[kc] = at - i0, w
+            at, w = repeats[kc]
+            x = _gather(v, at + (i0 - first), w)
+        elif exact:
+            at, w = stencils(half_steps(done, kc))
+            x = _gather(v, at - first, w)
         else:
             x = _stage_values(v, first, sched, h, half_steps(done, kc))
         return x[:, :kc], x[:, kc + 1:], x[:, 1:kc + 1]
@@ -462,11 +478,13 @@ def _propagate_block(scheds, dr, steps, h: float, n: int, start, states):
     partial chunk is a block of its own) with one `steps` call, multiplies
     each chunk as one of b k rows, then folds the chunk products into the
     running state in order, normalizing after each chunk: the same
-    products, in the same association, as one chunk at a time.  The steps
-    read control rows of the _window columns of the most whole step blocks
-    that read _WINDOW_SAMPLES sample intervals, at least one block: the same
-    samples, so the same bits, as from whole rows, at one row slice per
-    window."""
+    products, in the same association, as one chunk at a time.  A recorded
+    run folds only each chunk's last prefix to find the next chunk's start,
+    then all the block's prefixes into their starts with one product.  The
+    steps read control rows of the _window columns of the most whole step
+    blocks that read _WINDOW_SAMPLES sample intervals, at least one block:
+    the same samples, so the same bits, as from whole rows, at one row slice
+    per window."""
     record = states is not None
     b = max(len(scheds), dr.shape[0])
     qa, qb = np.full(b, start[0]), np.full(b, start[1])
@@ -491,13 +509,25 @@ def _propagate_block(scheds, dr, steps, h: float, n: int, start, states):
         ma, mb = ma.reshape(b * k, c), mb.reshape(b * k, c)
         pa, pb = _prefix_product(ma, mb) if record else _tree_product(ma, mb)
         pa, pb = pa.reshape(b, k, -1), pb.reshape(b, k, -1)
-        for j in range(k):
-            sa, sb = quat.pmul(pa[:, j], pb[:, j], qa[:, None], qb[:, None])
+        if record:
+            # chunk starts by the operations that give the loop's last
+            # column below, then one fold of the whole block
+            sa, sb = np.empty((2, b, k, 1), dtype=complex)
+            for j in range(k):
+                sa[:, j, 0], sb[:, j, 0] = qa, qb
+                qa, qb = quat.pmul(pa[:, j, -1:], pb[:, j, -1:], qa[:, None], qb[:, None])
+                _normalize(qa, qb)
+                qa, qb = qa[:, 0], qb[:, 0]
+            sa, sb = quat.pmul(pa, pb, sa, sb)
             _normalize(sa, sb)
-            if record:
-                states[done + 1:done + c + 1] = quat.pair_rows(sa[0], sb[0])
-            qa, qb = sa[:, -1], sb[:, -1]
-            done += c
+            states[done + 1:done + k * c + 1] = quat.pair_rows(sa[0], sb[0]).reshape(-1, 4)
+            done += k * c
+        else:
+            for j in range(k):
+                sa, sb = quat.pmul(pa[:, j], pb[:, j], qa[:, None], qb[:, None])
+                _normalize(sa, sb)
+                qa, qb = sa[:, -1], sb[:, -1]
+                done += c
     return qa, qb, drift
 
 

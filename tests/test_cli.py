@@ -239,6 +239,28 @@ def test_compare_identity_reports_rejection(capsys):
     assert float(zyz_line.split()[1]) == 0.0 and float(zyz_line.split()[2]) == 0.0
 
 
+@pytest.mark.parametrize("target", [["--gate", "H"], ["--quat", "0.5,-0.5,0.5,0.5"]])
+def test_compare_propagates_the_held_baseline_once(target, capsys, monkeypatch):
+    # the zyz baseline's fidelity is its exact product, propagated once; the
+    # flat pulse alone takes a default-step propagation
+    from flatgate import propagator
+    calls = []
+    for name in ("propagate_piecewise_exact", "propagate_final_batch"):
+        def counted(scheds, *args, _f=getattr(propagator, name), _name=name, **kwargs):
+            calls.append((_name, [s.interpolation for s in np.atleast_1d(scheds)]))
+            return _f(scheds, *args, **kwargs)
+        monkeypatch.setattr(propagator, name, counted)
+    code, stdout, _ = run(["compare", *target, "--T", "2"], capsys)
+    assert code == 0
+    assert sorted(calls) == [("propagate_final_batch", ["cubic"]),
+                             ("propagate_piecewise_exact", ["pconst"])]
+    lines = stdout.splitlines()
+    assert lines[0].split() == ["method", "max|u1|", "max|u2|", "fidelity", "endpoint-zero"]
+    zyz_cell = [l for l in lines if l.startswith("zyz ")][0].split()[3]
+    exact = [l for l in lines if l.startswith("zyz exact-propagation fidelity:")][0]
+    assert zyz_cell == exact.split(":")[1].strip()
+
+
 def test_sweep_single_point_matches_simulate(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run(["sweep", "--gate", "Z", "--T", "2", "--N", "1024",

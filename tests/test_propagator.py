@@ -231,9 +231,9 @@ def read_kind(calls) -> str:
     """Which stage read the counted calls of one propagation ran."""
     if calls["_phase_stages"]:
         return "phase" if calls["_gather"] + calls["_stage_values"] == 0 else "mixed"
-    if calls["_gather"] > calls["_stage_values"]:
-        return "repeated gather"
-    return "per block" if calls["_stage_values"] else "none"
+    if calls["_stage_values"]:
+        return "per block"
+    return "table gather" if calls["_gather"] else "none"
 
 
 def split_stages(x, kc):
@@ -247,13 +247,12 @@ def test_stage_reader_selects_the_read_by_interpolation_step_and_rows(
         interpolation, steps_per_interval, monkeypatch):
     # pconst reads segment values.  A cubic schedule at exactly r steps per
     # interval reads by phase at r = 1, 2 and 4, and at 8 and 16 gathers
-    # with the repeated blocks, on any rows; every other cubic step and
-    # every linear read gathers per block.  rows counts the propagated
-    # rows, so one control row at 2, 31 or 64 detunings reads as that many
-    # rows.  N = 300 puts repeated blocks in every batch at 8 and 16 but
-    # one: a single row takes 16 chunks per block, so at r = 8 its first
-    # block starts at interval 0 and its second reaches the end, and no
-    # block lies inside intervals 1..N - 3 to repeat.
+    # with weights from the propagation's table, never through
+    # _stage_values, on any rows; every other cubic step and every linear
+    # read gathers per block.  rows counts the propagated rows, so one
+    # control row at 2, 31 or 64 detunings reads as that many rows.  At
+    # N = 300 a single row at r = 8 has no block inside intervals 1..N - 3
+    # to repeat, and still never runs _stage_values.
     rng = np.random.default_rng(59)
     big_n = 300
     scheds = [PulseSchedule(1.0, *rng.standard_normal((2, big_n + 1)), target=ONE,
@@ -264,7 +263,7 @@ def test_stage_reader_selects_the_read_by_interpolation_step_and_rows(
     for rows in (1, 2, 31, 64):
         expected = ("none" if interpolation == INTERP_PCONST
                     else "phase" if cubic and r in (1, 2, 4)
-                    else "repeated gather" if cubic and r in (8, 16) and (rows, r) != (1, 8)
+                    else "table gather" if cubic and r in (8, 16)
                     else "per block")
         runs = [lambda: propagate_final_batch(scheds[:rows], h=1.0 / n),
                 lambda: propagate_final_batch(scheds[:1], delta_r=np.linspace(-1.0, 1.0, rows),
@@ -326,9 +325,10 @@ def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_inte
 @pytest.mark.parametrize("n_intervals", [49, 50, 65, 66, 300])
 def test_repeated_gather_blocks_match_the_chunked_kernel_byte_for_byte(
         n_intervals, steps_per_interval, monkeypatch):
-    # batches at 8 and 16 steps per interval gather each block of intervals
-    # 1..N - 3 with one set of stencils and weights, built once per
-    # propagation; 32 and 3 gather every block afresh.  A block of 256
+    # at 8 and 16 steps per interval every block gathers with weights from
+    # one table per propagation, and each block of intervals 1..N - 3 with
+    # one set of stencils and weights, built once per propagation; 32 and 3
+    # compute stencils and weights for every block afresh.  A block of 256
     # steps spans 16 intervals at r = 16 and 32 at r = 8, so N = 50 and 66
     # end the last repeated block at N - 2 and N = 49 and 65 one short of
     # it, next to the one-sided first and last stencils, and no n here is a
@@ -350,15 +350,57 @@ def test_repeated_gather_blocks_match_the_chunked_kernel_byte_for_byte(
         for x, ref in zip(read(v, 0, done, kc), refs):
             assert x.tobytes() == ref.tobytes()
     assert calls["_phase_stages"] == 0
-    # the second chunk, ending at interval 512 / r, is the first that can repeat
-    assert (calls["_gather"] > calls["_stage_values"]) == (
-        steps_per_interval in (8, 16) and 2 * _STEP_CHUNK // steps_per_interval <= big_n - 2)
+    # at the exact ratios 8 and 16 no block computes its own stencils
+    assert calls["_gather"] == len(chunks)
+    assert (calls["_stage_values"] == 0) == (steps_per_interval in (8, 16))
     drs = rng.uniform(-1.0, 1.0, 64)
     for rows in (slice(59, None), slice(33, None), slice(None)):    # 5, 31 and 64 rows
         for dr in (0.0, drs[rows]):
             finals, drifts = propagate_final_batch(scheds[rows], delta_r=dr, h=h)
             ref_f, ref_d, _ = chunked_rows(v[rows], scheds[0], dr, h, n, one, record=False)
             assert finals.tobytes() == ref_f.tobytes() and drifts.tobytes() == ref_d.tobytes()
+
+
+@pytest.mark.parametrize("steps_per_interval", [1, 2, 4, 8, 16])
+@pytest.mark.parametrize("n_intervals", [300, 1000])
+def test_exact_ratio_weights_are_computed_once_per_propagation(
+        n_intervals, steps_per_interval, monkeypatch):
+    # a cubic schedule stepped exactly r times per interval evaluates its
+    # Lagrange weights once, as one table, however many step blocks it
+    # spans (one _rk4_steps call each; 64 rows take one chunk per block, so
+    # 2 blocks at N = 300, r = 1 and 3 to 63 elsewhere), recorded or not,
+    # on any rows
+    rng = np.random.default_rng(61)
+    big_t, big_n, r = 1.2, n_intervals, steps_per_interval
+    scheds = [PulseSchedule(big_t, *rng.standard_normal((2, big_n + 1)), target=ONE,
+                            interpolation=INTERP_CUBIC) for _ in range(64)]
+    n = r * big_n
+    h = big_t / n
+    calls = collections.Counter()
+    for name in ("_lagrange_weights", "_cubic_stencils", "_rk4_steps"):
+        def counted(*args, _f=getattr(propagator, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+        monkeypatch.setattr(propagator, name, counted)
+    runs = [lambda: propagate(scheds[0], delta_r=0.3, h=h)]
+    runs += [lambda rows=rows: propagate_final_batch(scheds[:rows], h=h) for rows in (1, 31, 64)]
+    for run in runs:
+        calls.clear()
+        run()
+        assert calls["_lagrange_weights"] == 1 and calls["_cubic_stencils"] == 0
+    assert calls["_rk4_steps"] == -(-n // _STEP_CHUNK)
+    if r < 8:
+        return
+    # one recorded row, resonant and detuned, to the last partial chunk
+    assert n % _STEP_CHUNK
+    monkeypatch.undo()
+    v, one = _control_rows(scheds[:1]), ONE.as_array()
+    for dr in (0.0, -0.7):
+        res = propagate(scheds[0], delta_r=dr, h=h)
+        ref_f, ref_d, ref_s = chunked_rows(v, scheds[0], dr, h, n, one, record=True)
+        assert res.states.tobytes() == ref_s.tobytes()
+        assert res.final == quat.as_unit(ref_f[0])
+        assert np.float64(res.max_norm_drift).tobytes() == ref_d.tobytes()
 
 
 @pytest.mark.parametrize("window", [1, None], ids=["block", "default"])
