@@ -194,18 +194,25 @@ def _stage_values(v: np.ndarray, first: int, sched: PulseSchedule, h: float,
     return v[:, idx] * (1.0 - frac) + v[:, idx + 1] * frac
 
 
+def _stencil_start(i, big_n: int):
+    """The first sample j = clip(i - 1, 0, N - 3) of the cubic stencil of
+    each interval i >= 0 of big_n, i = N meaning the end point T: every
+    cubic read takes samples j..j + 3 (_phase_stages by the same rule in
+    Python ints)."""
+    return np.clip(np.minimum(i, big_n - 1) - 1, 0, big_n - 3)
+
+
 def _cubic_stencils(sched: PulseSchedule, h: float,
                     half_steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The cubic reads at the stage times i h/2 of _stage_values: the (4, L)
-    samples j..j + 3 of each, j = clip(i - 1, 0, N - 3) for the interval i
-    containing it, and the (4, 2L) Lagrange weights there, each twice, for
-    the real and the imaginary part; the weights at integer and
-    half-integer positions are exact."""
+    samples j..j + 3 of each, j = _stencil_start of the interval containing
+    it, and the (4, 2L) Lagrange weights there, each twice, for the real and
+    the imaginary part; the weights at integer and half-integer positions
+    are exact."""
     # h / spacing is exactly 1 at the default step, so stage endpoints
     # land on samples and midpoints halfway between
     pos = np.minimum(half_steps * (0.5 * h / sched.spacing), sched.n_intervals)
-    last = sched.n_intervals - 1
-    j = np.clip(np.clip(np.floor(pos).astype(int), 0, last) - 1, 0, last - 2)
+    j = _stencil_start(np.floor(pos).astype(int), sched.n_intervals)
     return j + np.arange(4)[:, None], np.repeat(_lagrange_weights(pos - j), 2, axis=1)
 
 
@@ -225,10 +232,11 @@ def _phase_stages(v: np.ndarray, first: int, table: list, big_n: int,
     (b, 2 kc + 1) step ends then midpoints of _stage_values, bit for bit.
 
     Half-step phase p of interval i reads samples j..j + 3,
-    j = clip(i - 1, 0, N - 3), with table row 2r (i - j) + p; the end point
-    T is phase 2r of interval N - 1.  One phase of a run of intervals with
-    the same i - j (the first interval, the inner ones, the last) is one sum
-    over contiguous slices of the control rows."""
+    j = _stencil_start(i), here in Python ints, with table row
+    2r (i - j) + p; the end point T is phase 2r of interval N - 1.  One
+    phase of a run of intervals with the same i - j (the first interval,
+    the inner ones, the last) is one sum over contiguous slices of the
+    control rows."""
     two_r = (len(table) - 1) // 3
     r = two_r // 2
     b, last = v.shape[0], big_n - 1
@@ -287,9 +295,9 @@ def _stage_reader(sched: PulseSchedule, h: float, n: int):
     gives the stage values (v0, vm, v1), each (b, kc), of steps
     done..done + kc - 1 from the complex control rows v, whose column 0 is
     sample `first` (a _window of the steps or more), as _rk4_steps takes
-    them.  The weight table and the repeated gather blocks live in the
-    reader, the blocks keyed by kc, and so no longer than the propagation:
-    at the exact ratios the Lagrange weights are evaluated once per
+    them.  At the exact ratios the reader holds one table of Lagrange
+    weights, evaluated once per propagation; the repeated gather blocks
+    live in the reader too, keyed by kc, and so no longer than the
     propagation."""
     big_n = sched.n_intervals
     # exact: every stage sits at a position x0 = q / 2r of its stencil,
@@ -309,12 +317,15 @@ def _stage_reader(sched: PulseSchedule, h: float, n: int):
         ends = 2 * (done + np.arange(kc + 1))
         return np.concatenate([ends, ends[:-1] + 1])
 
-    def stencils(p):
-        # _cubic_stencils at the half steps p by integer arithmetic: the
-        # stage at p reads table row q = p - 2r j (np.take, as the indexing
-        # w2[:, q] is ~15 times slower)
-        j = np.clip(np.minimum(p // (2 * r), big_n - 1) - 1, 0, big_n - 3)
-        return j + np.arange(4)[:, None], np.take(w2, p - 2 * r * j, axis=1).reshape(4, -1)
+    def stencils(done, kc, shift):
+        # _cubic_stencils at the half steps p by integer arithmetic, the
+        # stencils shifted by `shift`: the stage at p reads table row
+        # q = p - 2r j (np.take, as the indexing w2[:, q] is ~15 times
+        # slower)
+        p = half_steps(done, kc)
+        j = _stencil_start(p // (2 * r), big_n)
+        return (j + (np.arange(4)[:, None] + shift),
+                np.take(w2, p - 2 * r * j, axis=1).reshape(4, -1))
 
     def read(v, first, done, kc):
         if table is not None:
@@ -325,13 +336,11 @@ def _stage_reader(sched: PulseSchedule, h: float, n: int):
             # stencils shifted by i0
             i0 = done // r
             if kc not in repeats:
-                at, w = stencils(half_steps(done, kc))
-                repeats[kc] = at - i0, w
+                repeats[kc] = stencils(done, kc, -i0)
             at, w = repeats[kc]
             x = _gather(v, at + (i0 - first), w)
         elif exact:
-            at, w = stencils(half_steps(done, kc))
-            x = _gather(v, at - first, w)
+            x = _gather(v, *stencils(done, kc, -first))
         else:
             x = _stage_values(v, first, sched, h, half_steps(done, kc))
         return x[:, :kc], x[:, kc + 1:], x[:, 1:kc + 1]
@@ -478,13 +487,11 @@ def _propagate_block(scheds, dr, steps, h: float, n: int, start, states):
     partial chunk is a block of its own) with one `steps` call, multiplies
     each chunk as one of b k rows, then folds the chunk products into the
     running state in order, normalizing after each chunk: the same
-    products, in the same association, as one chunk at a time.  A recorded
-    run folds only each chunk's last prefix to find the next chunk's start,
-    then all the block's prefixes into their starts with one product.  The
-    steps read control rows of the _window columns of the most whole step
-    blocks that read _WINDOW_SAMPLES sample intervals, at least one block:
-    the same samples, so the same bits, as from whole rows, at one row slice
-    per window."""
+    products, in the same association, as one chunk at a time.  The steps
+    read control rows of the _window columns of the most whole step blocks
+    that read _WINDOW_SAMPLES sample intervals, at least one block: the same
+    samples, so the same bits, as from whole rows, at one row slice per
+    window."""
     record = states is not None
     b = max(len(scheds), dr.shape[0])
     qa, qb = np.full(b, start[0]), np.full(b, start[1])
@@ -509,25 +516,13 @@ def _propagate_block(scheds, dr, steps, h: float, n: int, start, states):
         ma, mb = ma.reshape(b * k, c), mb.reshape(b * k, c)
         pa, pb = _prefix_product(ma, mb) if record else _tree_product(ma, mb)
         pa, pb = pa.reshape(b, k, -1), pb.reshape(b, k, -1)
-        if record:
-            # chunk starts by the operations that give the loop's last
-            # column below, then one fold of the whole block
-            sa, sb = np.empty((2, b, k, 1), dtype=complex)
-            for j in range(k):
-                sa[:, j, 0], sb[:, j, 0] = qa, qb
-                qa, qb = quat.pmul(pa[:, j, -1:], pb[:, j, -1:], qa[:, None], qb[:, None])
-                _normalize(qa, qb)
-                qa, qb = qa[:, 0], qb[:, 0]
-            sa, sb = quat.pmul(pa, pb, sa, sb)
+        for j in range(k):
+            sa, sb = quat.pmul(pa[:, j], pb[:, j], qa[:, None], qb[:, None])
             _normalize(sa, sb)
-            states[done + 1:done + k * c + 1] = quat.pair_rows(sa[0], sb[0]).reshape(-1, 4)
-            done += k * c
-        else:
-            for j in range(k):
-                sa, sb = quat.pmul(pa[:, j], pb[:, j], qa[:, None], qb[:, None])
-                _normalize(sa, sb)
-                qa, qb = sa[:, -1], sb[:, -1]
-                done += c
+            if record:
+                states[done + 1:done + c + 1] = quat.pair_rows(sa[0], sb[0])
+            qa, qb = sa[:, -1], sb[:, -1]
+            done += c
     return qa, qb, drift
 
 

@@ -216,10 +216,11 @@ def test_single_schedule_blocks_match_the_chunked_kernel_bit_for_bit(interpolati
 
 
 def count_reads(monkeypatch) -> collections.Counter:
-    """Counts, by name, the calls into the propagator's stage reads from now
-    on; a cubic _stage_values call makes one _gather call of its own."""
+    """Counts, by name, the calls into the propagator's stage reads and
+    gather stencil starts from now on; a cubic _stage_values call makes one
+    _gather and one _stencil_start call of its own."""
     calls = collections.Counter()
-    for name in ("_phase_stages", "_gather", "_stage_values"):
+    for name in ("_phase_stages", "_gather", "_stage_values", "_stencil_start"):
         def counted(*args, _read=getattr(propagator, name), _name=name):
             calls[_name] += 1
             return _read(*args)
@@ -353,6 +354,11 @@ def test_repeated_gather_blocks_match_the_chunked_kernel_byte_for_byte(
     # at the exact ratios 8 and 16 no block computes its own stencils
     assert calls["_gather"] == len(chunks)
     assert (calls["_stage_values"] == 0) == (steps_per_interval in (8, 16))
+    # a block of intervals 1..N - 3 after the first of its length reads the
+    # kept stencils and finds no stencil starts: two such blocks of 256
+    # steps need (N - 2) r >= 3 * 256
+    assert (calls["_stencil_start"] < len(chunks)) == (
+        steps_per_interval in (8, 16) and 3 * _STEP_CHUNK <= (big_n - 2) * steps_per_interval)
     drs = rng.uniform(-1.0, 1.0, 64)
     for rows in (slice(59, None), slice(33, None), slice(None)):    # 5, 31 and 64 rows
         for dr in (0.0, drs[rows]):
