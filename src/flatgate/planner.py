@@ -372,10 +372,9 @@ def _cached_clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def _clock(big_t: float, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """(s(t), ds/dt) on n uniform intervals of [0, T] (T, n and k taken before the cache
-    sees them): shared read-only arrays for n <= CLOCK_CACHE_MAX_N, fresh ones above."""
-    big_t, n = check_duration(big_t), take_number(n, "sample interval count", int)
-    k = take_number(k, "warp order", int)
+    """(s(t), ds/dt) on n uniform intervals of [0, T], for T, n and k as
+    sample_plan took them, before the cache sees them: shared read-only
+    arrays for n <= CLOCK_CACHE_MAX_N, fresh ones above."""
     if n > CLOCK_CACHE_MAX_N:
         return smoothstep(_sample_grid(big_t, n), big_t, k)
     return _cached_clock(big_t, n, k)
@@ -386,6 +385,8 @@ def sample_plan(plan: Plan, big_t: float, n: int = DEFAULT_SAMPLES,
     """Sample a plan on n uniform intervals of [0, T] (n + 1 samples)
     through the order-k clock warp, giving controls of class C^(k-1) that
     vanish exactly at both ends."""
+    big_t, n = check_duration(big_t), take_number(n, "sample interval count", int)
+    k = take_number(k, "warp order", int)
     s, sd = _clock(big_t, n, k)
     u1, u2, min_abs_z = plan._controls(s)
     del s

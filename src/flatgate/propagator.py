@@ -28,10 +28,21 @@ bit of the result, stays that of chunk-by-chunk propagation.  Batches are
 propagated 64 rows at a time, and each row block reads its controls
 through a window of sample columns, copied from the schedules' u1 and u2
 for the most whole step blocks that read 512 sample intervals (at least
-one block), so memory grows neither with the batch nor with N: a window
-of 64 rows holds at most ~0.5 MB, where whole rows of 2^18 intervals hold
-268 MB.  Desk-scale sweeps and thousand-target verification runs stay
-fast without any compiled extension.  The quaternion norm is
+one block).  Each propagation builds all its step blocks in one
+workspace, allocated once and shared by its row blocks: the control
+window, the stage values, the step multipliers, and one scratch region
+for the intermediates of the stage read, the RK4 step and the drift
+audit, each written with out= in the operations, operand order and
+association of the expression it stands for, so with the same bits.  Its
+size follows from the row block and the block shape, so memory grows
+neither with the batch nor with N (~2.1 MB for 64 rows, where whole
+control rows of 2^18 intervals hold 268 MB), and no block allocates an
+array of its own size: allocated per block, those arrays were returned to
+the system and faulted back in, ~2,100 minor page faults per 64-row batch
+of 8192 steps.  Only the chunk products, held steps' exponentials and the
+per-block gathers of inexact step ratios still allocate per block.
+Desk-scale sweeps and thousand-target verification runs stay fast
+without any compiled extension.  The quaternion norm is
 multiplicative, so |m q| = |m| for unit q: normalizing each reported state
 equals renormalizing after every step, and the drift audit is exactly
 max_j ||m_j| - 1|, taken at each row's largest and smallest |m_j|^2.
@@ -146,11 +157,14 @@ def _resolve_steps(sched: PulseSchedule, h: float | None) -> tuple[int, float]:
     return n, big_t / n
 
 
-def _control_rows(scheds: list[PulseSchedule], cols: slice = slice(None)) -> np.ndarray:
+def _control_rows(scheds: list[PulseSchedule], cols: slice = slice(None),
+                  out: np.ndarray | None = None) -> np.ndarray:
     """The complex amplitudes v = u1 + i u2 of the schedules at the sample
     columns `cols` (all N + 1 by default) as (b, len) rows, written in place
-    with no real stacks beside them."""
-    v = np.empty((len(scheds), scheds[0].u1[cols].shape[0]), dtype=complex)
+    with no real stacks beside them, into the flat complex buffer `out` if
+    given (see _carve)."""
+    shape = (len(scheds), scheds[0].u1[cols].shape[0])
+    v = np.empty(shape, dtype=complex) if out is None else _carve(out, shape)
     vr, vi = v.real, v.imag
     for i, s in enumerate(scheds):
         vr[i], vi[i] = s.u1[cols], s.u2[cols]
@@ -216,15 +230,20 @@ def _cubic_stencils(sched: PulseSchedule, h: float,
     return j + np.arange(4)[:, None], np.repeat(_lagrange_weights(pos - j), 2, axis=1)
 
 
-def _gather(v: np.ndarray, stencils: np.ndarray, w2: np.ndarray) -> np.ndarray:
+def _gather(v: np.ndarray, stencils: np.ndarray, w2: np.ndarray,
+            out: np.ndarray | None = None, taken: np.ndarray | None = None) -> np.ndarray:
     """The sums over k of v[:, stencils[k]] times the weights w2[k] of
-    _cubic_stencils: one real contraction over interleaved parts."""
-    return np.einsum("bkl,kl->bl", np.take(v, stencils, axis=1).view(float),
-                     w2).view(complex)
+    _cubic_stencils: one real contraction over interleaved parts, into the
+    (b, 2L) floats `out` through the (b, 4, L) complex `taken` if given.
+    Every stencil lies in v by construction; mode "clip" lets np.take
+    write into `taken` itself, where "raise" would fill a copy of it."""
+    return np.einsum("bkl,kl->bl", np.take(v, stencils, axis=1, out=taken,
+                                           mode="clip").view(float),
+                     w2, out=out).view(complex)
 
 
 def _phase_stages(v: np.ndarray, first: int, table: list, big_n: int,
-                  done: int, kc: int) -> np.ndarray:
+                  done: int, kc: int, ws: _Workspace) -> np.ndarray:
     """The cubic stage values of steps done..done + kc - 1, both whole
     multiples of r, on big_n sample intervals, read by phase from the rows
     `v`, whose column 0 is sample `first`, with the (6r + 1, 4) weight table
@@ -236,80 +255,91 @@ def _phase_stages(v: np.ndarray, first: int, table: list, big_n: int,
     2r (i - j) + p; the end point T is phase 2r of interval N - 1.  One
     phase of a run of intervals with the same i - j (the first interval,
     the inner ones, the last) is one sum over contiguous slices of the
-    control rows."""
+    control rows.  The values are written into the workspace's stage
+    buffer, the tap sums into its scratch."""
     two_r = (len(table) - 1) // 3
     r = two_r // 2
     b, last = v.shape[0], big_n - 1
     m, i0 = kc // r, done // r
-    x = np.empty((b, 2 * kc + 1), dtype=complex)
+    x = _carve(ws.stages, (b, 2 * kc + 1))
     ends, mids = x[:, :kc].reshape(b, m, r), x[:, kc + 1:].reshape(b, m, r)
-    vf = v.view(float)
+    vf, scratch = v.view(float), ws.scratch.view(float)
     cuts = sorted({i0, i0 + m} | {i for i in (1, last) if i0 < i < i0 + m})
     for lo, hi in zip(cuts, cuts[1:]):
         j = min(max(lo - 1, 0), last - 2)
         for p in range(two_r):
             _taps(vf, j - first, table[two_r * (lo - j) + p],
-                  (mids if p % 2 else ends)[:, lo - i0:hi - i0, p // 2])
+                  (mids if p % 2 else ends)[:, lo - i0:hi - i0, p // 2], scratch)
     i = min(i0 + m, last)
     j = min(max(i - 1, 0), last - 2)
-    _taps(vf, j - first, table[two_r * (i0 + m - j)], x[:, kc:kc + 1])
+    _taps(vf, j - first, table[two_r * (i0 + m - j)], x[:, kc:kc + 1], scratch)
     return x
 
 
-def _taps(vf: np.ndarray, j: int, w: list, out: np.ndarray) -> None:
+def _taps(vf: np.ndarray, j: int, w: list, out: np.ndarray, scratch: np.ndarray) -> None:
     """out (b, m), complex = sum over k of w[k] times the m complex samples
     from j + k of the float rows vf: real sums, taps in order and from +0,
-    as einsum sums them.  A tap of zero weight only adds a zero (the
-    controls are finite), so it is left out."""
-    m = out.shape[1]
+    as einsum sums them, accumulated in the flat floats `scratch`.  A tap
+    of zero weight only adds a zero (the controls are finite), so it is
+    left out."""
+    b, m = out.shape
+    acc, tmp = _carve(scratch, (2, b, 2 * m))
     taps = [(vf[:, 2 * (j + k):2 * (j + k + m)], wk) for k, wk in enumerate(w) if wk]
-    acc = np.multiply(*taps[0])
+    np.multiply(*taps[0], out=acc)
     for tap, wk in taps[1:]:
-        acc += tap * wk
+        acc += np.multiply(tap, wk, out=tmp)
     np.add(acc.view(complex), 0.0, out=out)
 
 
 def _step_maker(sched: PulseSchedule, h: float, n: int):
     """The step rule of one propagation on `sched`, n steps of h, chosen
-    from the interpolation alone: steps(v, first, done, kc, dr) gives the
-    multipliers (MA, MB), each (b, kc), of steps done..done + kc - 1 from the
-    complex control rows v, whose column 0 is sample `first` (a _window of
-    the steps or more), at the (b, 1) or (1, 1) detunings dr.  A pconst step
+    from the interpolation alone: steps(v, first, done, kc, dr, ws) gives
+    the multipliers (MA, MB), each (b, kc), of steps done..done + kc - 1 from
+    the complex control rows v, whose column 0 is sample `first` (a _window
+    of the steps or more), at the (b, 1) or (1, 1) detunings dr, in the
+    _Workspace ws (a pconst step allocates its own).  A pconst step
     holds the segment containing its midpoint and is its exponential
     (quat.pexp); every other step is _rk4_steps on the _stage_reader."""
     if sched.interpolation == INTERP_PCONST:
         big_n = sched.n_intervals
 
-        def steps(v, first, done, kc, dr):
+        def steps(v, first, done, kc, dr, ws):
             mid = (done + np.arange(kc) + 0.5) * h
             x = v[:, np.clip((mid / sched.spacing).astype(int), 0, big_n - 1) - first]
             return quat.pexp(1j * (h * dr), h * x)
         return steps
     read = _stage_reader(sched, h, n)
-    return lambda v, first, done, kc, dr: _rk4_steps(*read(v, first, done, kc), dr, h)
+    return lambda v, first, done, kc, dr, ws: _rk4_steps(*read(v, first, done, kc, ws), dr, h, ws)
+
+
+def _exact_steps(sched: PulseSchedule, h: float, n: int) -> int:
+    """r if the n steps of h on `sched` read a cubic at exactly r in
+    _EXACT_STEPS steps per sample interval, so that every stage sits at a
+    position x0 = q / 2r, q = 0..6r, of its stencil, exactly; else 0."""
+    r, rest = divmod(n, sched.n_intervals)
+    exact = (sched.interpolation == INTERP_CUBIC and not rest
+             and r in _EXACT_STEPS and 0.5 * h / sched.spacing == 0.5 / r)
+    return r if exact else 0
 
 
 def _stage_reader(sched: PulseSchedule, h: float, n: int):
     """The stage read of one cubic or linear propagation on `sched`, n steps
-    of h, by the rule of the module docstring: read(v, first, done, kc)
+    of h, by the rule of the module docstring: read(v, first, done, kc, ws)
     gives the stage values (v0, vm, v1), each (b, kc), of steps
     done..done + kc - 1 from the complex control rows v, whose column 0 is
     sample `first` (a _window of the steps or more), as _rk4_steps takes
-    them.  At the exact ratios the reader holds one table of Lagrange
+    them; at the exact ratios they are views of the _Workspace ws's stage
+    buffer.  At the exact ratios the reader holds one table of Lagrange
     weights, evaluated once per propagation; the repeated gather blocks
     live in the reader too, keyed by kc, and so no longer than the
     propagation."""
     big_n = sched.n_intervals
-    # exact: every stage sits at a position x0 = q / 2r of its stencil,
-    # q = 0..6r, exactly
-    r, rest = divmod(n, big_n)
-    exact = (sched.interpolation == INTERP_CUBIC and not rest
-             and r in _EXACT_STEPS and 0.5 * h / sched.spacing == 0.5 / r)
-    weights = _lagrange_weights(np.arange(6 * r + 1) / (2 * r)) if exact else None
-    table = weights.T.tolist() if exact and r <= 4 else None
+    r = _exact_steps(sched, h, n)
+    weights = _lagrange_weights(np.arange(6 * r + 1) / (2 * r)) if r else None
+    table = weights.T.tolist() if 0 < r <= 4 else None
     # at r = 8 and 16: the table's weights, each twice, for the real and
     # the imaginary part
-    w2 = np.repeat(weights[:, :, None], 2, axis=2) if exact and r > 4 else None
+    w2 = np.repeat(weights[:, :, None], 2, axis=2) if r > 4 else None
     repeats = {}
 
     def half_steps(done, kc):
@@ -317,37 +347,45 @@ def _stage_reader(sched: PulseSchedule, h: float, n: int):
         ends = 2 * (done + np.arange(kc + 1))
         return np.concatenate([ends, ends[:-1] + 1])
 
-    def stencils(done, kc, shift):
+    def stencils(done, kc, shift, at=None, w=None):
         # _cubic_stencils at the half steps p by integer arithmetic, the
-        # stencils shifted by `shift`: the stage at p reads table row
+        # stencils shifted by `shift`, into the (4, L) ints `at` and the
+        # (4, L, 2) floats `w` if given: the stage at p reads table row
         # q = p - 2r j (np.take, as the indexing w2[:, q] is ~15 times
         # slower)
         p = half_steps(done, kc)
         j = _stencil_start(p // (2 * r), big_n)
-        return (j + (np.arange(4)[:, None] + shift),
-                np.take(w2, p - 2 * r * j, axis=1).reshape(4, -1))
+        return (np.add(j, np.arange(4)[:, None] + shift, out=at),
+                np.take(w2, p - 2 * r * j, axis=1, out=w, mode="clip").reshape(4, -1))
 
-    def read(v, first, done, kc):
+    def read(v, first, done, kc, ws):
         if table is not None:
-            x = _phase_stages(v, first, table, big_n, done, kc)
-        elif exact and done >= r and (done + kc) // r <= big_n - 2:
-            # whole intervals i0..i1 - 1, every stage on its centred
-            # stencil: the weights of any other such block of kc steps, on
-            # stencils shifted by i0
-            i0 = done // r
-            if kc not in repeats:
-                repeats[kc] = stencils(done, kc, -i0)
-            at, w = repeats[kc]
-            x = _gather(v, at + (i0 - first), w)
-        elif exact:
-            x = _gather(v, *stencils(done, kc, -first))
+            x = _phase_stages(v, first, table, big_n, done, kc, ws)
+        elif r:
+            # the gathered samples, the stencils and the weights of L stages
+            # in the scratch, as _Workspace sizes it
+            b, size = v.shape[0], 2 * kc + 1
+            taken = _carve(ws.scratch, (b, 4, size))
+            at = _carve(ws.scratch[4 * b * size:].view(np.intp), (4, size))
+            w = _carve(ws.scratch[(4 * b + 2) * size:].view(float), (4, size, 2))
+            if done >= r and (done + kc) // r <= big_n - 2:
+                # whole intervals i0..i1 - 1, every stage on its centred
+                # stencil: the weights of any other such block of kc steps,
+                # on stencils shifted by i0
+                i0 = done // r
+                if kc not in repeats:
+                    repeats[kc] = stencils(done, kc, -i0)
+                at, w = np.add(repeats[kc][0], i0 - first, out=at), repeats[kc][1]
+            else:
+                at, w = stencils(done, kc, -first, at, w)
+            x = _gather(v, at, w, _carve(ws.stages.view(float), (b, 2 * size)), taken)
         else:
             x = _stage_values(v, first, sched, h, half_steps(done, kc))
         return x[:, :kc], x[:, kc + 1:], x[:, 1:kc + 1]
     return read
 
 
-def _rk4_steps(v0, vm, v1, dr, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _rk4_steps(v0, vm, v1, dr, h: float, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
     """RK4 step multipliers m = 1 + h/6 (k1 + 2k2 + 2k3 + k4) as pairs
     (MA, MB) of (b, c) arrays, from the complex stage values v of the
     generators a = (i dr, v) at the step start, midpoint and end: (b, c)
@@ -362,50 +400,74 @@ def _rk4_steps(v0, vm, v1, dr, h: float) -> tuple[np.ndarray, np.ndarray]:
            + 2 dr^2 + N) + i (6 - 2g) dr),
       MB = h/6 ((1 - g) s + 4 vm - i (h - f) dr d),
     where g = h^2 N / 2 and f = h^3 N / 4.  With every dr zero the dr terms
-    are left out: the same expressions less their exact zeros.
+    are left out: the same expressions less their exact zeros.  MA and MB are
+    views of the _Workspace ws's multiplier buffers, and every intermediate
+    is written into its scratch: the same operations, operands and order as
+    the expressions, so the same bits.
     """
     detuned = dr.any()
     if not detuned and dr.shape[0] > v0.shape[0]:
         # one control row for b undetuned systems
         v0, vm, v1 = (np.broadcast_to(x, (dr.shape[0], x.shape[1])) for x in (v0, vm, v1))
-    nm = vm.real * vm.real + vm.imag * vm.imag
+    shape = (max(v0.shape[0], dr.shape[0]), v0.shape[1])
+    ma, mb = _carve(ws.ma, shape), _carve(ws.mb, shape)
+    # one complex and three float arrays of scratch: each buffer takes the
+    # next value once its last reader is done, and mb holds a temporary
+    # before its own value
+    t = _carve(ws.scratch, shape)
+    nm, g, f = _carve(ws.scratch[math.prod(shape):].view(float), (3,) + shape)
+    np.multiply(vm.real, vm.real, out=nm)
+    nm += np.multiply(vm.imag, vm.imag, out=g)
     if detuned:
         dd = dr * dr
-        nm = nm + dd
-    g = (0.5 * h * h) * nm
+        nm += dd
+    np.multiply(0.5 * h * h, nm, out=g)
     # a numpy power, the same value as h ** 3, overflows to inf where a float
     # power raises OverflowError; _propagate_rows rejects the result
-    f = (0.25 * np.float64(h) ** 3) * nm
-    c0 = v0.conj()
+    np.multiply(0.25 * np.float64(h) ** 3, nm, out=f)
+    c0 = np.conjugate(v0, out=t)
     # temporaries stay left factors of complex products (see quat.pmul)
     if detuned:
-        ma = f * (v1 * c0 + dd) - h * (vm * c0 + vm.conj() * v1 + (2.0 * dd + nm))
-        ma.imag += (6.0 - 2.0 * g) * dr
-        mb = (1.0 - g) * (v0 + v1) + 4.0 * vm
-        mb += ((h - f) * dr) * (-1j * (v1 - v0))
+        # ma = f (v1 c0 + dd) - h (vm c0 + conj(vm) v1 + (2 dd + nm))
+        np.multiply(f, np.add(np.multiply(v1, c0, out=ma), dd, out=ma), out=ma)
+        np.multiply(vm, c0, out=t)
+        t += np.multiply(np.conjugate(vm, out=mb), v1, out=mb)
+        t += np.add(2.0 * dd, nm, out=nm)
+        ma -= np.multiply(h, t, out=t)
+        ma.imag += np.multiply(np.subtract(6.0, np.multiply(2.0, g, out=nm), out=nm), dr, out=nm)
+        # mb = (1 - g) (v0 + v1) + 4 vm + ((h - f) dr) (-1j (v1 - v0))
+        np.multiply(np.subtract(1.0, g, out=g), np.add(v0, v1, out=mb), out=mb)
+        mb += np.multiply(4.0, vm, out=t)
+        np.multiply(np.subtract(h, f, out=f), dr, out=f)
+        mb += np.multiply(f, np.multiply(-1j, np.subtract(v1, v0, out=t), out=t), out=t)
     else:
-        # the operations above less their dr terms, in place
-        ma = v1 * c0
+        # the operations above less their dr terms
+        np.multiply(v1, c0, out=ma)
         ma *= f
-        t = vm * c0
-        t += vm.conj() * v1
+        np.multiply(vm, c0, out=t)
+        t += np.multiply(np.conjugate(vm, out=mb), v1, out=mb)
         t += nm
         t *= h
         ma -= t
-        mb = v0 + v1
+        np.add(v0, v1, out=mb)
         np.subtract(1.0, g, out=g)
         mb *= g
-        mb += 4.0 * vm
+        mb += np.multiply(4.0, vm, out=t)
     ma *= h / 6.0
     ma.real += 1.0
     mb *= h / 6.0
     return ma, mb
 
 
-def _norm2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _norm2(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+           tmp: np.ndarray | None = None) -> np.ndarray:
     """Squared norms of pairs, summed as w^2 + x^2 + y^2 + z^2
-    (np.linalg.norm's order on the rows) at a fraction of its cost."""
-    return a.real ** 2 + b.real ** 2 + b.imag ** 2 + a.imag ** 2
+    (np.linalg.norm's order on the rows) at a fraction of its cost, in the
+    float arrays `out` and `tmp` of the pairs' shape if given."""
+    sq = np.square(a.real, out=out)
+    for part in (b.real, b.imag, a.imag):
+        sq += np.square(part, out=tmp)
+    return sq
 
 
 def _normalize(a: np.ndarray, b: np.ndarray) -> None:
@@ -438,6 +500,50 @@ def _tree_product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return a, b
 
 
+def _block_steps(rows: int, sched: PulseSchedule, h: float) -> tuple[int, int]:
+    """The steps of one step block of `rows` rows, the most whole chunks with
+    rows x steps <= _BLOCK_CELLS (at least one), and of one control window,
+    the most whole blocks that read _WINDOW_SAMPLES sample intervals (at
+    least one)."""
+    block = max(1, _BLOCK_CELLS // (rows * _STEP_CHUNK)) * _STEP_CHUNK
+    return block, max(1, int(_WINDOW_SAMPLES * sched.spacing / h) // block) * block
+
+
+def _carve(flat: np.ndarray, shape: tuple) -> np.ndarray:
+    """The leading cells of the flat buffer `flat` as a contiguous array of
+    `shape`."""
+    return flat[:math.prod(shape)].reshape(shape)
+
+
+class _Workspace:
+    """One propagation's working set, carved from one allocation and shared
+    by its row blocks: the control `window`, the `stages`, the multipliers
+    `ma` and `mb`, and a `scratch` that the stage read, _rk4_steps and the
+    drift audit take in turn from its start, so that it stays in cache (one
+    complex and three float multiplier-sized arrays, or the r = 8 and 16
+    gather's samples, stencils and weights if `gather`).  Sized for step
+    blocks of `rows` x `steps` and windows of `cols` columns."""
+
+    def __init__(self, rows: int, steps: int, cols: int, gather: bool):
+        cells = rows * steps
+        scratch = max(-(-5 * cells // 2), (4 * rows + 6) * (2 * steps + 1) if gather else 0)
+        sizes = np.cumsum([rows * cols, 2 * cells + rows, cells, cells])
+        buf = np.empty(sizes[-1] + scratch, dtype=complex)
+        self.window, self.stages, self.ma, self.mb, self.scratch = np.split(buf, sizes)
+
+    @classmethod
+    def of(cls, rows: int, sched: PulseSchedule, h: float, n: int) -> _Workspace:
+        """The workspace of n steps of h on `sched`'s grid in row blocks of at
+        most `rows` rows, sized by their step blocks and windows cut to the n
+        steps, never by the batch or N; a smaller last row block needs no
+        more of any buffer.  A window reads at most floor(span h / spacing)
+        + 7 columns, one more for the rounding of its ends."""
+        block, span = _block_steps(rows, sched, h)
+        block = min(block, -(-n // _STEP_CHUNK) * _STEP_CHUNK)
+        cols = min(sched.n_intervals + 1, math.floor(min(span, n) * h / sched.spacing) + 8)
+        return cls(rows, block, cols, _exact_steps(sched, h, n) > 4)
+
+
 def _propagate_rows(scheds: list[PulseSchedule], dr: np.ndarray, h: float, n: int,
                     start: np.ndarray, record: bool):
     """Propagate b systems from the one start row (w, x, y, z) in lockstep
@@ -445,9 +551,10 @@ def _propagate_rows(scheds: list[PulseSchedule], dr: np.ndarray, h: float, n: in
     (b, or one for all rows) and the detunings `dr` of _detunings (one, or
     one per row); returns (finals (b, 4), drifts (b,), states), states only
     if `record` (of row 0), which also picks each chunk's product: prefix if
-    recording, else tree.  Rows are taken _ROW_BLOCK at a time, and each
-    block reads its control rows one window of sample columns at a time, so
-    the working set grows neither with b nor with N."""
+    recording, else tree.  Rows are taken _ROW_BLOCK at a time, each block
+    reads its control rows one window of sample columns at a time, and all
+    blocks are built in one _Workspace, so the working set grows neither
+    with b nor with N."""
     dr = dr[:, None]
     b = max(len(scheds), len(dr))
     if {len(scheds), len(dr)} - {1, b}:
@@ -457,6 +564,7 @@ def _propagate_rows(scheds: list[PulseSchedule], dr: np.ndarray, h: float, n: in
         states[0] = start
     pair = quat.row_pair(start)
     steps = _step_maker(scheds[0], h, n)
+    ws = _Workspace.of(min(b, _ROW_BLOCK), scheds[0], h, n)
     finals, drifts = np.empty((b, 4)), np.empty(b)
     # controls past ~1e154 overflow |v|^2, steps past ~1e102 overflow h^3,
     # and a held step whose angle h |v| overflows is NaN after quat.pexp;
@@ -467,7 +575,7 @@ def _propagate_rows(scheds: list[PulseSchedule], dr: np.ndarray, h: float, n: in
             rows = slice(lo, lo + _ROW_BLOCK)
             qa, qb, drifts[rows] = _propagate_block(
                 scheds[rows] if len(scheds) > 1 else scheds,
-                dr[rows] if dr.shape[0] > 1 else dr, steps, h, n, pair, states)
+                dr[rows] if dr.shape[0] > 1 else dr, steps, h, n, pair, states, ws)
             finals[rows] = quat.pair_rows(qa, qb)
     if not (np.isfinite(drifts).all() and np.isfinite(finals).all()
             and (states is None or np.isfinite(states).all())):
@@ -476,7 +584,7 @@ def _propagate_rows(scheds: list[PulseSchedule], dr: np.ndarray, h: float, n: in
     return finals, drifts, states
 
 
-def _propagate_block(scheds, dr, steps, h: float, n: int, start, states):
+def _propagate_block(scheds, dr, steps, h: float, n: int, start, states, ws: _Workspace):
     """One block of at most _ROW_BLOCK rows from the start pair; returns the
     final pairs and the drifts, and fills `states` with row 0's states
     unless it is None.  The step multipliers come from the propagation's
@@ -491,14 +599,17 @@ def _propagate_block(scheds, dr, steps, h: float, n: int, start, states):
     read control rows of the _window columns of the most whole step blocks
     that read _WINDOW_SAMPLES sample intervals, at least one block: the same
     samples, so the same bits, as from whole rows, at one row slice per
-    window."""
+    window.  The window, the stage values, the multipliers and the
+    intermediates of the stage read, the step and the drift audit are views
+    of the propagation's _Workspace ws, overwritten block after block; only
+    the chunk products, and a pconst block's exponentials or an inexact
+    ratio's gather, are allocated per block."""
     record = states is not None
     b = max(len(scheds), dr.shape[0])
     qa, qb = np.full(b, start[0]), np.full(b, start[1])
     drift = np.zeros(b)
-    per_block = max(1, _BLOCK_CELLS // (b * _STEP_CHUNK))
-    block = per_block * _STEP_CHUNK
-    span = max(1, int(_WINDOW_SAMPLES * scheds[0].spacing / h) // block) * block
+    block, span = _block_steps(b, scheds[0], h)
+    per_block = block // _STEP_CHUNK
     done = end = 0
     while done < n:
         c = min(_STEP_CHUNK, n - done)
@@ -506,11 +617,11 @@ def _propagate_block(scheds, dr, steps, h: float, n: int, start, states):
         if done + k * c > end:
             end = min(n, done + span)
             cols = _window(scheds[0], h, done, end)
-            v = _control_rows(scheds, cols)
-        ma, mb = steps(v, cols.start, done, k * c, dr)
+            v = _control_rows(scheds, cols, ws.window)
+        ma, mb = steps(v, cols.start, done, k * c, dr, ws)
         # sqrt is monotone and |x - 1| falls, then rises, so a row's largest
         # ||m| - 1| is at its largest or smallest squared norm
-        sq = _norm2(ma, mb)
+        sq = _norm2(ma, mb, *_carve(ws.scratch.view(float), (2,) + ma.shape))
         ext = np.sqrt(np.stack((sq.max(axis=1), sq.min(axis=1))))
         np.maximum(drift, np.abs(ext - 1.0).max(axis=0), out=drift)
         ma, mb = ma.reshape(b * k, c), mb.reshape(b * k, c)

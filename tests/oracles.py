@@ -19,7 +19,9 @@ time order, with np.linalg.norm on (w, x, y, z) rows for the drift audit
 and the state normalization.  Every stage value is computed here; cubic
 ones by one gather per chunk, through verbatim copies of the propagator's
 _lagrange_weights, _cubic_stencils and _gather, so that a changed weight
-in the package does not change the reference too.  A held (pconst) step is
+in the package does not change the reference too.  Its RK4 steps are
+_rk4_steps as it was before the propagator built them in a workspace: each
+expression allocates its own result.  A held (pconst) step is
 the exponential of its segment's generator, quat.pexp.  Propagation of all
 three interpolations must match it bit for bit.
 
@@ -49,7 +51,7 @@ import numpy as np
 from flatgate import quat
 from flatgate.flat import lift_controls, unwrap_phase
 from flatgate.planner import DEFAULT_SAMPLES, plan_controls, smoothstep
-from flatgate.propagator import _STEP_CHUNK, _prefix_product, _rk4_steps, _tree_product
+from flatgate.propagator import _STEP_CHUNK, _prefix_product, _tree_product
 from flatgate.quat import UnitQuaternion, pair_rows, pmul, row_pair
 from flatgate.schedule import INTERP_CUBIC, INTERP_PCONST, PulseSchedule
 
@@ -172,6 +174,43 @@ def chunked_rows(v, sched, delta_r, h, n, start, record):
         qa, qb = row_pair(qs[:, -1])
         done += c
     return pair_rows(qa, qb), drift, states
+
+
+def _rk4_steps(v0, vm, v1, dr, h):
+    """propagator._rk4_steps with fresh arrays for every intermediate."""
+    detuned = dr.any()
+    if not detuned and dr.shape[0] > v0.shape[0]:
+        # one control row for b undetuned systems
+        v0, vm, v1 = (np.broadcast_to(x, (dr.shape[0], x.shape[1])) for x in (v0, vm, v1))
+    nm = vm.real * vm.real + vm.imag * vm.imag
+    if detuned:
+        dd = dr * dr
+        nm = nm + dd
+    g = (0.5 * h * h) * nm
+    f = (0.25 * np.float64(h) ** 3) * nm
+    c0 = v0.conj()
+    # temporaries stay left factors of complex products (see quat.pmul)
+    if detuned:
+        ma = f * (v1 * c0 + dd) - h * (vm * c0 + vm.conj() * v1 + (2.0 * dd + nm))
+        ma.imag += (6.0 - 2.0 * g) * dr
+        mb = (1.0 - g) * (v0 + v1) + 4.0 * vm
+        mb += ((h - f) * dr) * (-1j * (v1 - v0))
+    else:
+        ma = v1 * c0
+        ma *= f
+        t = vm * c0
+        t += vm.conj() * v1
+        t += nm
+        t *= h
+        ma -= t
+        mb = v0 + v1
+        np.subtract(1.0, g, out=g)
+        mb *= g
+        mb += 4.0 * vm
+    ma *= h / 6.0
+    ma.real += 1.0
+    mb *= h / 6.0
+    return ma, mb
 
 
 def _lagrange_weights(x0: np.ndarray) -> np.ndarray:

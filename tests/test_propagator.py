@@ -14,6 +14,7 @@ from flatgate.propagator import (
     _ROW_BLOCK,
     DEFAULT_STEP_DIVISOR,
     _STEP_CHUNK,
+    _Workspace,
     _control_rows,
     _prefix_product,
     _rk4_steps,
@@ -32,6 +33,7 @@ from flatgate.quat import (
 from flatgate.schedule import (
     INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST, MAX_SAMPLES, PulseSchedule)
 from flatgate.zyz import euler_decompose, zyz_schedule
+import oracles
 from oracles import chunked_rows, ode_residual, piecewise_exact, row_kernel, unwarped_schedule
 
 PI = math.pi
@@ -304,7 +306,7 @@ def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_inte
     calls = count_reads(monkeypatch)
     for rows in (slice(None), slice(148, None), slice(149, None)):     # 150, 2 and 1
         calls.clear()
-        stages = _stage_reader(scheds[0], h, n)(v[rows], 0, 0, n)
+        stages = _stage_reader(scheds[0], h, n)(v[rows], 0, 0, n, _Workspace(150, n, 0, True))
         assert (calls["_phase_stages"] == 1) == (steps_per_interval in (1, 2, 4))
         for x, ref in zip(stages, gathered):
             assert x.tobytes() == ref[rows].tobytes()
@@ -346,9 +348,9 @@ def test_repeated_gather_blocks_match_the_chunked_kernel_byte_for_byte(
         [2 * (done + np.arange(kc + 1)), 2 * (done + np.arange(kc)) + 1])), kc)
         for done, kc in chunks]
     calls = count_reads(monkeypatch)
-    read = _stage_reader(scheds[0], h, n)
+    read, ws = _stage_reader(scheds[0], h, n), _Workspace(64, _STEP_CHUNK, 0, True)
     for (done, kc), refs in zip(chunks, gathered):
-        for x, ref in zip(read(v, 0, done, kc), refs):
+        for x, ref in zip(read(v, 0, done, kc, ws), refs):
             assert x.tobytes() == ref.tobytes()
     assert calls["_phase_stages"] == 0
     # at the exact ratios 8 and 16 no block computes its own stencils
@@ -433,9 +435,9 @@ def test_control_windows_match_the_chunked_kernel_byte_for_byte(
         monkeypatch.setattr(propagator, "_WINDOW_SAMPLES", window)
     windows = []
 
-    def control_rows(rows, cols=slice(None)):
+    def control_rows(rows, cols=slice(None), out=None):
         windows.append((cols.start, cols.stop))
-        return _control_rows(rows, cols)
+        return _control_rows(rows, cols, out)
     monkeypatch.setattr(propagator, "_control_rows", control_rows)
     drs = rng.uniform(-1.0, 1.0, 70)
     for count, detuned in ((5, False), (31, True), (64, False), (70, True)):
@@ -457,6 +459,53 @@ def test_control_windows_match_the_chunked_kernel_byte_for_byte(
         assert res.final == quat.as_unit(ref_f[0])
         assert np.float64(res.max_norm_drift).tobytes() == ref_d.tobytes()
         assert len(windows) >= 2
+
+
+@pytest.mark.parametrize("interpolation, steps_per_interval", [
+    (INTERP_CUBIC, 1), (INTERP_CUBIC, 2), (INTERP_CUBIC, 16), (INTERP_CUBIC, 2.5),
+    (INTERP_LINEAR, 3), (INTERP_PCONST, 2)])
+def test_workspace_blocks_match_the_chunked_kernel_byte_for_byte(
+        interpolation, steps_per_interval):
+    # every step block of a propagation is built in its one workspace: 1 to
+    # 16 rows take several chunks per block, 17 to 64 one, and 65 rows two
+    # row blocks, the last of one row; no n is a multiple of 256, so the
+    # last chunk is partial.  tobytes, as array_equal takes -0 for +0
+    rng = np.random.default_rng(62)
+    big_t, big_n = 1.4, 300
+    scheds = [PulseSchedule(big_t, *rng.standard_normal((2, big_n + 1)), target=ONE,
+                            interpolation=interpolation) for _ in range(65)]
+    n = round(steps_per_interval * big_n)
+    assert n % _STEP_CHUNK
+    h = big_t / n
+    v, one = _control_rows(scheds), ONE.as_array()
+    drs = rng.uniform(-1.0, 1.0, 65)
+    for rows in (1, 16, 17, 31, 64, 65):
+        for dr in (0.0, drs[:rows]):
+            finals, drifts = propagate_final_batch(scheds[:rows], delta_r=dr, h=h)
+            ref_f, ref_d, _ = chunked_rows(v[:rows], scheds[0], dr, h, n, one, record=False)
+            assert finals.tobytes() == ref_f.tobytes() and drifts.tobytes() == ref_d.tobytes()
+    for dr in (0.0, 0.6):
+        res = propagate(scheds[7], delta_r=dr, h=h)
+        ref_f, ref_d, ref_s = chunked_rows(v[7:8], scheds[7], dr, h, n, one, record=True)
+        assert res.states.tobytes() == ref_s.tobytes()
+        assert res.final == quat.as_unit(ref_f[0])
+        assert np.float64(res.max_norm_drift).tobytes() == ref_d.tobytes()
+
+
+def test_no_propagation_carries_results_into_the_next():
+    # a steer-sized propagation, a small one on another grid, then the first
+    # again: each builds its blocks in a workspace of its own, so the third
+    # equals the first bit for bit
+    rng = np.random.default_rng(63)
+    big = [synthesize(quat.as_unit(q), 1.0, 4096, 1) for q in quat.random_unit(rng, 64)]
+    small = [PulseSchedule(1.0, *rng.standard_normal((2, 301)), target=ONE,
+                           interpolation=INTERP_CUBIC) for _ in range(5)]
+    drs = rng.uniform(-1.0, 1.0, 64)
+    first = propagate_final_batch(big, delta_r=drs, h=1.0 / 8192)
+    propagate_final_batch(small, delta_r=drs[:5], h=1.0 / 4800)
+    again = propagate_final_batch(big, delta_r=drs, h=1.0 / 8192)
+    for a, b in zip(first, again):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_batch_memory_does_not_grow_with_the_sample_count():
@@ -688,21 +737,27 @@ def test_rk4_steps_match_stage_products():
             # a single control row broadcasts against three detunings
             x0, xm, x1, y0, ym, y1 = 8.0 * rng.standard_normal((6, rows, c))
             dr = rng.uniform(-2.0, 2.0, (3, 1))
-            m = pair_rows(*_rk4_steps(x0 + 1j * y0, xm + 1j * ym, x1 + 1j * y1, dr, h))
+            m = pair_rows(*_rk4_steps(x0 + 1j * y0, xm + 1j * ym, x1 + 1j * y1, dr, h,
+                                      _Workspace(3, c, 0, False)))
             ref = _rk4_steps_by_products(x0, xm, x1, y0, ym, y1, dr, h)
             assert m.shape == (3, c, 4)
             assert np.max(np.abs(m - ref)) <= 1e-15
 
 
 def test_rk4_steps_of_one_row_equal_its_row_of_a_batch_bit_for_bit():
-    # 64 x 512 steps: operands large enough for numpy to reuse temporaries
+    # 64 x 512 steps, operands large enough for numpy to reuse temporaries
+    # where each expression allocates: the workspace steps equal those of
+    # oracles._rk4_steps, and each row's steps on its own, byte for byte
     rng = np.random.default_rng(56)
     v0, vm, v1 = rng.standard_normal((3, 64, 512)) + 1j * rng.standard_normal((3, 64, 512))
-    dr = rng.uniform(-2.0, 2.0, (64, 1))
-    ma, mb = _rk4_steps(v0, vm, v1, dr, 0.25)
-    for i in range(64):
-        a, b = _rk4_steps(v0[i:i + 1], vm[i:i + 1], v1[i:i + 1], dr[i:i + 1], 0.25)
-        assert np.array_equal(a[0], ma[i]) and np.array_equal(b[0], mb[i])
+    one = _Workspace(1, 512, 0, False)
+    for dr in (rng.uniform(-2.0, 2.0, (64, 1)), np.zeros((64, 1))):
+        ma, mb = _rk4_steps(v0, vm, v1, dr, 0.25, _Workspace(64, 512, 0, False))
+        ref_a, ref_b = oracles._rk4_steps(v0, vm, v1, dr, 0.25)
+        assert ma.tobytes() == ref_a.tobytes() and mb.tobytes() == ref_b.tobytes()
+        for i in range(64):
+            a, b = _rk4_steps(v0[i:i + 1], vm[i:i + 1], v1[i:i + 1], dr[i:i + 1], 0.25, one)
+            assert np.array_equal(a[0], ma[i]) and np.array_equal(b[0], mb[i])
 
 
 def test_rk4_step_of_constant_generator_is_taylor_polynomial():
@@ -718,7 +773,7 @@ def test_rk4_step_of_constant_generator_is_taylor_polynomial():
         term = qmul_arr(ha, term) / k
         taylor += term
     v = x + 1j * y
-    m = pair_rows(*_rk4_steps(v, v, v, dr, h))
+    m = pair_rows(*_rk4_steps(v, v, v, dr, h, _Workspace(3, 5, 0, False)))
     assert np.max(np.abs(m - taylor)) <= 1e-15
 
 
