@@ -16,7 +16,11 @@ Trajectory:  CSV with header ``t,q0,q1,q2,q3`` (scalar-first components).
 Sweep:       CSV with header ``delta_r,fidelity``.
 
 Every CSV number is the text of format(v, ".17g"), byte for byte, though the
-writer formats whole blocks of rows in numpy (see _format_rows).
+writer formats whole blocks of rows in numpy (see _format_rows): each value's
+bytes are laid out once, in output order, in a 48-byte superset row of every
+byte its text could hold, and a keep-mask chosen by the value's layout (sign,
+notation and exponent, significant digits) zeroes the bytes its text does not
+hold, which are then dropped.
 
 Exit codes: 0 success, 1 domain errors, 2 I/O errors.  Identical inputs
 produce byte-identical output files.
@@ -44,8 +48,8 @@ SQ2 = 1.0 / math.sqrt(2.0)
 # take ~0.4 s at 33 MB peak RSS for the whole process (gate H, T = 2, the
 # default N and step, 2 vCPU).
 MAX_SWEEP_STEPS = 2 ** 12
-# Rows per formatting block: the writer's arrays peak at ~300 bytes per value
-# of one block, ~1.5 MB at five columns, whatever the row count.
+# Rows per formatting block: the writer's arrays peak at ~235 bytes per value
+# of one block, ~1.2 MB at five columns, whatever the row count.
 _CSV_BLOCK_ROWS = 1024
 NAMED_GATES = {
     "X": UnitQuaternion(0.0, 1.0, 0.0, 0.0),
@@ -78,14 +82,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# 10**k for k = 16 - e, e a double's decimal exponent (-324..308) or one beyond
+# a double's decimal exponents, and 10**k for k = 16 - e, e one of them or one beyond
+_E = np.arange(-324, 309)
 _K_MIN, _K_MAX = -293, 341
+_SPLIT = 2.0 ** 27 + 1
 
 
 def _pow10_table():
-    """(hi, lo, p) with |hi + lo - 10**k / 2**p| < 2**-106 for k in
+    """(hi, hh, hl, lo, p) with |hi + lo - 10**k / 2**p| < 2**-106 for k in
     [_K_MIN, _K_MAX]: hi in [1/2, 1) holds the leading 53 of the first 120
-    bits of 10**k, exact integers, and lo the next 67 rounded to a double."""
+    bits of 10**k, exact integers, hh + hl is its Dekker split and lo the
+    next 67 bits rounded to a double."""
     rows = []
     for k in range(_K_MIN, _K_MAX + 1):
         shift = 0 if k >= 0 else 120 + 4 * -k          # 10**-k < 2**(4 * -k)
@@ -94,164 +101,154 @@ def _pow10_table():
         y = y >> (b - 120) if b > 120 else y << (120 - b)
         rows.append((y >> 67, float(y & (2 ** 67 - 1)), b - shift))
     hi, lo, p = zip(*rows)
-    return np.ldexp(np.array(hi, dtype=float), -53), np.ldexp(np.array(lo), -120), np.array(p)
+    hi = np.ldexp(np.array(hi, dtype=float), -53)
+    c = _SPLIT * hi
+    hh = c - (c - hi)
+    return hi, hh, hi - hh, np.ldexp(np.array(lo), -120), np.array(p)
 
 
-def _digit_tables():
-    """The four ASCII digits of 0..9999 viewed as one uint32 word each, and
-    the trailing zeros among them (4 for 0)."""
-    n = np.arange(10000, dtype=np.uint16)
-    digits = np.empty((10000, 4), np.uint8)
-    for j, p in enumerate((1000, 100, 10, 1)):
-        digits[:, j] = n // p % 10 + 48
-    trailing = np.zeros(10000, np.intp)
-    for p in (10, 100, 1000, 10000):
-        trailing += n % p == 0
-    return digits.view(np.uint32)[:, 0], trailing
-
-
-_P10_HI, _P10_LO, _P10_EXP = _pow10_table()
-_DIG4, _TZ4 = _digit_tables()
-# A value's source bytes: its 17 digits, three exponent digits, then ".0-e",
-# "+", a 0 and the separator.  A text template of '-', '0', '.', 'e', '+' and
-# runs of 'D' (the next digit), 'h', 't', 'o' (the exponent's hundreds, tens
-# and ones), padded with 0 bytes to 24 and closed by the separator '|', is
-# the list of source bytes its cell takes.
-_SOURCE = {"D": 0, "h": 17, "t": 18, "o": 19, ".": 20, "0": 21, "-": 22, "e": 23,
-           "+": 24, " ": 25, "|": 26}
-_SOURCE_WORDS = 7
-
-
-def _cell_templates():
-    """One template per layout code (sign * 25 + kind) * 17 + nd - 1: kind
-    e + 4 for fixed notation (-4 <= e < 17), 21 + 2 * (e < 0) + (|e| >= 100)
-    for scientific, nd significant digits; then codes _RAW_CODE + n - 1, the
-    first n source bytes, for text written whole."""
-    fixed = [("D" * (e + 1) + ("." + "D" * (nd - e - 1)) * (nd > e + 1) if e >= 0
-              else "0." + "0" * (-e - 1) + "D" * nd)
-             for e in range(-4, 17) for nd in range(1, 18)]
-    sci = ["D" + ("." + "D" * (nd - 1)) * (nd > 1) + "e" + exp
-           for exp in ("+to", "+hto", "-to", "-hto") for nd in range(1, 18)]
-    return [s + t for s in ("", "-") for t in fixed + sci] + ["D" * n for n in range(1, 25)]
-
-
-def _cell_table():
-    text = np.frombuffer("".join(t.ljust(24) + "|" for t in _cell_templates()).encode(),
-                         np.uint8).reshape(-1, 25)
-    source = np.zeros(256, np.uint8)
-    source[[ord(c) for c in _SOURCE]] = list(_SOURCE.values())
-    digit = text == ord("D")
-    return source[text] + digit * (np.cumsum(digit, axis=1, dtype=np.uint8) - 1)
-
-
-_CELLS = _cell_table()
-_RAW_CODE = 2 * 25 * 17
+_P10_HI, _P10_HH, _P10_HL, _P10_LO, _P10_EXP = _pow10_table()
 _TIE_WINDOW = 2.0 ** -32
-_SPLIT = 2.0 ** 27 + 1
 
 
-def _times_pow10(f, x, i):
-    """f * 2**x * 10**(i + _K_MIN) as a double-double (hi, lo), lo the exact
-    rounding error of hi: f times the table's hi exactly (Dekker's product),
-    plus f times its lo; see _decimal for the error."""
+def _decimal(v):
+    """(D, e) for the float64 array v: D the 17 significant digits of |v| as
+    an integer in [1e16, 1e17) and e its decimal exponent, so that |v|
+    rounds to D * 10**(e - 16), round half to even; D = 0, e = 0 for zeros,
+    D = 1e16, e = 0 for inf and nan, whose text the caller writes.
+
+    For finite nonzero v = f * 2**x (np.frexp), D is round(|v| * 10**(16 - e))
+    with e = floor(log10|v|).  The product is a double-double hi + lo: the
+    table's 10**k is within 2**-106 of its hi (2**-107 from rounding lo,
+    2**-119 from truncating), f * hi is exact (Dekker's product, the table's
+    hi split at import), f * lo is within 2**-107 and the sum that adds it
+    within 2**-106, all beside a product f * hi >= 1/4: below 2**-103 of the
+    product, or 2**-46 absolute below 1e17 < 2**57.  hi is an integer, so
+    the product's floor is hi + floor(lo).  Values are formatted one at a
+    time by format(v, ".16e") where the fractional part lies within
+    _TIE_WINDOW = 2**-32 of one half, as the exact product may round the
+    other way, and where the floor leaves [1e16, 1e17), as log10 was one
+    off.  A D of 1e17 is 1e16 at e + 1.
+    """
+    zero = v == 0
+    a = np.abs(v)
+    a[zero | ~np.isfinite(v)] = 1.0
+    f, x = np.frexp(a)
+    # table index of k = 16 - floor(log10|v|); log10|v| > -400
+    i = (16 - _K_MIN + 400) - (np.log10(a) + 400).astype(np.intp)
     b = _P10_HI[i]
     p = f * b
     c = _SPLIT * f
     fh = c - (c - f)
     fl = f - fh
-    c = _SPLIT * b
-    bh = c - (c - b)
-    bl = b - bh
+    bh, bl = _P10_HH[i], _P10_HL[i]
     t = ((fh * bh - p) + fh * bl + fl * bh) + fl * bl + f * _P10_LO[i]
     hi = p + t
     scale = ((x + _P10_EXP[i] + 1023) << 52).view(np.float64)     # 2**(x + p)
-    return hi * scale, (t - (hi - p)) * scale
-
-
-def _decimal(v):
-    """(D, e, slow) for the float64 array v: D the 17 significant digits of
-    |v| as an integer in [1e16, 1e17) and e its decimal exponent, so that
-    |v| rounds to D * 10**(e - 16), round half to even; D = e = 0 for zeros,
-    and slow marks the values to format one at a time.
-
-    For finite nonzero v = f * 2**x (np.frexp), D is round(|v| * 10**(16 - e))
-    with e floor(log10|v|) to start, moved once by one where the product, hi
-    and lo compared together, falls outside [1e16, 1e17).  The product is a
-    double-double: the table's 10**k is within 2**-106 of its hi (2**-107
-    from rounding lo, 2**-119 from truncating), f * hi is exact, f * lo is
-    within 2**-107 and the sum that adds it within 2**-106, all beside a
-    product f * hi >= 1/4: below 2**-103 of the product, or 2**-46 absolute
-    below 1e17 < 2**57.  Where its fractional part lies within _TIE_WINDOW =
-    2**-32 of one half the exact product may round the other way, so those
-    values are slow, as are inf, nan and any whose D is still out of range.
-    A D of 1e17 is 1e16 at e + 1.
-    """
-    zero = v == 0
-    fast = np.isfinite(v) & ~zero
-    a = np.abs(v)
-    a[~fast] = 1.0
-    f, x = np.frexp(a)
-    # table index of k = 16 - floor(log10|v|); log10|v| > -400
-    i = (16 - _K_MIN + 400) - (np.log10(a) + 400).astype(np.intp)
-    hi, lo = _times_pow10(f, x, i)
-    low = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-    out = low | (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-    if out.any():
-        i[out] += np.where(low[out], 1, -1)
-        hi[out], lo[out] = _times_pow10(f[out], x[out], i[out])
+    lo = (t - (hi - p)) * scale
     whole = np.floor(lo)
     frac = lo - whole
-    d = hi.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    d = (hi * scale).astype(np.int64) + whole.astype(np.int64)
+    slow = (d < 10 ** 16) | (d >= 10 ** 17) | (np.abs(frac - 0.5) <= _TIE_WINDOW)
+    d += frac > 0.5
     e = (16 - _K_MIN) - i
     top = d == 10 ** 17
     d[top] = 10 ** 16
     e += top
-    slow = ~zero & (~fast | (np.abs(frac - 0.5) <= _TIE_WINDOW)
-                    | (d < 10 ** 16) | (d > 10 ** 17))
-    d[zero] = 0
-    e[zero] = 0
-    return d, e, slow
-
-
-def _source(v, cols: int):
-    """(words, code): each value's source bytes as _SOURCE_WORDS words, from
-    4-digit tables, and the code of its row of _CELLS.  The text is %g's:
-    fixed notation for -4 <= e < 17, else d.ddde±XX with at least two
-    exponent digits, with trailing zeros and a bare dot stripped.  A slow
-    value's text, from format(v, ".17g"), is written over its first bytes."""
-    d, e, slow = _decimal(v)
-    q, r = np.divmod(d, 10 ** 9)
-    g = (q // 10 ** 4, q % 10 ** 4, r // 10 ** 5, r // 10 % 10 ** 4, r % 10)
-    abs_e = np.abs(e)
-    words = np.empty((len(v) // cols, cols, _SOURCE_WORDS), np.uint32)
-    words[:, :, 6] = np.frombuffer(b"+\0,\0" * (cols - 1) + b"+\0\n\0", np.uint32)
-    words = words.reshape(len(v), _SOURCE_WORDS)
-    for j in range(4):
-        words[:, j] = _DIG4[g[j]]
-    words[:, 4] = _DIG4[g[4] * 1000 + abs_e]
-    words[:, 5] = np.frombuffer(b".0-e", np.uint32)[0]
-    trailing = (g[4] == 0) * (1 + _TZ4[g[3]] + (g[3] == 0) * (
-        _TZ4[g[2]] + (g[2] == 0) * (_TZ4[g[1]] + (g[1] == 0) * _TZ4[g[0]])))
-    kind = np.where((e >= -4) & (e < 17), e + 4, 21 + 2 * (e < 0) + (abs_e >= 100))
-    code = (np.signbit(v) * 25 + kind) * 17 + np.maximum(16 - trailing, 0)
-    text = words.view(np.uint8)
     for j in np.flatnonzero(slow):
-        s = format(float(v[j]), ".17g").encode()
-        text[j, :len(s)] = np.frombuffer(s, np.uint8)
-        code[j] = _RAW_CODE + len(s) - 1
-    return words, code
+        s = format(float(a[j]), ".16e")
+        d[j], e[j] = int(s[0] + s[2:18]), int(s[19:])
+    d[zero] = 0
+    return d, e
+
+
+def _layout_tables():
+    """The byte tables of the superset row (see _format_rows), each viewed
+    as uint64 words: the digits of 0..9999 as "d.d.d.d."; the last word
+    "De+hto" of a 17th digit D and an exponent e, at D * len(_E) + e - _E[0];
+    the 48-byte keep-mask of every layout code; and, not a word, the
+    trailing zeros of the four digits of 0..9999 (4 for 0)."""
+    digits = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(48)
+    group = np.full((10000, 4, 2), ord("."), np.uint8)
+    group[:, :, 0] = digits
+    z = (digits == 48).astype(np.int8)
+    trailing = z[:, 3] * (1 + z[:, 2] * (1 + z[:, 1] * (1 + z[:, 0])))
+    tail = np.zeros((10, len(_E), 8), np.uint8)
+    tail[:, :, 0] = np.arange(48, 58, dtype=np.uint8)[:, None]
+    tail[:, :, 1] = ord("e")
+    tail[:, :, 2] = np.where(_E < 0, ord("-"), ord("+"))
+    tail[:, :, 3:6] = digits[np.abs(_E), 1:]
+    # codes of positive values, (kind, nd) = (code // 17, code % 17 + 1)
+    code = np.arange(25 * 17)[:, None]
+    kind, nd = code // 17, code % 17 + 1
+    sci = kind >= 21
+    point = np.where(sci, 0, kind - 4)      # the digit the point follows
+    pos = np.arange(48)
+    i = (pos - 8) // 2                      # digit i at 8 + 2i, its point at 9 + 2i
+    body = (pos >= 8) & (pos <= 40)
+    keep = (body & (pos % 2 == 0) & (i <= np.maximum(point, nd - 1))
+            | body & (pos % 2 == 1) & (i == point) & (nd > point + 1)
+            | (pos >= 1) & (pos < 2 - point) & (point < 0)          # 0. and the zeros
+            | sci & (pos >= 41) & (pos <= 45) & ((pos != 43) | (kind % 2 == 0))
+            | (pos == 46))
+    keep = np.concatenate([keep, keep])
+    keep[25 * 17:, 0] = True                                         # the minus sign
+    return (group.reshape(-1, 8).view(np.uint64)[:, 0], tail.reshape(-1, 8).view(np.uint64)[:, 0],
+            (keep * np.uint8(255)).reshape(-1, 8).view(np.uint64).reshape(-1, 6), trailing)
+
+
+_GROUP, _TAIL, _MASKS, _TZ4 = _layout_tables()
+_HEAD = np.frombuffer(b"-0.000\0\0", np.uint64)[0]
+# kind * 17 of each exponent e at e - _E[0], for the layout code
+_KIND = np.where((_E >= -4) & (_E < 17), _E + 4, 21 + 2 * (_E < 0) + (np.abs(_E) >= 100)) * 17
+# the code of fixed notation 0.D, whose kept bytes 1, 2 and 8 hold inf and nan
+_INF_NAN_CODE = 3 * 17
 
 
 def _format_rows(block: np.ndarray) -> bytes:
     """The CSV lines of the float64 array `block` (rows, columns), each value
-    the text of format(v, ".17g") byte for byte: its source bytes gathered
-    through its row of _CELLS into a cell of 25, and the 0 bytes that pad
-    the cells dropped."""
+    the text of format(v, ".17g") byte for byte.
+
+    The text is %g's: fixed notation for -4 <= e < 17, else d.ddde±XX with at
+    least two exponent digits, with trailing zeros and a bare dot stripped.
+    Each value's bytes are laid out once, in output order, in a 48-byte
+    superset row of six words: "-0.000" and two pad bytes; its first 16
+    digits each followed by a point ("d.d.d.d." per 4-digit group); then its
+    17th digit, e, the exponent's sign and three digits, the separator and a
+    pad byte.  The keep-mask of the value's layout code (sign * 25 + kind) *
+    17 + nd - 1, kind e + 4 for fixed notation and 21 + 2 * (e < 0) + (|e|
+    >= 100) for scientific, nd significant digits, zeroes the bytes that its
+    text does not hold, and the zero bytes are dropped.
+    """
+    rows, cols = block.shape
     v = block.ravel()
-    words, code = _source(v, block.shape[1])
-    step = 4 * _SOURCE_WORDS
-    cells = _CELLS[code] + np.arange(0, len(v) * step, step)[:, None]
-    return words.view(np.uint8).ravel()[cells].tobytes().translate(None, b"\0")
+    d, e = _decimal(v)
+    e -= _E[0]
+    q = d // 10 ** 9                # floor division by a constant beats %
+    r = d - q * 10 ** 9
+    g0, g2 = q // 10 ** 4, r // 10 ** 5
+    r -= g2 * 10 ** 5
+    g3 = r // 10
+    g = (g0, q - g0 * 10 ** 4, g2, g3, r - g3 * 10)
+    sep = np.zeros((cols, 8), np.uint8)
+    sep[:, 6] = ord(",")
+    sep[-1, 6] = ord("\n")
+    words = np.empty((rows, cols, 6), np.uint64)
+    words[:, :, 0] = _HEAD
+    words[:, :, 5] = _TAIL[g[4] * len(_E) + e].reshape(rows, cols) | sep.view(np.uint64)[:, 0]
+    words = words.reshape(len(v), 6)
+    for j in range(4):
+        words[:, j + 1] = _GROUP[g[j]]
+    trailing = (g[4] == 0) * (1 + _TZ4[g[3]] + (g[3] == 0) * (
+        _TZ4[g[2]] + (g[2] == 0) * (_TZ4[g[1]] + (g[1] == 0) * _TZ4[g[0]])))
+    code = np.signbit(v) * (25 * 17) + _KIND[e] + np.maximum(16 - trailing, 0)
+    text = words.view(np.uint8)
+    for j in np.flatnonzero(~np.isfinite(v)):
+        s = format(float(v[j]), ".17g")
+        code[j] = (s[0] == "-") * (25 * 17) + _INF_NAN_CODE
+        text[j, [1, 2, 8]] = np.frombuffer(s[-3:].encode(), np.uint8)
+    words &= np.take(_MASKS, code, axis=0)
+    return words.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path, header: str, columns) -> None:

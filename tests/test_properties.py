@@ -368,3 +368,40 @@ def test_csv_writer_edge_values(cols):
     block = values[:len(values) - len(values) % cols].reshape(-1, cols)
     got, want = written_csv(block)
     assert got == want
+
+
+def layout_values():
+    """One double for each of the writer's layout codes: sign x (fixed
+    notation at each decimal exponent e = -4..16, or scientific with a
+    positive or negative exponent of two or three digits) x 1..17 significant
+    digits, nd-digit decimals drawn until one parses to a double whose
+    17-digit text has those nd significant digits."""
+    rng = np.random.default_rng(27)
+    kinds = [range(e, e + 1) for e in range(-4, 17)] + [
+        range(17, 100), range(100, 309), range(-99, -4), range(-307, -99)]
+    values = []
+    for exponents in kinds:
+        for nd in range(1, 18):
+            while True:
+                e = int(rng.choice(exponents))
+                digits = str(rng.integers(10 ** (nd - 1), 10 ** nd))
+                v = float(f"{digits}e{e + 1 - nd}")
+                text = decimal.Decimal(format(v, ".17g"))
+                if text.adjusted() == e and len(text.normalize().as_tuple().digits) == nd:
+                    break
+            values += [v, -v]
+    return values
+
+
+@pytest.mark.parametrize("cols", [1, 5])
+def test_csv_writer_writes_every_layout(cols):
+    values = layout_values()
+    assert len(values) == 2 * 25 * 17
+    # the values formatted one at a time: inf and nan, a tie that rounds to
+    # even, and a double below 1e22 whose log10 rounds up to 22
+    below = np.nextafter(1e22, 0.0)
+    assert np.log10(below) == 22.0
+    values += [math.inf, -math.inf, math.nan, dyadic_ties()[0], below, -below]
+    values += [0.0] * (-len(values) % cols)
+    got, want = written_csv(np.array(values).reshape(-1, cols))
+    assert got == want
