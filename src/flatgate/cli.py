@@ -29,8 +29,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
+import operator
 import sys
 import time
 from pathlib import Path
@@ -92,19 +94,28 @@ def _pow10_table():
     """(hi, hh, hl, lo, p) with |hi + lo - 10**k / 2**p| < 2**-106 for k in
     [_K_MIN, _K_MAX]: hi in [1/2, 1) holds the leading 53 of the first 120
     bits of 10**k, exact integers, hh + hl is its Dekker split and lo the
-    next 67 bits rounded to a double."""
-    rows = []
-    for k in range(_K_MIN, _K_MAX + 1):
-        shift = 0 if k >= 0 else 120 + 4 * -k          # 10**-k < 2**(4 * -k)
-        y = 10 ** k if k >= 0 else (1 << shift) // 10 ** -k
-        b = y.bit_length()
-        y = y >> (b - 120) if b > 120 else y << (120 - b)
-        rows.append((y >> 67, float(y & (2 ** 67 - 1)), b - shift))
-    hi, lo, p = zip(*rows)
-    hi = np.ldexp(np.array(hi, dtype=float), -53)
+    next 67 bits rounded to a double.
+
+    Those 120 bits are y = floor(10**k * 2**(120 - b)) for k >= 0, with b the
+    bit length of 10**k and p = b, and y = floor(2**(b + 119) / 10**-k) for k
+    < 0, with b that of 10**-k and p = 1 - b.  The rows of y go to numpy as
+    two 64-bit words each; the 67 bits of lo are the sum of their leading
+    53 and trailing 14, which rounds once, as float() does."""
+    tens = list(itertools.accumulate(itertools.repeat(10, max(_K_MAX, -_K_MIN)),
+                                     operator.mul, initial=1))
+    neg, pos = tens[-_K_MIN:0:-1], tens[:_K_MAX + 1]
+    bits = np.array([t.bit_length() for t in neg + pos])
+    ys = [(1 << (b + 119)) // t for t, b in zip(neg, bits.tolist())]
+    ys += [(t << 120) >> b for t, b in zip(pos, bits[-_K_MIN:].tolist())]
+    words = np.frombuffer(b"".join(y.to_bytes(16, "little") for y in ys), dtype="<u8")
+    low, high = words[0::2], words[1::2]
+    hi = np.ldexp((high >> np.uint64(3)).astype(float), -53)
+    lo = (np.ldexp(((high & np.uint64(7)) << np.uint64(50) | low >> np.uint64(14)).astype(float), -106)
+          + np.ldexp((low & np.uint64(2 ** 14 - 1)).astype(float), -120))
+    bits[:-_K_MIN] = 1 - bits[:-_K_MIN]
     c = _SPLIT * hi
     hh = c - (c - hi)
-    return hi, hh, hi - hh, np.ldexp(np.array(lo), -120), np.array(p)
+    return hi, hh, hi - hh, lo, bits
 
 
 _P10_HI, _P10_HH, _P10_HL, _P10_LO, _P10_EXP = _pow10_table()

@@ -79,6 +79,10 @@ def check_duration(big_t: float) -> float:
 
 @dataclass(frozen=True)
 class PulseSchedule:
+    """A checked, immutable schedule.  u1 and u2 are always read by
+    take_number into new read-only float arrays, the planner's rows too, so
+    that no array of the caller's can change it."""
+
     duration: float
     u1: np.ndarray
     u2: np.ndarray

@@ -10,8 +10,14 @@ target; the planner's scalar witnesses are pinned to it.
 
 sampled_controls and sampled_plan are Plan.controls and sample_plan's
 arithmetic as they were written with one CubicPair evaluation per factor
-(s * 3.0 and s * 6.0 made twice); synthesize must match them byte for
-byte.  unwarped_schedule samples a plan in virtual time, without the clock.
+(s * 3.0 and s * 6.0 made twice) and np.sin, np.cos of 2 alpha; synthesize
+must stay within rounding of them.  tangent_controls and tangent_plan are
+the same controls by the planner's present arithmetic, written plainly:
+the cubics and their derivatives as one matrix product of a 5 x 4 table in
+powers of s - 1/2 with those powers, per block of planner.CONTROL_BLOCK
+columns, sin and cos of 2 alpha from tan(alpha), and the rotation by eta_bar
+as one more matrix product; synthesize must match them byte for byte.
+unwarped_schedule samples a plan in virtual time, without the clock.
 
 chunked_rows is the pair kernel one 256-step chunk at a time, as it was
 before steps were built in blocks of whole chunks, reading the stages in
@@ -38,7 +44,10 @@ a time by the 16-term Hamilton product and renormalized as UnitQuaternion
 does.  The kernel's tree association must stay within 1e-13 of it.
 
 per_value_csv is the CSV text of one format(v, ".17g") call per value,
-which the CLI's block writer must match byte for byte.
+which the CLI's block writer must match byte for byte.  pow10_rows is the
+writer's table of 10**k built one row at a time, each row's 120 bits from
+its own power of ten (a division for k < 0), which cli._pow10_table must
+match bit for bit.
 
 ode_residual is the central-difference residual of the dynamics on a
 recorded trajectory, the check of a propagator or a lift inversion that
@@ -50,7 +59,7 @@ import numpy as np
 
 from flatgate import quat
 from flatgate.flat import lift_controls, unwrap_phase
-from flatgate.planner import DEFAULT_SAMPLES, plan_controls, smoothstep
+from flatgate.planner import CONTROL_BLOCK, DEFAULT_SAMPLES, plan_controls, smoothstep
 from flatgate.propagator import _STEP_CHUNK, _prefix_product, _tree_product
 from flatgate.quat import UnitQuaternion, pair_rows, pmul, row_pair
 from flatgate.schedule import INTERP_CUBIC, INTERP_PCONST, PulseSchedule
@@ -126,6 +135,54 @@ def sampled_plan(plan, big_t, n, k):
     u1, u2, min_abs_z = sampled_controls(plan, s)
     u1 *= sd
     u2 *= sd
+    u1[0] = u1[-1] = 0.0
+    u2[0] = u2[-1] = 0.0
+    return u1, u2, min_abs_z
+
+
+def centred(c):
+    """Coefficients of the cubic c in powers of s - 1/2: its value and
+    derivatives at 1/2 over k!."""
+    c0, c1, c2, c3 = c
+    return (c0 + 0.5 * (c1 + 0.5 * (c2 + 0.5 * c3)), c1 + c2 + 0.75 * c3, c2 + 1.5 * c3, c3)
+
+
+def tangent_controls(plan, s):
+    """(u1, u2, min |z|) of plan at the virtual times s by the tangent route."""
+    (a0, a1, a2, a3), (b0, b1, b2, b3) = centred(plan.cubics.ca), centred(plan.cubics.cb)
+    table = np.array([[a0, a1, a2, a3],                   # alpha
+                      [0.5 * b1, b2, 1.5 * b3, 0.0],      # beta' / 2
+                      [0.5 * b2, 1.5 * b3, 0.0, 0.0],     # beta'' / 4
+                      [a2, 3.0 * a3, 0.0, 0.0],           # alpha'' / 2
+                      [a1, 2.0 * a2, 3.0 * a3, 0.0]])     # alpha'
+    ce, se = math.cos(plan.dec.eta_bar), math.sin(plan.dec.eta_bar)
+    rotation = np.array([[ce, se], [-se, ce]])
+    x = np.asarray(s, dtype=float) - 0.5
+    powers = np.stack([np.ones_like(x), x, x * x, x * x * x])
+    blocks, min_abs_z = [], math.inf
+    for lo in range(0, x.shape[0], CONTROL_BLOCK):
+        al, half_db, quarter_ddb, half_dda, da = table @ powers[:, lo:lo + CONTROL_BLOCK]
+        t = np.tan(al)
+        sn = (t + t) / (t * t + 1.0)
+        cs = (1.0 - t * t) / (t * t + 1.0)
+        q = half_db * sn
+        bc = half_db * cs
+        half_dq = quarter_ddb * sn + da * bc
+        mag2 = da * da + q * q
+        min_abs_z = min(min_abs_z, math.sqrt(float(np.min(mag2))))
+        a = (half_dda * q - da * half_dq) / mag2 - bc
+        blocks.append(rotation @ np.stack([a, np.sqrt(mag2)]))
+    u1, u2 = np.concatenate(blocks, axis=1)
+    return u1, u2, min_abs_z
+
+
+def tangent_plan(plan, big_t, n, k):
+    """tangent_controls of plan on n uniform intervals of [0, T] through the
+    order-k clock, as sampled_plan has them."""
+    s, sd = smoothstep(np.linspace(0.0, big_t, n + 1), big_t, k)
+    u1, u2, min_abs_z = tangent_controls(plan, s)
+    u1 = u1 * sd
+    u2 = u2 * sd
     u1[0] = u1[-1] = 0.0
     u2[0] = u2[-1] = 0.0
     return u1, u2, min_abs_z
@@ -359,6 +416,22 @@ def per_value_csv(header, columns):
     """The CSV lines, as bytes, of one format(v, ".17g") call per value."""
     rows = (",".join(format(float(v), ".17g") for v in r) for r in zip(*columns))
     return [f"{line}\n".encode() for line in (header, *rows)]
+
+
+def pow10_rows(k_min, k_max, split):
+    """(hi, hh, hl, lo, p) of cli._pow10_table, row by row."""
+    rows = []
+    for k in range(k_min, k_max + 1):
+        shift = 0 if k >= 0 else 120 + 4 * -k          # 10**-k < 2**(4 * -k)
+        y = 10 ** k if k >= 0 else (1 << shift) // 10 ** -k
+        b = y.bit_length()
+        y = y >> (b - 120) if b > 120 else y << (120 - b)
+        rows.append((y >> 67, float(y & (2 ** 67 - 1)), b - shift))
+    hi, lo, p = zip(*rows)
+    hi = np.ldexp(np.array(hi, dtype=float), -53)
+    c = split * hi
+    hh = c - (c - hi)
+    return hi, hh, hi - hh, np.ldexp(np.array(lo), -120), np.array(p)
 
 
 def piecewise_exact(sched, delta_r=0.0):

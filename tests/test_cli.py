@@ -5,9 +5,9 @@ import warnings
 
 import numpy as np
 import pytest
-from oracles import per_value_csv
+from oracles import per_value_csv, pow10_rows
 
-from flatgate import quat
+from flatgate import cli, quat
 from flatgate.cli import (_CSV_BLOCK_ROWS, MAX_SWEEP_STEPS, NAMED_GATES, build_parser,
                           main, read_schedule, resolve_gate, write_schedule,
                           write_trajectory)
@@ -125,6 +125,13 @@ def test_bulk_writer_matches_per_value_formatting(tmp_path, capsys):
                      str(path))
     lines = path.read_bytes().splitlines(keepends=True)
     assert lines == per_value_csv("t,q0,q1,q2,q3", cols)
+
+
+def test_pow10_table_equals_the_row_by_row_construction():
+    got = cli._pow10_table()
+    want = pow10_rows(cli._K_MIN, cli._K_MAX, cli._SPLIT)
+    assert [(a.dtype, a.shape, a.tobytes()) for a in got] \
+        == [(a.dtype, a.shape, a.tobytes()) for a in want]
 
 
 def test_writer_peak_is_a_few_blocks_whatever_the_rows(tmp_path):

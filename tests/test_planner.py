@@ -36,7 +36,7 @@ from flatgate.quat import E1, E2, E3, ONE, Quaternion, UnitQuaternion
 from flatgate.schedule import MIN_DURATION
 from flatgate.zyz import euler_decompose, zyz_schedule
 from oracles import (closed_form_phase, oracle_controls, oracle_phase, rates_arrays,
-                     sampled_plan, unwarped_schedule)
+                     sampled_plan, tangent_plan, unwarped_schedule)
 
 MINUS_ONE = UnitQuaternion(-1.0, 0.0, 0.0, 0.0)
 PI = math.pi
@@ -396,6 +396,38 @@ def test_closed_form_controls_match_lift_controls_on_warped_grids():
         assert np.max(np.abs(u2 - r2)) <= 1e-14 * scale
 
 
+def test_controls_are_within_4e15_of_the_lift_inversion():
+    # the contraction in powers of s - 1/2 and the tangent route: 2.7e-15
+    # of max |u| at worst here, 3.8e-15 in powers of s, 1.2e-15 by Horner
+    # with np.sin and np.cos
+    rng = np.random.default_rng(77)
+    targets = [rand_target(rng) for _ in range(80)]
+    for th in np.geomspace(1e-9, 1.0, 7):
+        for axis in np.eye(3):
+            for w in (1.0, -1.0):
+                targets.append(UnitQuaternion(*np.concatenate([[w * math.cos(th)],
+                                                               math.sin(th) * axis])))
+    for _ in range(20):
+        axis = rng.normal(size=3)
+        th = rng.uniform(0.1, 3.0)
+        targets.append(UnitQuaternion(*np.concatenate([[math.cos(th)],
+                                                       math.sin(th) * axis / np.linalg.norm(axis)])))
+    t = np.linspace(0.0, 1.0, 4097)
+    planned = 0
+    for i, target in enumerate(targets):
+        try:
+            plan = plan_controls(target)
+        except MonotonicityViolation:       # exp(1e-9 e3), whose w rounds to 1
+            continue
+        s, _ = smoothstep(t, 1.0, 1 + i % 3)
+        u1, u2, _ = plan.controls(s)
+        r1, r2 = oracle_controls(plan, s)
+        scale = max(np.max(np.abs(r1)), np.max(np.abs(r2)))
+        assert max(np.max(np.abs(u1 - r1)), np.max(np.abs(u2 - r2))) <= 4e-15 * scale
+        planned += 1
+    assert planned >= 120
+
+
 def test_controls_refuse_s_that_is_not_finite_or_outside_the_unit_interval():
     # each once gave NaN controls, or extrapolated the cubics past s = 1
     plan = plan_controls(E3)
@@ -745,22 +777,81 @@ def test_sample_plan_cold_and_warm_clock_are_bit_identical():
                 == [a.tobytes() for a in (t, u1, u2)]
 
 
-@pytest.mark.parametrize("n", [64, 512, 1000, 4096, 2 ** 17])
-def test_synthesize_equals_the_one_evaluation_per_factor_oracle(n):
-    # Plan.controls makes s * 3.0 and s * 6.0 once for alpha and beta and
-    # keeps every product's factors and association, so not one bit moves;
-    # 2**17 intervals take the per-call clock, the others the cached one
+def _oracle_targets(n):
     rng = np.random.default_rng(38)
     near_identity = UnitQuaternion(math.cos(1e-9), 0.0, 0.0, math.sin(1e-9))
     haar = [rand_target(rng) for _ in range(3 if n > planner.CLOCK_CACHE_MAX_N else 12)]
-    for t in haar + [E1, E3, MINUS_ONE, near_identity]:
+    return haar + [E1, E3, MINUS_ONE, near_identity]
+
+
+@pytest.mark.parametrize("n", [64, 512, 1000, 4096, 2 ** 17])
+def test_synthesize_equals_the_one_evaluation_per_factor_oracle(n):
+    # Plan.controls writes each step of the tangent route into one
+    # workspace, row by row, in the plain transcription's factors and
+    # association, so not one bit moves; 2**17 intervals take the per-call
+    # clock and eight column blocks, the others the cached clock and one
+    for t in _oracle_targets(n):
         plan = plan_controls(t)
         for k in range(1, MAX_WARP_ORDER + 1):
             big_t = (1.0, 0.7)[k % 2]
             got = synthesize(t, big_t, n, k)
-            want = sampled_plan(plan, big_t, n, k)
+            want = tangent_plan(plan, big_t, n, k)
             assert [got.u1.tobytes(), got.u2.tobytes(), np.float64(got.min_abs_z).tobytes()] \
                 == [want[0].tobytes(), want[1].tobytes(), np.float64(want[2]).tobytes()]
+
+
+@pytest.mark.parametrize("n", [64, 512, 1000, 4096, 2 ** 17])
+def test_synthesize_is_within_rounding_of_the_sin_cos_oracle(n):
+    # the tangent route and the contraction move each sample by rounding
+    # only, against np.sin, np.cos and one CubicPair evaluation per factor
+    for t in _oracle_targets(n):
+        plan = plan_controls(t)
+        for k in range(1, MAX_WARP_ORDER + 1):
+            big_t = (1.0, 0.7)[k % 2]
+            got = synthesize(t, big_t, n, k)
+            u1, u2, min_abs_z = sampled_plan(plan, big_t, n, k)
+            scale = max(np.max(np.abs(u1)), np.max(np.abs(u2)))
+            assert np.max(np.abs(got.u1 - u1)) <= 1e-14 * scale
+            assert np.max(np.abs(got.u2 - u2)) <= 1e-14 * scale
+            assert abs(got.min_abs_z - min_abs_z) <= 1e-14 * min_abs_z
+
+
+def test_sin_and_cos_of_twice_alpha_from_its_tangent():
+    # dense grids over [-pi, pi] and points within 1e-12 of 0, +-pi/4 and
+    # +-pi/2, where tan(alpha) reaches ~1e16; a 2e6-point run measured 2.2e-16
+    grid = [np.linspace(-PI, PI, 200_001)]
+    for c in (0.0, PI / 4, -PI / 4, PI / 2, -PI / 2):
+        grid.append(c + np.linspace(-1e-12, 1e-12, 2001))
+        grid.append(np.nextafter(c, [-math.inf, math.inf]))
+    al = np.concatenate(grid)
+    sn, cs = planner._sin_cos_twice(al.copy(), np.empty_like(al), np.empty_like(al))
+    assert np.isfinite(sn).all() and np.isfinite(cs).all()
+    assert np.max(np.abs(sn - np.sin(2.0 * al))) <= 4.5e-16
+    assert np.max(np.abs(cs - np.cos(2.0 * al))) <= 4.5e-16
+
+
+def test_schedule_copies_every_row():
+    sched = synthesize(E3, 1.0, 64, 1)
+    kept = sched.u1.copy()
+    # a read-only row that owns its memory is copied too: its owner can make
+    # it writeable again, and a schedule must not change after its checks
+    own = np.linspace(0.0, 1.0, 65)
+    own.flags.writeable = False
+    copied = dataclasses.replace(sched, u1=own, u2=own[:])
+    assert not np.shares_memory(copied.u1, own) and not np.shares_memory(copied.u2, own)
+    own.flags.writeable = True
+    own[:] = math.nan
+    assert copied.u1[-1] == copied.u2[-1] == 1.0
+    again = dataclasses.replace(sched)
+    assert not np.shares_memory(again.u1, sched.u1)
+    assert again.u1.tobytes() == sched.u1.tobytes() == kept.tobytes()
+    # the checks run on every row
+    bad = np.array([[0.0, math.nan, 0.0, 0.0], [0.0] * 4])
+    bad.flags.writeable = False
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(sched, u1=bad[0], u2=bad[1])
+    with pytest.raises(ValueError, match="equal length"):
+        dataclasses.replace(sched, u1=bad[0], u2=bad[1, :-1])
 
 
 def test_cached_clock_is_read_only_and_bounded():
