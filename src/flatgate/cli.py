@@ -303,12 +303,23 @@ def _fits(value, kind) -> bool:
 def read_schedule(path: str) -> PulseSchedule:
     """Read a schedule CSV and its sidecar, as the module docstring has them."""
     p = Path(path)
-    rows = p.read_text().strip().splitlines()
+    text = p.read_text()
+    # the file line of rows[0], past any blank lines that strip drops
+    first = text[:len(text) - len(text.lstrip())].count("\n") + 1
+    rows = text.strip().splitlines()
     if not rows or rows[0].strip() != "t,u1,u2":
         raise FlatGateError(f"{path}: expected header t,u1,u2")
-    data = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
-    if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] != 3:
+    data = []
+    for line, r in enumerate(rows[1:], first + 1):
+        try:
+            t, u1, u2 = map(float, r.split(","))
+        except ValueError:
+            raise FlatGateError(
+                f"{path}: line {line}: rows must be three numbers t,u1,u2") from None
+        data.append((t, u1, u2))
+    if len(data) < 2:
         raise FlatGateError(f"{path}: schedule needs at least two t,u1,u2 rows")
+    data = np.array(data)
     t = data[:, 0]
     if not np.all(np.isfinite(t)):
         raise ValueError(f"{path}: t must be finite")

@@ -31,9 +31,11 @@ for the most whole step blocks that read 512 sample intervals (at least
 one block).  Each propagation builds all its step blocks in one
 workspace, allocated once and shared by its row blocks: the control
 window, the stage values, the step multipliers, and one scratch region
-for the intermediates of the stage read, the RK4 step and the drift
-audit, each written with out= in the operations, operand order and
-association of the expression it stands for, so with the same bits.  Its
+for the intermediates of the RK4 step and the drift audit, and of the
+stage read, which runs before the multipliers are written and so takes
+their buffers too, each written with out= in the operations, operand
+order and association of the expression it stands for, so with the same
+bits.  Its
 size follows from the row block and the block shape, so memory grows
 neither with the batch nor with N (~2.1 MB for 64 rows, where whole
 control rows of 2^18 intervals hold 268 MB), and no block allocates an
@@ -70,14 +72,14 @@ gives the gather's values bit for bit.  A cubic schedule stepped r times
 per sample interval, with h / spacing exactly 1 / r, puts every stage at
 one of the 2r phases p / 2r of its interval, and its weights are a row of
 one table per propagation, the Lagrange weights at x0 = q / 2r, whose
-one-sided rows serve the end intervals and the end point.  At r = 1, 2 or
-4 each phase is one 4-tap sum over contiguous slices of the control rows.
-At r = 8 or 16 the stages are gathered, with stencils and table rows found
-by integer arithmetic on the half-step index, and every block of steps
-over intervals 1..N - 3 reads the same weights on stencils shifted by its
-first interval, kept once per propagation from the first such block of
-each length.  Every other cubic step, and every linear read, gathers a
-4-sample stencil per stage, with stencils and weights computed per block.
+one-sided rows serve the end intervals and the end point.  Its stages are
+gathered, the step ends and then the midpoints, with stencils and table
+rows found by integer arithmetic on the half-step index, and every block
+of steps over intervals 1..N - 3 reads the same weights on stencils
+shifted by its first interval, kept once per propagation from the first
+such block of each length.  Every other cubic step, and every linear
+read, gathers a 4-sample stencil per stage, with stencils and weights
+computed per block.
 """
 from __future__ import annotations
 
@@ -211,8 +213,7 @@ def _stage_values(v: np.ndarray, first: int, sched: PulseSchedule, h: float,
 def _stencil_start(i, big_n: int):
     """The first sample j = clip(i - 1, 0, N - 3) of the cubic stencil of
     each interval i >= 0 of big_n, i = N meaning the end point T: every
-    cubic read takes samples j..j + 3 (_phase_stages by the same rule in
-    Python ints)."""
+    cubic read takes samples j..j + 3."""
     return np.clip(np.minimum(i, big_n - 1) - 1, 0, big_n - 3)
 
 
@@ -240,55 +241,6 @@ def _gather(v: np.ndarray, stencils: np.ndarray, w2: np.ndarray,
     return np.einsum("bkl,kl->bl", np.take(v, stencils, axis=1, out=taken,
                                            mode="clip").view(float),
                      w2, out=out).view(complex)
-
-
-def _phase_stages(v: np.ndarray, first: int, table: list, big_n: int,
-                  done: int, kc: int, ws: _Workspace) -> np.ndarray:
-    """The cubic stage values of steps done..done + kc - 1, both whole
-    multiples of r, on big_n sample intervals, read by phase from the rows
-    `v`, whose column 0 is sample `first`, with the (6r + 1, 4) weight table
-    of _stage_reader, whose row q holds the weights at x0 = q / 2r: the
-    (b, 2 kc + 1) step ends then midpoints of _stage_values, bit for bit.
-
-    Half-step phase p of interval i reads samples j..j + 3,
-    j = _stencil_start(i), here in Python ints, with table row
-    2r (i - j) + p; the end point T is phase 2r of interval N - 1.  One
-    phase of a run of intervals with the same i - j (the first interval,
-    the inner ones, the last) is one sum over contiguous slices of the
-    control rows.  The values are written into the workspace's stage
-    buffer, the tap sums into its scratch."""
-    two_r = (len(table) - 1) // 3
-    r = two_r // 2
-    b, last = v.shape[0], big_n - 1
-    m, i0 = kc // r, done // r
-    x = _carve(ws.stages, (b, 2 * kc + 1))
-    ends, mids = x[:, :kc].reshape(b, m, r), x[:, kc + 1:].reshape(b, m, r)
-    vf, scratch = v.view(float), ws.scratch.view(float)
-    cuts = sorted({i0, i0 + m} | {i for i in (1, last) if i0 < i < i0 + m})
-    for lo, hi in zip(cuts, cuts[1:]):
-        j = min(max(lo - 1, 0), last - 2)
-        for p in range(two_r):
-            _taps(vf, j - first, table[two_r * (lo - j) + p],
-                  (mids if p % 2 else ends)[:, lo - i0:hi - i0, p // 2], scratch)
-    i = min(i0 + m, last)
-    j = min(max(i - 1, 0), last - 2)
-    _taps(vf, j - first, table[two_r * (i0 + m - j)], x[:, kc:kc + 1], scratch)
-    return x
-
-
-def _taps(vf: np.ndarray, j: int, w: list, out: np.ndarray, scratch: np.ndarray) -> None:
-    """out (b, m), complex = sum over k of w[k] times the m complex samples
-    from j + k of the float rows vf: real sums, taps in order and from +0,
-    as einsum sums them, accumulated in the flat floats `scratch`.  A tap
-    of zero weight only adds a zero (the controls are finite), so it is
-    left out."""
-    b, m = out.shape
-    acc, tmp = _carve(scratch, (2, b, 2 * m))
-    taps = [(vf[:, 2 * (j + k):2 * (j + k + m)], wk) for k, wk in enumerate(w) if wk]
-    np.multiply(*taps[0], out=acc)
-    for tap, wk in taps[1:]:
-        acc += np.multiply(tap, wk, out=tmp)
-    np.add(acc.view(complex), 0.0, out=out)
 
 
 def _step_maker(sched: PulseSchedule, h: float, n: int):
@@ -335,52 +287,52 @@ def _stage_reader(sched: PulseSchedule, h: float, n: int):
     propagation."""
     big_n = sched.n_intervals
     r = _exact_steps(sched, h, n)
-    weights = _lagrange_weights(np.arange(6 * r + 1) / (2 * r)) if r else None
-    table = weights.T.tolist() if 0 < r <= 4 else None
-    # at r = 8 and 16: the table's weights, each twice, for the real and
-    # the imaginary part
-    w2 = np.repeat(weights[:, :, None], 2, axis=2) if r > 4 else None
+    # the table's weights, each twice, for the real and the imaginary part
+    w2 = (np.repeat(_lagrange_weights(np.arange(6 * r + 1) / (2 * r))[:, :, None], 2, axis=2)
+          if r else None)
     repeats = {}
 
     def half_steps(done, kc):
-        # step ends, then midpoints: unit-stride rows for _rk4_steps
+        # the step ends and the midpoints, read into unit-stride rows for
+        # _rk4_steps
         ends = 2 * (done + np.arange(kc + 1))
-        return np.concatenate([ends, ends[:-1] + 1])
+        return ends, ends[:-1] + 1
 
-    def stencils(done, kc, shift, at=None, w=None):
+    def stencils(p, shift, at=None, w=None):
         # _cubic_stencils at the half steps p by integer arithmetic, the
         # stencils shifted by `shift`, into the (4, L) ints `at` and the
         # (4, L, 2) floats `w` if given: the stage at p reads table row
         # q = p - 2r j (np.take, as the indexing w2[:, q] is ~15 times
         # slower)
-        p = half_steps(done, kc)
         j = _stencil_start(p // (2 * r), big_n)
         return (np.add(j, np.arange(4)[:, None] + shift, out=at),
                 np.take(w2, p - 2 * r * j, axis=1, out=w, mode="clip").reshape(4, -1))
 
     def read(v, first, done, kc, ws):
-        if table is not None:
-            x = _phase_stages(v, first, table, big_n, done, kc, ws)
-        elif r:
-            # the gathered samples, the stencils and the weights of L stages
-            # in the scratch, as _Workspace sizes it
-            b, size = v.shape[0], 2 * kc + 1
-            taken = _carve(ws.scratch, (b, 4, size))
-            at = _carve(ws.scratch[4 * b * size:].view(np.intp), (4, size))
-            w = _carve(ws.scratch[(4 * b + 2) * size:].view(float), (4, size, 2))
-            if done >= r and (done + kc) // r <= big_n - 2:
-                # whole intervals i0..i1 - 1, every stage on its centred
-                # stencil: the weights of any other such block of kc steps,
-                # on stencils shifted by i0
-                i0 = done // r
-                if kc not in repeats:
-                    repeats[kc] = stencils(done, kc, -i0)
-                at, w = np.add(repeats[kc][0], i0 - first, out=at), repeats[kc][1]
+        if not r:
+            x = _stage_values(v, first, sched, h, np.concatenate(half_steps(done, kc)))
+            return x[:, :kc], x[:, kc + 1:], x[:, 1:kc + 1]
+        b, i0 = v.shape[0], done // r
+        x = _carve(ws.stages, (b, 2 * kc + 1))
+        # whole intervals i0..i1 - 1, every stage on its centred stencil:
+        # the weights of any other such block of kc steps, on stencils
+        # shifted by i0
+        inner = done >= r and (done + kc) // r <= big_n - 2
+        if inner and kc not in repeats:
+            repeats[kc] = [stencils(p, -i0) for p in half_steps(done, kc)]
+        halves = repeats[kc] if inner else half_steps(done, kc)
+        # the step ends, then the midpoints, each gathered with its samples,
+        # stencils and weights in the workspace's spare region
+        for half, out in zip(halves, (x[:, :kc + 1], x[:, kc + 1:])):
+            size = out.shape[1]
+            taken = _carve(ws.spare, (b, 4, size))
+            at = _carve(ws.spare[4 * b * size:].view(np.intp), (4, size))
+            if inner:
+                at, w = np.add(half[0], i0 - first, out=at), half[1]
             else:
-                at, w = stencils(done, kc, -first, at, w)
-            x = _gather(v, at, w, _carve(ws.stages.view(float), (b, 2 * size)), taken)
-        else:
-            x = _stage_values(v, first, sched, h, half_steps(done, kc))
+                at, w = stencils(half, -first, at, _carve(
+                    ws.spare[(4 * b + 2) * size:].view(float), (4, size, 2)))
+            _gather(v, at, w, out.view(float), taken)
         return x[:, :kc], x[:, kc + 1:], x[:, 1:kc + 1]
     return read
 
@@ -518,18 +470,21 @@ def _carve(flat: np.ndarray, shape: tuple) -> np.ndarray:
 class _Workspace:
     """One propagation's working set, carved from one allocation and shared
     by its row blocks: the control `window`, the `stages`, the multipliers
-    `ma` and `mb`, and a `scratch` that the stage read, _rk4_steps and the
-    drift audit take in turn from its start, so that it stays in cache (one
-    complex and three float multiplier-sized arrays, or the r = 8 and 16
-    gather's samples, stencils and weights if `gather`).  Sized for step
-    blocks of `rows` x `steps` and windows of `cols` columns."""
+    `ma` and `mb`, and a `scratch` that _rk4_steps and the drift audit take
+    in turn from its start, so that it stays in cache (one complex and
+    three float multiplier-sized arrays).  The stage read is done before
+    the multipliers are written, and takes the multipliers and the scratch
+    as one `spare` region for the samples, stencils and weights of half an
+    exact ratio's gather, which the scratch is extended to hold.  Sized for
+    step blocks of `rows` x `steps` and windows of `cols` columns."""
 
-    def __init__(self, rows: int, steps: int, cols: int, gather: bool):
+    def __init__(self, rows: int, steps: int, cols: int):
         cells = rows * steps
-        scratch = max(-(-5 * cells // 2), (4 * rows + 6) * (2 * steps + 1) if gather else 0)
+        scratch = max(-(-5 * cells // 2), (4 * rows + 6) * (steps + 1) - 2 * cells)
         sizes = np.cumsum([rows * cols, 2 * cells + rows, cells, cells])
         buf = np.empty(sizes[-1] + scratch, dtype=complex)
         self.window, self.stages, self.ma, self.mb, self.scratch = np.split(buf, sizes)
+        self.spare = buf[sizes[1]:]
 
     @classmethod
     def of(cls, rows: int, sched: PulseSchedule, h: float, n: int) -> _Workspace:
@@ -541,7 +496,7 @@ class _Workspace:
         block, span = _block_steps(rows, sched, h)
         block = min(block, -(-n // _STEP_CHUNK) * _STEP_CHUNK)
         cols = min(sched.n_intervals + 1, math.floor(min(span, n) * h / sched.spacing) + 8)
-        return cls(rows, block, cols, _exact_steps(sched, h, n) > 4)
+        return cls(rows, block, cols)
 
 
 def _propagate_rows(scheds: list[PulseSchedule], dr: np.ndarray, h: float, n: int,

@@ -540,11 +540,34 @@ def test_simulate_refuses_a_bad_time_column(tmp_path, capsys, t, message):
     assert not traj.exists()
 
 
+def edit_line(at: int, edit):
+    """A CSV edit replacing file line `at` (from 1) by edit(line)."""
+    def edited(text):
+        lines = text.splitlines(keepends=True)
+        lines[at - 1] = edit(lines[at - 1])
+        return "".join(lines)
+    return edited
+
+
 @pytest.mark.parametrize("file, edit, message", [
     ("csv", lambda text: text.replace("t,u1,u2", "t,u,v", 1), "expected header t,u1,u2"),
     ("json", lambda text: json.dumps({**json.loads(text), "format_version": 2}),
      "unsupported format_version"),
-], ids=["header", "format-version-2"])
+    # a row of two cells, a blank row and a cell that is not a number are
+    # named by their file line, so that a hand-edited file can be mended
+    ("csv", edit_line(3, lambda line: line.rsplit(",", 1)[0] + "\n"),
+     "s.csv: line 3: rows must be three numbers t,u1,u2"),
+    ("csv", edit_line(4, lambda line: "\n" + line),
+     "s.csv: line 4: rows must be three numbers t,u1,u2"),
+    ("csv", edit_line(65, lambda line: line.replace(",", ",abc", 1)),
+     "s.csv: line 65: rows must be three numbers t,u1,u2"),
+    # blank lines before the header count too
+    ("csv", lambda text: "\n\n" + text.replace("\n", "\n0,0,0,0\n", 1),
+     "s.csv: line 4: rows must be three numbers t,u1,u2"),
+    ("csv", lambda text: "".join(text.splitlines(keepends=True)[:2]),
+     "s.csv: schedule needs at least two t,u1,u2 rows"),
+], ids=["header", "format-version-2", "ragged-row", "blank-row", "non-numeric-row",
+        "after-blank-lines", "one-row"])
 def test_simulate_refuses_a_foreign_header_or_format_version(tmp_path, capsys, file, edit,
                                                              message):
     path = tmp_path / "s.csv"

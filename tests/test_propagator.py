@@ -222,7 +222,7 @@ def count_reads(monkeypatch) -> collections.Counter:
     gather stencil starts from now on; a cubic _stage_values call makes one
     _gather and one _stencil_start call of its own."""
     calls = collections.Counter()
-    for name in ("_phase_stages", "_gather", "_stage_values", "_stencil_start"):
+    for name in ("_gather", "_stage_values", "_stencil_start"):
         def counted(*args, _read=getattr(propagator, name), _name=name):
             calls[_name] += 1
             return _read(*args)
@@ -232,8 +232,6 @@ def count_reads(monkeypatch) -> collections.Counter:
 
 def read_kind(calls) -> str:
     """Which stage read the counted calls of one propagation ran."""
-    if calls["_phase_stages"]:
-        return "phase" if calls["_gather"] + calls["_stage_values"] == 0 else "mixed"
     if calls["_stage_values"]:
         return "per block"
     return "table gather" if calls["_gather"] else "none"
@@ -248,14 +246,14 @@ def split_stages(x, kc):
 @pytest.mark.parametrize("steps_per_interval", [1, 2, 4, 8, 16, 32, 3, 2.5])
 def test_stage_reader_selects_the_read_by_interpolation_step_and_rows(
         interpolation, steps_per_interval, monkeypatch):
-    # pconst reads segment values.  A cubic schedule at exactly r steps per
-    # interval reads by phase at r = 1, 2 and 4, and at 8 and 16 gathers
-    # with weights from the propagation's table, never through
-    # _stage_values, on any rows; every other cubic step and every linear
-    # read gathers per block.  rows counts the propagated rows, so one
-    # control row at 2, 31 or 64 detunings reads as that many rows.  At
-    # N = 300 a single row at r = 8 has no block inside intervals 1..N - 3
-    # to repeat, and still never runs _stage_values.
+    # pconst reads segment values.  A cubic schedule at exactly r = 1, 2,
+    # 4, 8 or 16 steps per interval gathers with weights from the
+    # propagation's table, never through _stage_values, on any rows; every
+    # other cubic step and every linear read gathers per block.  rows
+    # counts the propagated rows, so one control row at 2, 31 or 64
+    # detunings reads as that many rows.  At N = 300 a single row at r = 8
+    # has no block inside intervals 1..N - 3 to repeat, and still never
+    # runs _stage_values.
     rng = np.random.default_rng(59)
     big_n = 300
     scheds = [PulseSchedule(1.0, *rng.standard_normal((2, big_n + 1)), target=ONE,
@@ -265,8 +263,7 @@ def test_stage_reader_selects_the_read_by_interpolation_step_and_rows(
     calls = count_reads(monkeypatch)
     for rows in (1, 2, 31, 64):
         expected = ("none" if interpolation == INTERP_PCONST
-                    else "phase" if cubic and r in (1, 2, 4)
-                    else "table gather" if cubic and r in (8, 16)
+                    else "table gather" if cubic and r in (1, 2, 4, 8, 16)
                     else "per block")
         runs = [lambda: propagate_final_batch(scheds[:rows], h=1.0 / n),
                 lambda: propagate_final_batch(scheds[:1], delta_r=np.linspace(-1.0, 1.0, rows),
@@ -285,10 +282,12 @@ def test_stage_reader_selects_the_read_by_interpolation_step_and_rows(
 @pytest.mark.parametrize("n_intervals", [3, 5, 300])
 def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_interval,
                                                      monkeypatch):
-    # 1, 2 and 4 steps per sample interval read the stages by phase, on
-    # all 150 control rows, on 2 and on the last alone, the others gather
-    # them; small N puts the first and last intervals and the end point in
-    # every block.  tobytes, as array_equal takes -0 for +0.
+    # 1, 2, 4, 8 and 16 steps per sample interval put every stage at an
+    # exact phase of its interval and gather the stages with weights from
+    # the propagation's table, on all 150 control rows, on 2 and on the last
+    # alone, the others through _stage_values; small N puts the first and
+    # last intervals and the end point in every block.  tobytes, as
+    # array_equal takes -0 for +0.
     rng = np.random.default_rng(56)
     big_t, big_n = 1.3, n_intervals
     scheds = [PulseSchedule(big_t, *rng.standard_normal((2, big_n + 1)), target=ONE,
@@ -306,8 +305,8 @@ def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_inte
     calls = count_reads(monkeypatch)
     for rows in (slice(None), slice(148, None), slice(149, None)):     # 150, 2 and 1
         calls.clear()
-        stages = _stage_reader(scheds[0], h, n)(v[rows], 0, 0, n, _Workspace(150, n, 0, True))
-        assert (calls["_phase_stages"] == 1) == (steps_per_interval in (1, 2, 4))
+        stages = _stage_reader(scheds[0], h, n)(v[rows], 0, 0, n, _Workspace(150, n, 0))
+        assert (calls["_stage_values"] == 0) == (steps_per_interval in (1, 2, 4, 8, 16))
         for x, ref in zip(stages, gathered):
             assert x.tobytes() == ref[rows].tobytes()
     drs = rng.uniform(-1.0, 1.0, 150)
@@ -324,18 +323,20 @@ def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_inte
         assert np.float64(res.max_norm_drift).tobytes() == ref_d.tobytes()
 
 
-@pytest.mark.parametrize("steps_per_interval", [8, 16, 32, 3])
-@pytest.mark.parametrize("n_intervals", [49, 50, 65, 66, 300])
+@pytest.mark.parametrize("steps_per_interval", [1, 2, 4, 8, 16, 32, 3])
+@pytest.mark.parametrize("n_intervals", [49, 50, 65, 66, 300, 770])
 def test_repeated_gather_blocks_match_the_chunked_kernel_byte_for_byte(
         n_intervals, steps_per_interval, monkeypatch):
-    # at 8 and 16 steps per interval every block gathers with weights from
-    # one table per propagation, and each block of intervals 1..N - 3 with
-    # one set of stencils and weights, built once per propagation; 32 and 3
-    # compute stencils and weights for every block afresh.  A block of 256
-    # steps spans 16 intervals at r = 16 and 32 at r = 8, so N = 50 and 66
-    # end the last repeated block at N - 2 and N = 49 and 65 one short of
-    # it, next to the one-sided first and last stencils, and no n here is a
-    # multiple of 256: the last chunk is partial
+    # at 1, 2, 4, 8 and 16 steps per interval every block gathers its step
+    # ends, then its midpoints, with weights from one table per
+    # propagation, and each block of intervals 1..N - 3 with one set of
+    # stencils and weights, built once per propagation; 32 and 3 compute
+    # stencils and weights for every block afresh.  A block of 256 steps
+    # spans 16 intervals at r = 16 and 32 at r = 8, so N = 50 and 66 end
+    # the last repeated block at N - 2 and N = 49 and 65 one short of it,
+    # next to the one-sided first and last stencils; N = 770 repeats a
+    # block at every ratio, and no n here is a multiple of 256: the last
+    # chunk is partial
     rng = np.random.default_rng(58)
     big_t, big_n = 1.1, n_intervals
     scheds = [PulseSchedule(big_t, *rng.standard_normal((2, big_n + 1)), target=ONE,
@@ -348,19 +349,21 @@ def test_repeated_gather_blocks_match_the_chunked_kernel_byte_for_byte(
         [2 * (done + np.arange(kc + 1)), 2 * (done + np.arange(kc)) + 1])), kc)
         for done, kc in chunks]
     calls = count_reads(monkeypatch)
-    read, ws = _stage_reader(scheds[0], h, n), _Workspace(64, _STEP_CHUNK, 0, True)
+    read, ws = _stage_reader(scheds[0], h, n), _Workspace(64, _STEP_CHUNK, 0)
     for (done, kc), refs in zip(chunks, gathered):
         for x, ref in zip(read(v, 0, done, kc, ws), refs):
             assert x.tobytes() == ref.tobytes()
-    assert calls["_phase_stages"] == 0
-    # at the exact ratios 8 and 16 no block computes its own stencils
-    assert calls["_gather"] == len(chunks)
-    assert (calls["_stage_values"] == 0) == (steps_per_interval in (8, 16))
+    # at the exact ratios every block gathers twice, never through
+    # _stage_values, which gathers once
+    exact = steps_per_interval in (1, 2, 4, 8, 16)
+    gathers = (2 if exact else 1) * len(chunks)
+    assert calls["_gather"] == gathers
+    assert (calls["_stage_values"] == 0) == exact
     # a block of intervals 1..N - 3 after the first of its length reads the
-    # kept stencils and finds no stencil starts: two such blocks of 256
-    # steps need (N - 2) r >= 3 * 256
-    assert (calls["_stencil_start"] < len(chunks)) == (
-        steps_per_interval in (8, 16) and 3 * _STEP_CHUNK <= (big_n - 2) * steps_per_interval)
+    # kept stencils and finds no stencil starts, where any other finds one
+    # per gather: two such blocks of 256 steps need (N - 2) r >= 3 * 256
+    assert (calls["_stencil_start"] < gathers) == (
+        exact and 3 * _STEP_CHUNK <= (big_n - 2) * steps_per_interval)
     drs = rng.uniform(-1.0, 1.0, 64)
     for rows in (slice(59, None), slice(33, None), slice(None)):    # 5, 31 and 64 rows
         for dr in (0.0, drs[rows]):
@@ -554,6 +557,25 @@ def test_batch_memory_does_not_grow_with_the_batch():
     assert peaks[1] <= 1.25 * peaks[0]
 
 
+def test_steer_batch_memory_is_bounded_in_step_blocks():
+    # 64 targets planned at n = 4096 and propagated at h = 1/8192, two steps
+    # per interval, peak at ~10.8 step blocks of 64 x 256 complex cells:
+    # the workspace, whose multipliers and scratch hold half a gather of
+    # the stages, and the chunk products.  Gathering the step ends and
+    # midpoints at once peaked at ~14.7, and at ~16.7 with the gather in
+    # the scratch alone
+    rng = np.random.default_rng(7)
+    scheds = [synthesize(quat.as_unit(q), 1.0, 4096, 1) for q in quat.random_unit(rng, 64)]
+    tracemalloc.start()
+    try:
+        propagate_final_batch(scheds, h=1.0 / 8192)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = _ROW_BLOCK * _STEP_CHUNK * np.dtype(complex).itemsize
+    assert peak <= 12 * block, peak / block
+
+
 def test_single_schedule_final_equals_its_row_of_a_64_row_batch():
     # 64 rows take one chunk per block, one row sixteen
     rng = np.random.default_rng(53)
@@ -738,7 +760,7 @@ def test_rk4_steps_match_stage_products():
             x0, xm, x1, y0, ym, y1 = 8.0 * rng.standard_normal((6, rows, c))
             dr = rng.uniform(-2.0, 2.0, (3, 1))
             m = pair_rows(*_rk4_steps(x0 + 1j * y0, xm + 1j * ym, x1 + 1j * y1, dr, h,
-                                      _Workspace(3, c, 0, False)))
+                                      _Workspace(3, c, 0)))
             ref = _rk4_steps_by_products(x0, xm, x1, y0, ym, y1, dr, h)
             assert m.shape == (3, c, 4)
             assert np.max(np.abs(m - ref)) <= 1e-15
@@ -750,9 +772,9 @@ def test_rk4_steps_of_one_row_equal_its_row_of_a_batch_bit_for_bit():
     # oracles._rk4_steps, and each row's steps on its own, byte for byte
     rng = np.random.default_rng(56)
     v0, vm, v1 = rng.standard_normal((3, 64, 512)) + 1j * rng.standard_normal((3, 64, 512))
-    one = _Workspace(1, 512, 0, False)
+    one = _Workspace(1, 512, 0)
     for dr in (rng.uniform(-2.0, 2.0, (64, 1)), np.zeros((64, 1))):
-        ma, mb = _rk4_steps(v0, vm, v1, dr, 0.25, _Workspace(64, 512, 0, False))
+        ma, mb = _rk4_steps(v0, vm, v1, dr, 0.25, _Workspace(64, 512, 0))
         ref_a, ref_b = oracles._rk4_steps(v0, vm, v1, dr, 0.25)
         assert ma.tobytes() == ref_a.tobytes() and mb.tobytes() == ref_b.tobytes()
         for i in range(64):
@@ -773,7 +795,7 @@ def test_rk4_step_of_constant_generator_is_taylor_polynomial():
         term = qmul_arr(ha, term) / k
         taylor += term
     v = x + 1j * y
-    m = pair_rows(*_rk4_steps(v, v, v, dr, h, _Workspace(3, 5, 0, False)))
+    m = pair_rows(*_rk4_steps(v, v, v, dr, h, _Workspace(3, 5, 0)))
     assert np.max(np.abs(m - taylor)) <= 1e-15
 
 
