@@ -348,19 +348,16 @@ def _rk4_steps(v0, vm, v1, dr, h: float, ws: _Workspace) -> tuple[np.ndarray, np
     - (h^3 N/4) a1 a0; the products of generators reduce to products
     v conj(v') of the amplitudes, whose e3 parts share dr.  With s = v0 + v1
     and d = v1 - v0:
-      MA = 1 + h/6 (f (v1 conj(v0) + dr^2) - h (vm conj(v0) + v1 conj(vm)
-           + 2 dr^2 + N) + i (6 - 2g) dr),
-      MB = h/6 ((1 - g) s + 4 vm - i (h - f) dr d),
-    where g = h^2 N / 2 and f = h^3 N / 4.  With every dr zero the dr terms
-    are left out: the same expressions less their exact zeros.  MA and MB are
-    views of the _Workspace ws's multiplier buffers, and every intermediate
-    is written into its scratch: the same operations, operands and order as
-    the expressions, so the same bits.
+      MA = 1 + h/6 ((v1 conj(v0) + dr^2) f - (vm conj(v0) + conj(vm) v1
+           + 2 dr^2 + N) h + i (6 - 2g) dr),
+      MB = h/6 (s (1 - g) + 4 vm + (h - f) dr (-i d)),
+    where g = h^2 N / 2 and f = h^3 N / 4.  One sequence computes both; the
+    dr terms are added only where a row block has a nonzero detuning.  MA and
+    MB are views of the _Workspace ws's multiplier buffers, and every
+    intermediate is written into its scratch: the same operations, operands
+    and order as the expressions, so the same bits.
     """
     detuned = dr.any()
-    if not detuned and dr.shape[0] > v0.shape[0]:
-        # one control row for b undetuned systems
-        v0, vm, v1 = (np.broadcast_to(x, (dr.shape[0], x.shape[1])) for x in (v0, vm, v1))
     shape = (max(v0.shape[0], dr.shape[0]), v0.shape[1])
     ma, mb = _carve(ws.ma, shape), _carve(ws.mb, shape)
     # one complex and three float arrays of scratch: each buffer takes the
@@ -379,32 +376,24 @@ def _rk4_steps(v0, vm, v1, dr, h: float, ws: _Workspace) -> tuple[np.ndarray, np
     np.multiply(0.25 * np.float64(h) ** 3, nm, out=f)
     c0 = np.conjugate(v0, out=t)
     # temporaries stay left factors of complex products (see quat.pmul)
+    np.multiply(v1, c0, out=ma)
     if detuned:
-        # ma = f (v1 c0 + dd) - h (vm c0 + conj(vm) v1 + (2 dd + nm))
-        np.multiply(f, np.add(np.multiply(v1, c0, out=ma), dd, out=ma), out=ma)
-        np.multiply(vm, c0, out=t)
-        t += np.multiply(np.conjugate(vm, out=mb), v1, out=mb)
-        t += np.add(2.0 * dd, nm, out=nm)
-        ma -= np.multiply(h, t, out=t)
+        ma += dd
+    ma *= f
+    np.multiply(vm, c0, out=t)
+    t += np.multiply(np.conjugate(vm, out=mb), v1, out=mb)
+    t += np.add(2.0 * dd, nm, out=nm) if detuned else nm
+    t *= h
+    ma -= t
+    if detuned:
         ma.imag += np.multiply(np.subtract(6.0, np.multiply(2.0, g, out=nm), out=nm), dr, out=nm)
-        # mb = (1 - g) (v0 + v1) + 4 vm + ((h - f) dr) (-1j (v1 - v0))
-        np.multiply(np.subtract(1.0, g, out=g), np.add(v0, v1, out=mb), out=mb)
-        mb += np.multiply(4.0, vm, out=t)
+    np.add(v0, v1, out=mb)
+    np.subtract(1.0, g, out=g)
+    mb *= g
+    mb += np.multiply(4.0, vm, out=t)
+    if detuned:
         np.multiply(np.subtract(h, f, out=f), dr, out=f)
         mb += np.multiply(f, np.multiply(-1j, np.subtract(v1, v0, out=t), out=t), out=t)
-    else:
-        # the operations above less their dr terms
-        np.multiply(v1, c0, out=ma)
-        ma *= f
-        np.multiply(vm, c0, out=t)
-        t += np.multiply(np.conjugate(vm, out=mb), v1, out=mb)
-        t += nm
-        t *= h
-        ma -= t
-        np.add(v0, v1, out=mb)
-        np.subtract(1.0, g, out=g)
-        mb *= g
-        mb += np.multiply(4.0, vm, out=t)
     ma *= h / 6.0
     ma.real += 1.0
     mb *= h / 6.0

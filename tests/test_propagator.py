@@ -1,4 +1,5 @@
 import collections
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -780,6 +781,46 @@ def test_rk4_steps_of_one_row_equal_its_row_of_a_batch_bit_for_bit():
         for i in range(64):
             a, b = _rk4_steps(v0[i:i + 1], vm[i:i + 1], v1[i:i + 1], dr[i:i + 1], 0.25, one)
             assert np.array_equal(a[0], ma[i]) and np.array_equal(b[0], mb[i])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160])
+def test_rk4_steps_of_one_control_row_against_64_detunings_equal_the_oracle(scale):
+    # one (1, 512) control row, which the ufuncs broadcast into the
+    # workspace's 64 rows, byte for byte oracles._rk4_steps, which broadcasts
+    # the row itself: zero detunings with one -0 row, and one per row.  Every
+    # other column's parts are signed zeros and small multiples of the
+    # scale, and at 1e-160 |v|^2 and v conj(v') underflow, so the signs of
+    # zero products are compared too
+    rng = np.random.default_rng(57)
+    x = scale * rng.standard_normal((6, 1, 512))
+    x[..., ::2] = scale * rng.choice([-0.0, 0.0, -1.0, 1.0, -2.0, 2.0], (6, 1, 256))
+    # parts set one by one: x + 1j y would turn a -0 in y into +0
+    v0, vm, v1 = np.stack((x[:3], x[3:]), axis=-1).view(complex)[..., 0]
+    zero = np.zeros((64, 1))
+    zero[17] = -0.0
+    for dr in (zero, rng.uniform(-2.0, 2.0, (64, 1))):
+        for h in (0.25, 1.0 / 8192):
+            ma, mb = _rk4_steps(v0, vm, v1, dr, h, _Workspace(64, 512, 0))
+            ref_a, ref_b = oracles._rk4_steps(v0, vm, v1, dr, h)
+            assert ma.shape == mb.shape == (64, 512)
+            assert ma.tobytes() == ref_a.tobytes() and mb.tobytes() == ref_b.tobytes()
+
+
+def test_rk4_steps_of_subnormal_words_equal_the_oracle():
+    # every combination of -0, +0 and the smallest subnormal of either sign
+    # in the six parts of (v0, vm, v1), one control row against four
+    # detunings: every product underflows, and the sign of each zero must
+    # be the oracle's (a float factor moved across a complex product flips
+    # some of them)
+    words = np.array([-0.0, 0.0, -5e-324, 5e-324])
+    x = np.array(list(itertools.product(words, repeat=6))).T[:, None, :]
+    v0, vm, v1 = np.stack((x[:3], x[3:]), axis=-1).view(complex)[..., 0]
+    dr = np.array([[0.0], [-0.0], [0.53], [-1.7]])
+    for d in (dr[:2], dr):
+        for h in (0.25, 1.0 / 8192):
+            ma, mb = _rk4_steps(v0, vm, v1, d, h, _Workspace(4, 4096, 0))
+            ref_a, ref_b = oracles._rk4_steps(v0, vm, v1, d, h)
+            assert ma.tobytes() == ref_a.tobytes() and mb.tobytes() == ref_b.tobytes()
 
 
 def test_rk4_step_of_constant_generator_is_taylor_polynomial():
