@@ -495,6 +495,8 @@ def rotate_controls(sched: PulseSchedule, eta: float) -> PulseSchedule:
     components rotated by eta.
     """
     eta = take_number(eta, "eta")
+    if not math.isfinite(eta):
+        raise ValueError(f"eta must be finite, not {eta!r}")
     ce, se = math.cos(eta), math.sin(eta)
     u1 = ce * sched.u1 - se * sched.u2
     u2 = se * sched.u1 + ce * sched.u2

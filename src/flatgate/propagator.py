@@ -41,8 +41,9 @@ neither with the batch nor with N (~2.1 MB for 64 rows, where whole
 control rows of 2^18 intervals hold 268 MB), and no block allocates an
 array of its own size: allocated per block, those arrays were returned to
 the system and faulted back in, ~2,100 minor page faults per 64-row batch
-of 8192 steps.  Only the chunk products, held steps' exponentials and the
-per-block gathers of inexact step ratios still allocate per block.
+of 8192 steps.  Only the chunk products, held steps' exponentials, the
+weights of inexact cubic steps and the terms of linear reads still
+allocate per block.
 Desk-scale sweeps and thousand-target verification runs stay fast
 without any compiled extension.  The quaternion norm is
 multiplicative, so |m q| = |m| for unit q: normalizing each reported state
@@ -66,20 +67,21 @@ ceil(DEFAULT_STEP_DIVISOR / N) steps, whole steps per sample interval.
 
 One step rule per propagation, _step_maker, is chosen from the
 interpolation alone: the exponential for pconst, RK4 for the others.  For
-these, one reader per propagation, _stage_reader, chooses how the stages
-are read, from the interpolation and the step alone; every cubic read
-gives the gather's values bit for bit.  A cubic schedule stepped r times
-per sample interval, with h / spacing exactly 1 / r, puts every stage at
-one of the 2r phases p / 2r of its interval, and its weights are a row of
-one table per propagation, the Lagrange weights at x0 = q / 2r, whose
-one-sided rows serve the end intervals and the end point.  Its stages are
-gathered, the step ends and then the midpoints, with stencils and table
-rows found by integer arithmetic on the half-step index, and every block
-of steps over intervals 1..N - 3 reads the same weights on stencils
-shifted by its first interval, kept once per propagation from the first
-such block of each length.  Every other cubic step, and every linear
-read, gathers a 4-sample stencil per stage, with stencils and weights
-computed per block.
+these, one reader per propagation, _stage_reader, reads every block's
+stages in two halves, the step ends and then the midpoints, each into its
+slice of the workspace's stage buffer.  A linear half reads the line
+through the two samples of each stage's interval; a cubic half gathers a
+4-sample stencil per stage with its Lagrange weights.  A cubic schedule
+stepped r times per sample interval, with h / spacing exactly 1 / r, puts
+every stage at one of the 2r phases p / 2r of its interval, and its
+weights are a row of one table per propagation, the Lagrange weights at
+x0 = q / 2r, whose one-sided rows serve the end intervals and the end
+point.  Its stencils and table rows are found by integer arithmetic on
+the half-step index, and every block of steps over intervals 1..N - 3
+reads the same weights on stencils shifted by its first interval, kept
+once per propagation from the first such block of each length.  Every
+other cubic step evaluates its stencils and weights per half at the
+stages' positions.
 """
 from __future__ import annotations
 
@@ -191,25 +193,6 @@ def _lagrange_weights(x0: np.ndarray) -> np.ndarray:
                      x0 * x1 * x3 / -2.0, x0 * x1 * x2 / 6.0))
 
 
-def _stage_values(v: np.ndarray, first: int, sched: PulseSchedule, h: float,
-                  half_steps: np.ndarray) -> np.ndarray:
-    """The complex sample rows `v`, whose column 0 is sample `first`, read
-    at the RK4 stage times i h/2, i in `half_steps`, clamped to T, on the
-    interpolant `sched` declares, as (b, len(half_steps)); all rows are
-    gathered from one index computation.  Linear reads the line through
-    samples i, i + 1 of the interval containing a stage; cubic the Lagrange
-    cubic of _cubic_stencils.  The weights are real and act on the real and
-    imaginary parts alike."""
-    if sched.interpolation == INTERP_CUBIC:
-        stencils, w2 = _cubic_stencils(sched, h, half_steps)
-        return _gather(v, stencils - first, w2)
-    pos = np.minimum(half_steps * (0.5 * h), sched.duration) / sched.spacing
-    idx = np.clip(np.floor(pos).astype(int), 0, sched.n_intervals - 1)
-    frac = pos - idx
-    idx -= first
-    return v[:, idx] * (1.0 - frac) + v[:, idx + 1] * frac
-
-
 def _stencil_start(i, big_n: int):
     """The first sample j = clip(i - 1, 0, N - 3) of the cubic stencil of
     each interval i >= 0 of big_n, i = N meaning the end point T: every
@@ -217,30 +200,16 @@ def _stencil_start(i, big_n: int):
     return np.clip(np.minimum(i, big_n - 1) - 1, 0, big_n - 3)
 
 
-def _cubic_stencils(sched: PulseSchedule, h: float,
-                    half_steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The cubic reads at the stage times i h/2 of _stage_values: the (4, L)
-    samples j..j + 3 of each, j = _stencil_start of the interval containing
-    it, and the (4, 2L) Lagrange weights there, each twice, for the real and
-    the imaginary part; the weights at integer and half-integer positions
-    are exact."""
-    # h / spacing is exactly 1 at the default step, so stage endpoints
-    # land on samples and midpoints halfway between
-    pos = np.minimum(half_steps * (0.5 * h / sched.spacing), sched.n_intervals)
-    j = _stencil_start(np.floor(pos).astype(int), sched.n_intervals)
-    return j + np.arange(4)[:, None], np.repeat(_lagrange_weights(pos - j), 2, axis=1)
-
-
 def _gather(v: np.ndarray, stencils: np.ndarray, w2: np.ndarray,
-            out: np.ndarray | None = None, taken: np.ndarray | None = None) -> np.ndarray:
-    """The sums over k of v[:, stencils[k]] times the weights w2[k] of
-    _cubic_stencils: one real contraction over interleaved parts, into the
-    (b, 2L) floats `out` through the (b, 4, L) complex `taken` if given.
-    Every stencil lies in v by construction; mode "clip" lets np.take
-    write into `taken` itself, where "raise" would fill a copy of it."""
-    return np.einsum("bkl,kl->bl", np.take(v, stencils, axis=1, out=taken,
-                                           mode="clip").view(float),
-                     w2, out=out).view(complex)
+            out: np.ndarray, taken: np.ndarray) -> None:
+    """The sums over k of v[:, stencils[k]] times the (4, 2L) weights w2[k],
+    each twice, for the real and the imaginary part: one real contraction
+    over interleaved parts, into the (b, 2L) floats `out` through the
+    (b, 4, L) complex `taken`.  Every stencil lies in v by construction;
+    mode "clip" lets np.take write into `taken` itself, where "raise" would
+    fill a copy of it."""
+    np.einsum("bkl,kl->bl", np.take(v, stencils, axis=1, out=taken, mode="clip").view(float),
+              w2, out=out)
 
 
 def _step_maker(sched: PulseSchedule, h: float, n: int):
@@ -280,12 +249,11 @@ def _stage_reader(sched: PulseSchedule, h: float, n: int):
     gives the stage values (v0, vm, v1), each (b, kc), of steps
     done..done + kc - 1 from the complex control rows v, whose column 0 is
     sample `first` (a _window of the steps or more), as _rk4_steps takes
-    them; at the exact ratios they are views of the _Workspace ws's stage
-    buffer.  At the exact ratios the reader holds one table of Lagrange
-    weights, evaluated once per propagation; the repeated gather blocks
-    live in the reader too, keyed by kc, and so no longer than the
-    propagation."""
-    big_n = sched.n_intervals
+    them, as views of the _Workspace ws's stage buffer.  At the exact
+    ratios the reader holds one table of Lagrange weights, evaluated once
+    per propagation; the repeated gather blocks live in the reader too,
+    keyed by kc, and so no longer than the propagation."""
+    big_n, cubic = sched.n_intervals, sched.interpolation == INTERP_CUBIC
     r = _exact_steps(sched, h, n)
     # the table's weights, each twice, for the real and the imaginary part
     w2 = (np.repeat(_lagrange_weights(np.arange(6 * r + 1) / (2 * r))[:, :, None], 2, axis=2)
@@ -299,31 +267,43 @@ def _stage_reader(sched: PulseSchedule, h: float, n: int):
         return ends, ends[:-1] + 1
 
     def stencils(p, shift, at=None, w=None):
-        # _cubic_stencils at the half steps p by integer arithmetic, the
-        # stencils shifted by `shift`, into the (4, L) ints `at` and the
-        # (4, L, 2) floats `w` if given: the stage at p reads table row
-        # q = p - 2r j (np.take, as the indexing w2[:, q] is ~15 times
-        # slower)
-        j = _stencil_start(p // (2 * r), big_n)
+        # the cubic reads at the half steps p: the (4, L) samples j..j + 3
+        # of each, j the _stencil_start of its interval, shifted by `shift`
+        # into the ints `at` if given, and the (4, 2L) weights there, each
+        # twice: at an exact ratio table rows q = p - 2r j, into the (4, L, 2)
+        # floats `w` if given (np.take, as w2[:, q] is ~15 times slower),
+        # else the Lagrange weights at the stages' positions
+        if r:
+            j = _stencil_start(p // (2 * r), big_n)
+        else:
+            pos = np.minimum(p * (0.5 * h / sched.spacing), big_n)
+            j = _stencil_start(np.floor(pos).astype(int), big_n)
         return (np.add(j, np.arange(4)[:, None] + shift, out=at),
-                np.take(w2, p - 2 * r * j, axis=1, out=w, mode="clip").reshape(4, -1))
+                np.take(w2, p - 2 * r * j, axis=1, out=w, mode="clip").reshape(4, -1) if r
+                else np.repeat(_lagrange_weights(pos - j), 2, axis=1))
 
     def read(v, first, done, kc, ws):
-        if not r:
-            x = _stage_values(v, first, sched, h, np.concatenate(half_steps(done, kc)))
-            return x[:, :kc], x[:, kc + 1:], x[:, 1:kc + 1]
-        b, i0 = v.shape[0], done // r
+        b = v.shape[0]
         x = _carve(ws.stages, (b, 2 * kc + 1))
-        # whole intervals i0..i1 - 1, every stage on its centred stencil:
-        # the weights of any other such block of kc steps, on stencils
-        # shifted by i0
-        inner = done >= r and (done + kc) // r <= big_n - 2
+        # at an exact ratio, whole intervals i0..i1 - 1, every stage on its
+        # centred stencil: the weights of any other such block of kc steps,
+        # on stencils shifted by i0
+        i0 = done // r if r else 0
+        inner = r and done >= r and (done + kc) // r <= big_n - 2
         if inner and kc not in repeats:
             repeats[kc] = [stencils(p, -i0) for p in half_steps(done, kc)]
         halves = repeats[kc] if inner else half_steps(done, kc)
-        # the step ends, then the midpoints, each gathered with its samples,
-        # stencils and weights in the workspace's spare region
+        # the step ends, then the midpoints, each into its slice of the
+        # stages; a cubic half is gathered in the workspace's spare region
         for half, out in zip(halves, (x[:, :kc + 1], x[:, kc + 1:])):
+            if not cubic:
+                # the line through samples i, i + 1 of each stage's interval
+                pos = np.minimum(half * (0.5 * h), sched.duration) / sched.spacing
+                idx = np.clip(np.floor(pos).astype(int), 0, big_n - 1)
+                frac = pos - idx
+                idx -= first
+                np.add(v[:, idx] * (1.0 - frac), v[:, idx + 1] * frac, out=out)
+                continue
             size = out.shape[1]
             taken = _carve(ws.spare, (b, 4, size))
             at = _carve(ws.spare[4 * b * size:].view(np.intp), (4, size))
@@ -463,8 +443,8 @@ class _Workspace:
     in turn from its start, so that it stays in cache (one complex and
     three float multiplier-sized arrays).  The stage read is done before
     the multipliers are written, and takes the multipliers and the scratch
-    as one `spare` region for the samples, stencils and weights of half an
-    exact ratio's gather, which the scratch is extended to hold.  Sized for
+    as one `spare` region for the samples, stencils and weights of half a
+    cubic gather, which the scratch is extended to hold.  Sized for
     step blocks of `rows` x `steps` and windows of `cols` columns."""
 
     def __init__(self, rows: int, steps: int, cols: int):
@@ -546,8 +526,8 @@ def _propagate_block(scheds, dr, steps, h: float, n: int, start, states, ws: _Wo
     window.  The window, the stage values, the multipliers and the
     intermediates of the stage read, the step and the drift audit are views
     of the propagation's _Workspace ws, overwritten block after block; only
-    the chunk products, and a pconst block's exponentials or an inexact
-    ratio's gather, are allocated per block."""
+    the chunk products, a pconst block's exponentials, an inexact cubic
+    step's weights and a linear read's terms are allocated per block."""
     record = states is not None
     b = max(len(scheds), dr.shape[0])
     qa, qb = np.full(b, start[0]), np.full(b, start[1])
@@ -586,6 +566,8 @@ def propagate(sched: PulseSchedule, delta_r: float = 0.0,
               ) -> PropagationResult:
     """Integrate one schedule from `start` (default: the identity) at one
     detuning; an explicit step h runs n = round(T/h) steps of T/n, the grid t holds."""
+    if not isinstance(start, UnitQuaternion):
+        raise InvalidPropagationInput(f"start must be a UnitQuaternion, not {type(start).__name__}")
     n, h = _resolve_steps(sched, h)
     finals, drift, states = _propagate_rows(
         [sched], _detunings(delta_r, one=True), h, n, start.as_array(), record=True)
@@ -614,6 +596,8 @@ def propagate_final_batch(scheds: list[PulseSchedule], delta_r=0.0,
 def detuning_sweep(sched: PulseSchedule, delta_r_list, target: UnitQuaternion,
                    h: float | None = None) -> DetuningSweep:
     """Terminal fidelity against `target` per detuning; h rounds as in propagate."""
+    if not isinstance(target, UnitQuaternion):
+        raise InvalidPropagationInput(f"target must be a UnitQuaternion, not {type(target).__name__}")
     dr = _detunings(delta_r_list)
     finals, _ = propagate_final_batch([sched], dr, h)
     return DetuningSweep(dr, finals @ target.as_array())

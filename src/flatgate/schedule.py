@@ -101,6 +101,8 @@ class PulseSchedule:
             raise ValueError("u1, u2 must be 1-d arrays of equal length, at least two samples")
         if not (np.isfinite(u1).all() and np.isfinite(u2).all()):
             raise ValueError("u1, u2 must be finite")
+        if not isinstance(self.target, UnitQuaternion):
+            raise ValueError(f"target must be a UnitQuaternion, not {type(self.target).__name__}")
         if self.interpolation not in (INTERP_LINEAR, INTERP_PCONST, INTERP_CUBIC):
             raise ValueError(f"unknown interpolation {self.interpolation!r}")
         if self.interpolation == INTERP_CUBIC and u1.shape[0] < 4:

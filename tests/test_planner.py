@@ -714,6 +714,15 @@ def test_rotate_controls_round_trip():
     assert np.max(np.abs(back.target.as_array() - sched.target.as_array())) <= 1e-12
 
 
+def test_rotate_controls_refuses_a_non_finite_eta():
+    # inf once failed in math.cos ("math domain error") and nan in the
+    # rotated target ("not a unit quaternion: |q| = nan")
+    sched = synthesize(E3, 1.0, 128, 1)
+    for eta in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="eta must be finite"):
+            rotate_controls(sched, eta)
+
+
 def test_default_samples_is_the_smallest_power_of_two_within_1e9():
     # the reference scenario (e3, T = 2, k = 1) at h = T/8192 and at the
     # default step, the schedule's own spacing

@@ -20,7 +20,6 @@ from flatgate.propagator import (
     _prefix_product,
     _rk4_steps,
     _stage_reader,
-    _stage_values,
     _tree_product,
     detuning_sweep,
     fidelity,
@@ -29,7 +28,7 @@ from flatgate.propagator import (
     propagate_piecewise_exact,
 )
 from flatgate.quat import (
-    E1, E2, E3, ONE, ImagQuaternion, UnitQuaternion, exp_pure, mul, pair_rows,
+    E1, E2, E3, ONE, ImagQuaternion, Quaternion, UnitQuaternion, exp_pure, mul, pair_rows,
     qmul_arr, row_pair)
 from flatgate.schedule import (
     INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST, MAX_SAMPLES, PulseSchedule)
@@ -146,6 +145,24 @@ def test_schedule_interpolation_has_no_default():
         PulseSchedule(1.0, u, u, target=ONE)
 
 
+def test_schedule_target_is_a_unit_quaternion():
+    # target=None was once accepted, and writing the schedule then failed
+    # with an AttributeError
+    u = np.zeros(4)
+    for target in (None, Quaternion(1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="target must be a UnitQuaternion"):
+            PulseSchedule(1.0, u, u, target=target, interpolation=INTERP_CUBIC)
+
+
+def reader_stages(sched, h, n):
+    """The propagator's stage reads of one schedule's n steps of h at the
+    times i h/2, i = 0..2n, in time order."""
+    v0, vm, v1 = _stage_reader(sched, h, n)(_control_rows([sched]), 0, 0, n, _Workspace(1, n, 0))
+    x = np.empty(2 * n + 1, dtype=complex)
+    x[0:-1:2], x[1::2], x[-1] = v0[0], vm[0], v1[0, -1]
+    return x
+
+
 def test_cubic_stencil_reproduces_cubic_controls():
     # the 4-point Lagrange cubic is exact on cubics, end intervals included
     big_t, n = 1.3, 16
@@ -153,11 +170,12 @@ def test_cubic_stencil_reproduces_cubic_controls():
     p1 = np.polynomial.Polynomial([0.7, -1.1, 0.4, -0.9])
     p2 = np.polynomial.Polynomial([-0.2, 0.5, 1.3, 0.6])
     sched = PulseSchedule(big_t, p1(t), p2(t), target=ONE, interpolation=INTERP_CUBIC)
-    for r in (1, 2, 16):
+    # 1, 2 and 16 steps per interval read the weights from a table, 3 at
+    # the stages' positions
+    for r in (1, 2, 3, 16):
         h = sched.spacing / r
-        count = 2 * n * r + 1
-        v = _stage_values(_control_rows([sched]), 0, sched, h, np.arange(count))[0]
-        tau = np.minimum(np.arange(count) * (0.5 * h), big_t)
+        v = reader_stages(sched, h, n * r)
+        tau = np.minimum(np.arange(2 * n * r + 1) * (0.5 * h), big_t)
         assert np.max(np.abs(v.real - p1(tau))) <= 1e-14
         assert np.max(np.abs(v.imag - p2(tau))) <= 1e-14
 
@@ -167,8 +185,7 @@ def test_cubic_stage_points_at_the_spacing():
     n = 12
     u1, u2 = rng.standard_normal((2, n + 1))
     sched = PulseSchedule(0.9, u1, u2, target=ONE, interpolation=INTERP_CUBIC)
-    x = _stage_values(_control_rows([sched]), 0, sched, sched.spacing,
-                      np.arange(2 * n + 1))[0]
+    x = reader_stages(sched, sched.spacing, n)
     for u, v in ((u1, x.real), (u2, x.imag)):
         assert np.array_equal(v[::2], u)           # stage endpoints: the samples
         mid = (-u[:-3] + 9.0 * u[1:-2] + 9.0 * u[2:-1] - u[3:]) / 16.0
@@ -219,11 +236,10 @@ def test_single_schedule_blocks_match_the_chunked_kernel_bit_for_bit(interpolati
 
 
 def count_reads(monkeypatch) -> collections.Counter:
-    """Counts, by name, the calls into the propagator's stage reads and
-    gather stencil starts from now on; a cubic _stage_values call makes one
-    _gather and one _stencil_start call of its own."""
+    """Counts, by name, the calls into the propagator's gathers, Lagrange
+    weights, gather stencil starts and RK4 step blocks from now on."""
     calls = collections.Counter()
-    for name in ("_gather", "_stage_values", "_stencil_start"):
+    for name in ("_gather", "_lagrange_weights", "_stencil_start", "_rk4_steps"):
         def counted(*args, _read=getattr(propagator, name), _name=name):
             calls[_name] += 1
             return _read(*args)
@@ -232,15 +248,25 @@ def count_reads(monkeypatch) -> collections.Counter:
 
 
 def read_kind(calls) -> str:
-    """Which stage read the counted calls of one propagation ran."""
-    if calls["_stage_values"]:
-        return "per block"
-    return "table gather" if calls["_gather"] else "none"
+    """Which stage read the counted calls of one propagation ran: a cubic
+    read gathers twice per step block, the step ends and then the
+    midpoints, with the weights of one table per propagation or evaluated
+    per gather; a linear read neither gathers nor evaluates weights."""
+    blocks = calls["_rk4_steps"]
+    kinds = {(0, 0): "linear", (2 * blocks, 1): "table gather",
+             (2 * blocks, 2 * blocks): "per gather"}
+    return kinds.get((calls["_gather"], calls["_lagrange_weights"]), "?") if blocks else "none"
 
 
-def split_stages(x, kc):
-    """(v0, vm, v1) of the (b, 2 kc + 1) step ends then midpoints x."""
-    return x[:, :kc], x[:, kc + 1:], x[:, 1:kc + 1]
+def oracle_stages(v, sched, h, done, kc):
+    """(v0, vm, v1) of steps done..done + kc - 1 read from the complex
+    rows v by tests/oracles, in time order: one cubic gather, or the
+    linear expression."""
+    if sched.interpolation == INTERP_CUBIC:
+        x = oracles._gather(v, *oracles._cubic_stencils(sched, h, 2 * done + np.arange(2 * kc + 1)))
+    else:
+        x = oracles._linear_stages(v, sched, h, done, kc)
+    return x[:, 0:-1:2], x[:, 1::2], x[:, 2::2]
 
 
 @pytest.mark.parametrize("interpolation", [INTERP_CUBIC, INTERP_LINEAR, INTERP_PCONST])
@@ -249,12 +275,12 @@ def test_stage_reader_selects_the_read_by_interpolation_step_and_rows(
         interpolation, steps_per_interval, monkeypatch):
     # pconst reads segment values.  A cubic schedule at exactly r = 1, 2,
     # 4, 8 or 16 steps per interval gathers with weights from the
-    # propagation's table, never through _stage_values, on any rows; every
-    # other cubic step and every linear read gathers per block.  rows
-    # counts the propagated rows, so one control row at 2, 31 or 64
+    # propagation's table, on any rows; every other cubic step gathers with
+    # weights evaluated per gather, and a linear read gathers nothing.
+    # rows counts the propagated rows, so one control row at 2, 31 or 64
     # detunings reads as that many rows.  At N = 300 a single row at r = 8
-    # has no block inside intervals 1..N - 3 to repeat, and still never
-    # runs _stage_values.
+    # has no block inside intervals 1..N - 3 to repeat, and still reads
+    # its weights from the table.
     rng = np.random.default_rng(59)
     big_n = 300
     scheds = [PulseSchedule(1.0, *rng.standard_normal((2, big_n + 1)), target=ONE,
@@ -264,8 +290,8 @@ def test_stage_reader_selects_the_read_by_interpolation_step_and_rows(
     calls = count_reads(monkeypatch)
     for rows in (1, 2, 31, 64):
         expected = ("none" if interpolation == INTERP_PCONST
-                    else "table gather" if cubic and r in (1, 2, 4, 8, 16)
-                    else "per block")
+                    else "linear" if not cubic
+                    else "table gather" if r in (1, 2, 4, 8, 16) else "per gather")
         runs = [lambda: propagate_final_batch(scheds[:rows], h=1.0 / n),
                 lambda: propagate_final_batch(scheds[:1], delta_r=np.linspace(-1.0, 1.0, rows),
                                               h=1.0 / n)]
@@ -275,8 +301,6 @@ def test_stage_reader_selects_the_read_by_interpolation_step_and_rows(
             calls.clear()
             run()
             assert read_kind(calls) == expected
-            if expected == "per block":
-                assert calls["_gather"] == (calls["_stage_values"] if cubic else 0)
 
 
 @pytest.mark.parametrize("steps_per_interval", [1, 2, 4, 3, 2.5, 8, 16])
@@ -286,9 +310,9 @@ def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_inte
     # 1, 2, 4, 8 and 16 steps per sample interval put every stage at an
     # exact phase of its interval and gather the stages with weights from
     # the propagation's table, on all 150 control rows, on 2 and on the last
-    # alone, the others through _stage_values; small N puts the first and
-    # last intervals and the end point in every block.  tobytes, as
-    # array_equal takes -0 for +0.
+    # alone, the others with weights evaluated per gather; small N puts the
+    # first and last intervals and the end point in every block.  tobytes,
+    # as array_equal takes -0 for +0.
     rng = np.random.default_rng(56)
     big_t, big_n = 1.3, n_intervals
     scheds = [PulseSchedule(big_t, *rng.standard_normal((2, big_n + 1)), target=ONE,
@@ -300,14 +324,13 @@ def test_phase_read_matches_the_gather_byte_for_byte(n_intervals, steps_per_inte
     n = round(steps_per_interval * big_n)
     h = big_t / n
     v, one = _control_rows(scheds), ONE.as_array()
-    ends = 2 * np.arange(n + 1)
-    gathered = split_stages(
-        _stage_values(v, 0, scheds[0], h, np.concatenate([ends, ends[:-1] + 1])), n)
+    gathered = oracle_stages(v, scheds[0], h, 0, n)
     calls = count_reads(monkeypatch)
     for rows in (slice(None), slice(148, None), slice(149, None)):     # 150, 2 and 1
         calls.clear()
         stages = _stage_reader(scheds[0], h, n)(v[rows], 0, 0, n, _Workspace(150, n, 0))
-        assert (calls["_stage_values"] == 0) == (steps_per_interval in (1, 2, 4, 8, 16))
+        assert calls["_gather"] == 2
+        assert calls["_lagrange_weights"] == (1 if steps_per_interval in (1, 2, 4, 8, 16) else 2)
         for x, ref in zip(stages, gathered):
             assert x.tobytes() == ref[rows].tobytes()
     drs = rng.uniform(-1.0, 1.0, 150)
@@ -332,7 +355,7 @@ def test_repeated_gather_blocks_match_the_chunked_kernel_byte_for_byte(
     # ends, then its midpoints, with weights from one table per
     # propagation, and each block of intervals 1..N - 3 with one set of
     # stencils and weights, built once per propagation; 32 and 3 compute
-    # stencils and weights for every block afresh.  A block of 256 steps
+    # stencils and weights for every gather afresh.  A block of 256 steps
     # spans 16 intervals at r = 16 and 32 at r = 8, so N = 50 and 66 end
     # the last repeated block at N - 2 and N = 49 and 65 one short of it,
     # next to the one-sided first and last stencils; N = 770 repeats a
@@ -346,20 +369,18 @@ def test_repeated_gather_blocks_match_the_chunked_kernel_byte_for_byte(
     h = big_t / n
     v, one = _control_rows(scheds), ONE.as_array()
     chunks = [(done, min(_STEP_CHUNK, n - done)) for done in range(0, n, _STEP_CHUNK)]
-    gathered = [split_stages(_stage_values(v, 0, scheds[0], h, np.concatenate(
-        [2 * (done + np.arange(kc + 1)), 2 * (done + np.arange(kc)) + 1])), kc)
-        for done, kc in chunks]
+    gathered = [oracle_stages(v, scheds[0], h, done, kc) for done, kc in chunks]
     calls = count_reads(monkeypatch)
     read, ws = _stage_reader(scheds[0], h, n), _Workspace(64, _STEP_CHUNK, 0)
     for (done, kc), refs in zip(chunks, gathered):
         for x, ref in zip(read(v, 0, done, kc, ws), refs):
             assert x.tobytes() == ref.tobytes()
-    # at the exact ratios every block gathers twice, never through
-    # _stage_values, which gathers once
+    # every block gathers twice, with the weights of one table at the
+    # exact ratios and evaluated per gather at the others
     exact = steps_per_interval in (1, 2, 4, 8, 16)
-    gathers = (2 if exact else 1) * len(chunks)
+    gathers = 2 * len(chunks)
     assert calls["_gather"] == gathers
-    assert (calls["_stage_values"] == 0) == exact
+    assert calls["_lagrange_weights"] == (1 if exact else gathers)
     # a block of intervals 1..N - 3 after the first of its length reads the
     # kept stencils and finds no stencil starts, where any other finds one
     # per gather: two such blocks of 256 steps need (N - 2) r >= 3 * 256
@@ -379,27 +400,22 @@ def test_exact_ratio_weights_are_computed_once_per_propagation(
         n_intervals, steps_per_interval, monkeypatch):
     # a cubic schedule stepped exactly r times per interval evaluates its
     # Lagrange weights once, as one table, however many step blocks it
-    # spans (one _rk4_steps call each; 64 rows take one chunk per block, so
-    # 2 blocks at N = 300, r = 1 and 3 to 63 elsewhere), recorded or not,
-    # on any rows
+    # spans (one _rk4_steps call and two gathers each; 64 rows take one
+    # chunk per block, so 2 blocks at N = 300, r = 1 and 3 to 63
+    # elsewhere), recorded or not, on any rows
     rng = np.random.default_rng(61)
     big_t, big_n, r = 1.2, n_intervals, steps_per_interval
     scheds = [PulseSchedule(big_t, *rng.standard_normal((2, big_n + 1)), target=ONE,
                             interpolation=INTERP_CUBIC) for _ in range(64)]
     n = r * big_n
     h = big_t / n
-    calls = collections.Counter()
-    for name in ("_lagrange_weights", "_cubic_stencils", "_rk4_steps"):
-        def counted(*args, _f=getattr(propagator, name), _name=name):
-            calls[_name] += 1
-            return _f(*args)
-        monkeypatch.setattr(propagator, name, counted)
+    calls = count_reads(monkeypatch)
     runs = [lambda: propagate(scheds[0], delta_r=0.3, h=h)]
     runs += [lambda rows=rows: propagate_final_batch(scheds[:rows], h=h) for rows in (1, 31, 64)]
     for run in runs:
         calls.clear()
         run()
-        assert calls["_lagrange_weights"] == 1 and calls["_cubic_stencils"] == 0
+        assert read_kind(calls) == "table gather"
     assert calls["_rk4_steps"] == -(-n // _STEP_CHUNK)
     if r < 8:
         return
@@ -564,17 +580,24 @@ def test_steer_batch_memory_is_bounded_in_step_blocks():
     # the workspace, whose multipliers and scratch hold half a gather of
     # the stages, and the chunk products.  Gathering the step ends and
     # midpoints at once peaked at ~14.7, and at ~16.7 with the gather in
-    # the scratch alone
+    # the scratch alone.  At h = 0.93/4096, an inexact step, the halves are
+    # gathered in the same workspace: the peak, ~0.97 times that at
+    # 1/8192, was ~1.74 times as high with a stage array and a gather
+    # allocated per block.  Each batch runs once untraced first
     rng = np.random.default_rng(7)
     scheds = [synthesize(quat.as_unit(q), 1.0, 4096, 1) for q in quat.random_unit(rng, 64)]
-    tracemalloc.start()
-    try:
-        propagate_final_batch(scheds, h=1.0 / 8192)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peaks = []
+    for h in (1.0 / 8192, 0.93 / 4096):
+        propagate_final_batch(scheds, h=h)
+        tracemalloc.start()
+        try:
+            propagate_final_batch(scheds, h=h)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
     block = _ROW_BLOCK * _STEP_CHUNK * np.dtype(complex).itemsize
-    assert peak <= 12 * block, peak / block
+    assert peaks[0] <= 12 * block, peaks[0] / block
+    assert peaks[1] <= 1.25 * peaks[0], peaks[1] / peaks[0]
 
 
 def test_single_schedule_final_equals_its_row_of_a_64_row_batch():
@@ -973,6 +996,24 @@ def test_detuning_sweep_refuses_a_2d_detuning_list():
     sched = synthesize(E3, 1.0, 128, 1)
     with pytest.raises(InvalidPropagationInput, match="delta_r"):
         detuning_sweep(sched, [[0.0, 0.5], [1.0, -1.0]], E3)
+
+
+def test_propagate_start_is_a_unit_quaternion():
+    # Quaternion(2, 0, 0, 0) once propagated silently, its states[0] of
+    # norm 2, and a list failed with an AttributeError
+    sched = synthesize(E3, 1.0, 128, 1)
+    for start in (Quaternion(2.0, 0.0, 0.0, 0.0), Quaternion(1.0, 0.0, 0.0, 0.0),
+                  [1.0, 0.0, 0.0, 0.0], None):
+        with pytest.raises(InvalidPropagationInput, match="start must be a UnitQuaternion"):
+            propagate(sched, start=start)
+
+
+def test_detuning_sweep_target_is_a_unit_quaternion():
+    # a non-unit target once gave fidelities against a non-gate
+    sched = synthesize(E3, 1.0, 128, 1)
+    for target in (Quaternion(0.0, 0.0, 0.0, 2.0), [0.0, 0.0, 0.0, 1.0], None):
+        with pytest.raises(InvalidPropagationInput, match="target must be a UnitQuaternion"):
+            detuning_sweep(sched, [0.0, 0.5], target)
 
 
 def test_batch_propagation_refuses_a_2d_detuning_array():
